@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import attack as attack_mod
-from .attack import CertificateKind, PerturbationCertificate
+from .attack import DEFAULT_N_SCR, CertificateKind, PerturbationCertificate
 from .data import Dataset, Query, TieRule, knn_predict, load_csv, load_queries
 from .errors import CertificationError, DataFormatError, KnnRobustError, SolverError
 from .lp import exact_1nn_lp
@@ -50,8 +50,8 @@ class RunConfig:
     norm: str = "l2"
     method: str = "qp-greedy"
     m: int = 1
-    n_scr: int = 8
-    tolerance: float = 1e-8
+    n_scr: int = DEFAULT_N_SCR
+    tolerance: float = SolverConfig.tolerance
     workers: int = 1
     seed: int = 0
     output_path: str | None = None
@@ -65,7 +65,7 @@ class RunConfig:
     methods: tuple[str, ...] | None = None
     nscr_sweep: tuple[int, ...] | None = None
     table_csv: str | None = None
-    inflation: float = 1e-9
+    inflation: float = TieRule.inflation
 
     def __post_init__(self) -> None:
         if self.command not in ("exact", "verify", "attack", "bench"):
@@ -136,15 +136,16 @@ class RobustnessReport:
         )
 
 
-def _certificate_record(index: int, q: Query, predicted: int,
-                        cert: PerturbationCertificate, cfg: RunConfig) -> dict:
+def _certificate_record(index: int, q: Query, cert: PerturbationCertificate,
+                        cfg: RunConfig) -> dict:
     stats = asdict(cert.stats)
     if cfg.omit_timing:
         stats.pop("wall_time")
     record = {
         "query_index": index,
         "true_label": q.true_label,
-        "predicted_label": predicted,
+        # _sample_queries keeps only queries predicted as their true label.
+        "predicted_label": q.true_label,
         "epsilon": cert.epsilon,
         "kind": cert.kind.value,
         "method": cert.method,
@@ -213,21 +214,19 @@ def _evaluate(ds: Dataset, sample: list[tuple[int, Query]], method: str,
     return [work(item) for item in sample]
 
 
-def _aggregates(results, cfg: RunConfig) -> dict:
+def _aggregates(results) -> dict:
+    """Mean epsilon, count and mean pruning counts, in the bench table's column order."""
     eps = [cert.epsilon for _, _, cert in results if not cert.misclassified]
     built = [cert.stats.subproblems_built for _, _, cert in results]
     solved = [cert.stats.subproblems_solved for _, _, cert in results]
     screened = [cert.stats.subproblems_screened for _, _, cert in results]
-    agg = {
-        "count": len(results),
+    return {
         "mean_epsilon": float(np.mean(eps)) if eps else None,
+        "count": len(results),
         "mean_subproblems_built": float(np.mean(built)) if built else None,
         "mean_subproblems_solved": float(np.mean(solved)) if solved else None,
         "mean_subproblems_screened": float(np.mean(screened)) if screened else None,
     }
-    if not cfg.omit_timing:
-        agg["total_wall_time"] = float(sum(cert.stats.wall_time for _, _, cert in results))
-    return agg
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -244,12 +243,13 @@ def run(cfg: RunConfig) -> RobustnessReport:
     sample = _sample_queries(ds, queries, cfg)
     method = {"exact": "exact", "verify": "verifier", "attack": cfg.method}[cfg.command]
     results = _evaluate(ds, sample, method, cfg)
-    tie = cfg.tie_rule()
     report = RobustnessReport(command=cfg.command, config=_config_echo(cfg))
     for index, q, cert in results:
-        predicted = knn_predict(ds, q.z, cfg.k, tie, true_label=q.true_label)
-        report.queries.append(_certificate_record(index, q, predicted, cert, cfg))
-    report.aggregates = _aggregates(results, cfg)
+        report.queries.append(_certificate_record(index, q, cert, cfg))
+    report.aggregates = _aggregates(results)
+    if not cfg.omit_timing:
+        report.aggregates["total_wall_time"] = float(
+            sum(cert.stats.wall_time for _, _, cert in results))
     return report
 
 
@@ -307,21 +307,12 @@ def bench(cfg: RunConfig) -> RobustnessReport:
             results = _evaluate(ds, sample, method, cfg)
             runtimes.append(time.perf_counter() - started)
         per_method[method] = results
-        agg = _aggregates(results, cfg)
-        row = {
-            "method": method,
-            "mean_epsilon": agg["mean_epsilon"],
-            "count": agg["count"],
-            "mean_subproblems_built": agg["mean_subproblems_built"],
-            "mean_subproblems_solved": agg["mean_subproblems_solved"],
-            "mean_subproblems_screened": agg["mean_subproblems_screened"],
-        }
+        row = {"method": method, **_aggregates(results)}
         if not cfg.omit_timing:
             row["runtime_seconds"] = float(np.mean(runtimes))
         report.table.append(row)
         for index, q, cert in results:
-            predicted = knn_predict(ds, q.z, cfg.k, cfg.tie_rule(), true_label=q.true_label)
-            report.queries.append(_certificate_record(index, q, predicted, cert, cfg))
+            report.queries.append(_certificate_record(index, q, cert, cfg))
     _check_bound_ordering(per_method, methods)
 
     if cfg.nscr_sweep:
@@ -330,13 +321,9 @@ def bench(cfg: RunConfig) -> RobustnessReport:
             started = time.perf_counter()
             results = _evaluate(ds, sample, "exact", sweep_cfg)
             elapsed = time.perf_counter() - started
-            agg = _aggregates(results, cfg)
-            entry = {
-                "n_scr": n_scr,
-                "mean_subproblems_built": agg["mean_subproblems_built"],
-                "mean_subproblems_solved": agg["mean_subproblems_solved"],
-                "mean_subproblems_screened": agg["mean_subproblems_screened"],
-            }
+            agg = _aggregates(results)
+            entry = {"n_scr": n_scr, **{key: value for key, value in agg.items()
+                                        if key.startswith("mean_subproblems_")}}
             if not cfg.omit_timing:
                 entry["runtime_seconds"] = elapsed
             report.sweep.append(entry)
@@ -362,14 +349,10 @@ def _write_outputs(report: RobustnessReport, cfg: RunConfig) -> None:
     if cfg.command == "bench":
         print(_format_table(report))
         if cfg.table_csv:
-            cols = ["method", "mean_epsilon", "count", "mean_subproblems_built",
-                    "mean_subproblems_solved", "mean_subproblems_screened"]
-            if not cfg.omit_timing:
-                cols.append("runtime_seconds")
             with open(cfg.table_csv, "w", encoding="utf-8") as handle:
-                handle.write(",".join(cols) + "\n")
+                handle.write(",".join(report.table[0]) + "\n")
                 for row in report.table:
-                    handle.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+                    handle.write(",".join(str(v) for v in row.values()) + "\n")
     else:
         agg = report.aggregates
         eps = f"{agg['mean_epsilon']:.6g}" if agg["mean_epsilon"] is not None else "-"
@@ -379,80 +362,55 @@ def _write_outputs(report: RobustnessReport, cfg: RunConfig) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags only: an absent flag stays out of the namespace, so every
+    default comes from ``RunConfig``."""
     parser = argparse.ArgumentParser(
         prog="knnrobust",
         description="Minimum adversarial perturbations and certified bounds for K-NN",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("exact", "verify", "attack", "bench"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--data", "--data-path", dest="data_path", required=True)
         p.add_argument("--queries", "--query-path", dest="query_path", required=True)
-        p.add_argument("--k", type=int, default=1)
-        p.add_argument("--norm", choices=("l2", "linf", "l1"), default="l2")
-        p.add_argument("--m", type=int, default=1,
-                       help="truncation count for qp, tries for naive")
-        p.add_argument("--n-scr", dest="n_scr", type=int, default=8)
-        p.add_argument("--tolerance", type=float, default=1e-8)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", "--output-path", dest="output_path", default=None)
-        p.add_argument("--sample", type=int, default=100)
-        p.add_argument("--repeats", type=int, default=1)
+        p.add_argument("--k", type=int)
+        p.add_argument("--norm", choices=("l2", "linf", "l1"))
+        p.add_argument("--m", type=int, help="truncation count for qp, tries for naive")
+        p.add_argument("--n-scr", dest="n_scr", type=int)
+        p.add_argument("--tolerance", type=float)
+        p.add_argument("--workers", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--output", "--output-path", dest="output_path")
+        p.add_argument("--sample", type=int)
+        p.add_argument("--repeats", type=int)
         p.add_argument("--emit-deltas", action="store_true")
         p.add_argument("--omit-timing", action="store_true")
         p.add_argument("--no-screening", dest="screening", action="store_false")
         p.add_argument("--no-sorting", dest="sorting", action="store_false")
         p.add_argument("--has-header", action="store_true")
-        p.add_argument("--inflation", type=float, default=1e-9)
+        p.add_argument("--inflation", type=float)
         if name == "attack":
             p.add_argument("--method", choices=ATTACK_METHODS, required=True)
         if name == "bench":
-            p.add_argument("--methods", default=None,
-                           help="comma list of table rows (default depends on k)")
-            p.add_argument("--nscr-sweep", dest="nscr_sweep", default=None,
+            p.add_argument("--methods", help="comma list of table rows (default depends on k)")
+            p.add_argument("--nscr-sweep", dest="nscr_sweep",
                            help="comma list of n_scr values to sweep")
-            p.add_argument("--table-csv", dest="table_csv", default=None)
+            p.add_argument("--table-csv", dest="table_csv")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    methods = tuple(s.strip() for s in args.methods.split(",")) \
-        if getattr(args, "methods", None) else None
-    sweep = tuple(int(s) for s in args.nscr_sweep.split(",")) \
-        if getattr(args, "nscr_sweep", None) else None
-    return RunConfig(
-        command=args.command,
-        data_path=args.data_path,
-        query_path=args.query_path,
-        k=args.k,
-        norm=args.norm,
-        method=getattr(args, "method", "qp-greedy") or "qp-greedy",
-        m=args.m,
-        n_scr=args.n_scr,
-        tolerance=args.tolerance,
-        workers=args.workers,
-        seed=args.seed,
-        output_path=args.output_path,
-        sample=args.sample,
-        repeats=args.repeats,
-        emit_deltas=args.emit_deltas,
-        omit_timing=args.omit_timing,
-        screening=args.screening,
-        sorting=args.sorting,
-        has_header=args.has_header,
-        methods=methods,
-        nscr_sweep=sweep,
-        table_csv=getattr(args, "table_csv", None),
-        inflation=args.inflation,
-    )
+# Comma-list flags, parsed after argparse so that a bad item is a
+# configuration error (exit 2) rather than a usage error.
+_COMMA_LISTS = {"methods": str.strip, "nscr_sweep": int}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
     try:
-        cfg = _config_from_args(args)
+        for key, item in _COMMA_LISTS.items():
+            if args.get(key):
+                args[key] = tuple(item(s) for s in args[key].split(","))
+        cfg = RunConfig(**args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

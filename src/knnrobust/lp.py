@@ -310,9 +310,11 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
     """Exact minimum perturbation of 1-NN under the max or sum norm.
 
     Same outer loop as the quadratic pipeline, with one LP per candidate
-    target.  The quadratic screening rules do not transfer, so only the
-    sorted-candidate early stop is kept, made conservative by the norm
-    equivalence factor sqrt(d) in the max-norm case.
+    target.  The quadratic screening rules would transfer through Hölder's
+    inequality (a row forces ``||delta|| >= max(-b, 0)/||a||_*`` in the dual
+    norm) but are not applied yet, so only the sorted-candidate early stop
+    is kept, made conservative by the norm equivalence factor sqrt(d) in the
+    max-norm case.
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")

@@ -39,14 +39,11 @@ class SolverConfig:
     ``max_iterations=None`` means 100 * m, and ``objective_cap`` aborts a
     solve once the dual objective exceeds the cap (used to cut off
     infeasible or hopeless subproblems, whose dual grows without bound).
-    ``scaled_selection`` switches the pick rule to the Lipschitz-scaled
-    variant; the default is the plain largest-projected-gradient rule.
     """
 
     tolerance: float = 1e-8
     max_iterations: int | None = None
     screening_enabled: bool = True
-    scaled_selection: bool = False
     objective_cap: float | None = None
 
     def __post_init__(self) -> None:
@@ -116,7 +113,7 @@ def solve_dual_gca(sp: Subproblem, cfg: SolverConfig = SolverConfig()) -> DualSo
     for it in range(1, cap + 1):
         pg = np.maximum(lam + g, 0.0) - lam
         viol = np.abs(pg)
-        i = int(np.argmax(viol / np.sqrt(norms_sq))) if cfg.scaled_selection else int(np.argmax(viol))
+        i = int(np.argmax(viol))
         if viol[i] <= cfg.tolerance:
             status = SolveStatus.CONVERGED
             iterations = it - 1
@@ -198,7 +195,7 @@ def kkt_check(sp: Subproblem, sol: DualSolution, tol: float) -> KktReport:
     else:
         comp_slack = 0.0
     gap = 0.5 * float(delta @ delta) - sol.objective
-    scale = 1.0 + float(np.max(np.abs(sp.offsets)))
+    scale = sp.offset_scale
     passed = (
         primal_violation <= tol * scale
         and comp_slack <= tol * scale
@@ -223,7 +220,7 @@ def active_set_oracle(
         raise ValueError(f"oracle guard exceeded: m={m} (max {max_rows}), d={d} (max {max_dim})")
     A = sp.rows
     b = sp.offsets
-    feas_tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
+    feas_tol = 1e-9 * sp.offset_scale
 
     best = None  # (objective, delta, lam_dense)
     for size in range(0, min(m, d) + 1):

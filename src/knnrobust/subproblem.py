@@ -58,6 +58,11 @@ class Subproblem:
     def d(self) -> int:
         return self.rows.shape[1]
 
+    @property
+    def offset_scale(self) -> float:
+        """``1 + ||b||_inf``: the scale that residual tolerances are relative to."""
+        return 1.0 + float(np.max(np.abs(self.offsets)))
+
     def residual(self, delta: np.ndarray) -> np.ndarray:
         """Constraint slack A delta + b (nonnegative iff delta feasible)."""
         return self.rows @ np.asarray(delta, dtype=np.float64) + self.offsets

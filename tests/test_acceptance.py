@@ -120,6 +120,29 @@ def test_criterion_03_screening_soundness(corpus):
             f"max on/off diff={worst:.2e}, datasets with nonzero screened multiplier={bad_multipliers}")
 
 
+# Summed (built, solved, screened, solver iterations) over the corpus.  Each
+# pruning rule changes these totals when it stops firing: with n_scr=1 the
+# post-build row test prunes the 105 targets that n_scr=8 screens earlier.
+PINNED_PRUNING_COUNTS = {
+    "exact, n_scr=8, sorted": ((590, 590, 1124, 7831), lambda ds, q: exact_1nn(ds, q)),
+    "exact, n_scr=1, sorted": ((695, 590, 1124, 7831), lambda ds, q: exact_1nn(ds, q, n_scr=1)),
+    "exact, n_scr=8, unsorted": ((948, 948, 766, 17094),
+                                 lambda ds, q: exact_1nn(ds, q, sort_candidates=False)),
+    "qp-10": ((590, 590, 1123, 7831), lambda ds, q: qp_top_m(ds, q, 10)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PRUNING_COUNTS)
+def test_pruning_counts_pinned(corpus, name):
+    expected, method = PINNED_PRUNING_COUNTS[name]
+    totals = np.zeros(4, dtype=np.int64)
+    for ds, q, _ in corpus:
+        s = method(ds, q).stats
+        totals += (s.subproblems_built, s.subproblems_solved, s.subproblems_screened,
+                   s.solver_iterations)
+    assert tuple(int(v) for v in totals) == expected
+
+
 def test_criterion_04a_bound_ordering(corpus):
     tol = 1e-8
     violations = []

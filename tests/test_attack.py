@@ -98,6 +98,17 @@ class TestScreenSubproblem:
         assert screen_subproblem(ds, q, 1, incumbent_sq=1e-12) is False
 
 
+@pytest.mark.parametrize("n_scr", [0, -1])
+@pytest.mark.parametrize("search", [
+    lambda ds, q, n_scr: exact_1nn(ds, q, n_scr=n_scr),
+    lambda ds, q, n_scr: qp_top_m(ds, q, 2, n_scr=n_scr),
+], ids=["exact_1nn", "qp_top_m"])
+def test_nonpositive_n_scr_rejected(fix_c, search, n_scr):
+    ds, q = fix_c
+    with pytest.raises(ValueError, match="n_scr must be >= 1"):
+        search(ds, q, n_scr)
+
+
 class TestQpTopM:
     def test_fix_a_single_candidate(self, fix_a):
         ds, q = fix_a

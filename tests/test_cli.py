@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -166,3 +167,82 @@ class TestMainExitCodes:
         code = main(["exact", "--data", fix_files["fixC"],
                      "--queries", fix_files["fixC_q"], "--k", "3"])
         assert code == 2
+
+
+def _echo(**fields):
+    """The report's ``config`` for a RunConfig with these fields, as JSON reads it back."""
+    return json.loads(json.dumps(asdict(RunConfig(**fields))))
+
+
+class TestMainFlags:
+    def test_every_bench_flag_reaches_its_field(self, fix_files, capsys):
+        d = fix_files["dir"]
+        (d / "hdr.csv").write_text("label,x\n" + open(fix_files["fixC"]).read())
+        (d / "hdr_q.csv").write_text("label,x\n1,0\n")
+        table = str(d / "table.csv")
+        code = main(["bench", "--data-path", str(d / "hdr.csv"),
+                     "--query-path", str(d / "hdr_q.csv"),
+                     "--output-path", fix_files["out"], "--m", "2", "--n-scr", "3",
+                     "--tolerance", "1e-9", "--workers", "2", "--seed", "7",
+                     "--sample", "5", "--repeats", "2", "--emit-deltas", "--omit-timing",
+                     "--no-screening", "--no-sorting", "--has-header",
+                     "--inflation", "1e-8", "--methods", "exact, verifier",
+                     "--nscr-sweep", "1,8", "--table-csv", table])
+        assert code == 0
+        payload = json.loads(open(fix_files["out"]).read())
+        assert payload["config"] == _echo(
+            command="bench", data_path=str(d / "hdr.csv"), query_path=str(d / "hdr_q.csv"),
+            output_path=fix_files["out"], m=2, n_scr=3, tolerance=1e-9, workers=2, seed=7,
+            sample=5, repeats=2, emit_deltas=True, omit_timing=True, screening=False,
+            sorting=False, has_header=True, inflation=1e-8, methods=("exact", "verifier"),
+            nscr_sweep=(1, 8), table_csv=table,
+        )
+        assert [row["method"] for row in payload["table"]] == ["exact", "verifier"]
+        assert [entry["n_scr"] for entry in payload["sweep"]] == [1, 8]
+        assert all("delta" in rec for rec in payload["queries"] if rec["method"] == "exact-1nn")
+
+    def test_short_spellings_and_defaults(self, fix_files, capsys):
+        code = main(["attack", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
+                     "--output", fix_files["out"], "--method", "mean", "--k", "3"])
+        assert code == 0
+        payload = json.loads(open(fix_files["out"]).read())
+        assert payload["config"] == _echo(
+            command="attack", data_path=fix_files["fixC"], query_path=fix_files["fixC_q"],
+            output_path=fix_files["out"], method="mean", k=3,
+        )
+
+    def test_norm_flag(self, fix_files, capsys):
+        code = main(["exact", "--data", fix_files["fixB"], "--queries", fix_files["fixB_q"],
+                     "--output", fix_files["out"], "--norm", "linf"])
+        assert code == 0
+        payload = json.loads(open(fix_files["out"]).read())
+        assert payload["config"] == _echo(
+            command="exact", data_path=fix_files["fixB"], query_path=fix_files["fixB_q"],
+            output_path=fix_files["out"], norm="linf",
+        )
+
+    @pytest.mark.parametrize("omit_timing", [False, True])
+    def test_table_csv_header_and_rows(self, fix_files, capsys, omit_timing):
+        table = str(fix_files["dir"] / "table.csv")
+        code = main(["bench", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
+                     "--methods", "exact,qp-1", "--table-csv", table,
+                     "--output", fix_files["out"]] + (["--omit-timing"] if omit_timing else []))
+        assert code == 0
+        lines = open(table).read().splitlines()
+        header = ["method", "mean_epsilon", "count", "mean_subproblems_built",
+                  "mean_subproblems_solved", "mean_subproblems_screened"]
+        if not omit_timing:
+            header.append("runtime_seconds")
+        assert lines[0].split(",") == header
+        rows = json.loads(open(fix_files["out"]).read())["table"]
+        assert lines[1:] == [",".join(str(row[c]) for c in header) for row in rows]
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["exact", "0.75", "1"], ["qp-1", "0.75", "1"]]
+
+    def test_malformed_sweep_is_a_configuration_error(self, fix_files, capsys):
+        code = main(["bench", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                     "--nscr-sweep", "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "usage:" not in err
