@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -52,7 +51,7 @@ class RunConfig:
     m: int = 1
     n_scr: int = DEFAULT_N_SCR
     tolerance: float = SolverConfig.tolerance
-    workers: int = 1
+    workers: int = 1               # validated and echoed; queries run in order
     seed: int = 0
     output_path: str | None = None
     sample: int = 100
@@ -80,6 +79,10 @@ class RunConfig:
             raise ValueError("m, n_scr, workers and repeats must all be >= 1")
         if self.sample < 1:
             raise ValueError("sample must be >= 1")
+        if self.methods is not None and not (self.methods and all(self.methods)):
+            raise ValueError(f"methods must be non-empty names, got {self.methods}")
+        if self.nscr_sweep is not None and not (self.nscr_sweep and min(self.nscr_sweep) >= 1):
+            raise ValueError(f"nscr_sweep values must be >= 1, got {self.nscr_sweep}")
         if self.command == "exact" and self.k != 1:
             raise ValueError("exact computation is defined for k=1 only")
         if self.command != "exact" and self.norm != "l2":
@@ -204,14 +207,7 @@ def _sample_queries(ds: Dataset, queries: list[Query], cfg: RunConfig) -> list[t
 
 def _evaluate(ds: Dataset, sample: list[tuple[int, Query]], method: str,
               cfg: RunConfig) -> list[tuple[int, Query, PerturbationCertificate]]:
-    def work(item):
-        index, q = item
-        return index, q, _run_method(ds, q, method, cfg)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(work, sample))
-    return [work(item) for item in sample]
+    return [(index, q, _run_method(ds, q, method, cfg)) for index, q in sample]
 
 
 def _aggregates(results) -> dict:
@@ -408,7 +404,7 @@ def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     try:
         for key, item in _COMMA_LISTS.items():
-            if args.get(key):
+            if key in args:
                 args[key] = tuple(item(s) for s in args[key].split(","))
         cfg = RunConfig(**args)
     except ValueError as exc:

@@ -21,10 +21,15 @@ from .errors import SolverError
 from .subproblem import Subproblem, build_1nn_subproblem
 
 _PIVOT_EPS = 1e-10
+_TOL = 1e-9                 # phase-1 infeasibility and artificial-row tolerance
+# Pivot cap per phase: max(_CAP_FLOOR, _CAP_PER_LINE * (rows + columns)).
+_CAP_FLOOR = 2000
+_CAP_PER_LINE = 200
 
 GEQ = ">="
 LEQ = "<="
 EQ = "="
+_SLACK_SIGN = {LEQ: 1.0, GEQ: -1.0, EQ: 0.0}
 
 
 @dataclass(frozen=True)
@@ -39,27 +44,19 @@ class LinearProgram:
     upper: np.ndarray              # (p,), +inf allowed
 
     def __post_init__(self) -> None:
-        obj = np.asarray(self.objective, dtype=np.float64).ravel()
-        mat = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
-        rhs = np.asarray(self.rhs, dtype=np.float64).ravel()
-        lower = np.asarray(self.lower, dtype=np.float64).ravel()
-        upper = np.asarray(self.upper, dtype=np.float64).ravel()
-        p = obj.size
-        if mat.shape != (rhs.size, p) or lower.size != p or upper.size != p:
+        for name in ("objective", "rhs", "lower", "upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64).ravel())
+        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=np.float64)))
+        p = self.objective.size
+        if self.matrix.shape != (self.rhs.size, p) or self.lower.size != p or self.upper.size != p:
             raise ValueError("inconsistent LP dimensions")
-        if len(self.relations) != rhs.size:
+        if len(self.relations) != self.rhs.size:
             raise ValueError("one relation per constraint row required")
         if not all(rel in (GEQ, LEQ, EQ) for rel in self.relations):
             raise ValueError(f"bad relation in {self.relations}")
-        for arr in (obj, mat, rhs):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("LP coefficients must be finite")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "matrix", mat)
+        if not all(np.all(np.isfinite(a)) for a in (self.objective, self.matrix, self.rhs)):
+            raise ValueError("LP coefficients must be finite")
         object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def num_variables(self) -> int:
@@ -77,232 +74,147 @@ def build_linf_lp(sp: Subproblem) -> LinearProgram:
     """Variables (delta_1..delta_d, v); minimize v with |delta_i| <= v."""
     d = sp.d
     matrix = np.zeros((sp.m + 2 * d, d + 1))
-    relations = []
     rhs = np.zeros(sp.m + 2 * d)
     matrix[: sp.m, :d] = sp.rows
     rhs[: sp.m] = -sp.offsets
-    relations.extend([GEQ] * sp.m)
-    for i in range(d):
-        matrix[sp.m + 2 * i, i] = 1.0
-        matrix[sp.m + 2 * i, d] = -1.0
-        relations.append(LEQ)                      # delta_i - v <= 0
-        matrix[sp.m + 2 * i + 1, i] = 1.0
-        matrix[sp.m + 2 * i + 1, d] = 1.0
-        relations.append(GEQ)                      # delta_i + v >= 0
+    # Two box rows per coordinate: delta_i - v <= 0, then delta_i + v >= 0.
+    matrix[sp.m::2, :d] = np.eye(d)
+    matrix[sp.m::2, d] = -1.0
+    matrix[sp.m + 1::2, :d] = np.eye(d)
+    matrix[sp.m + 1::2, d] = 1.0
     objective = np.zeros(d + 1)
     objective[d] = 1.0
     lower = np.full(d + 1, -np.inf)
     lower[d] = 0.0
-    return LinearProgram(objective, matrix, tuple(relations), rhs,
+    return LinearProgram(objective, matrix, (GEQ,) * sp.m + (LEQ, GEQ) * d, rhs,
                          lower, np.full(d + 1, np.inf))
 
 
 def build_l1_lp(sp: Subproblem) -> LinearProgram:
     """Split variables (pos, neg) >= 0 with delta = pos - neg; minimize the sum."""
     d = sp.d
-    matrix = np.hstack([sp.rows, -sp.rows])
-    return LinearProgram(
-        objective=np.ones(2 * d),
-        matrix=matrix,
-        relations=(GEQ,) * sp.m,
-        rhs=-sp.offsets,
-        lower=np.zeros(2 * d),
-        upper=np.full(2 * d, np.inf),
-    )
+    return LinearProgram(np.ones(2 * d), np.hstack([sp.rows, -sp.rows]), (GEQ,) * sp.m,
+                         -sp.offsets, np.zeros(2 * d), np.full(2 * d, np.inf))
 
 
-def _bland_entering(cost_row: np.ndarray) -> int | None:
-    neg = np.flatnonzero(cost_row < -_PIVOT_EPS)
-    return int(neg[0]) if neg.size else None
+def _bland_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None:
+    """Minimum-ratio row; ratios within ``_PIVOT_EPS`` of it tie, and the
+    smallest basic index among them wins."""
+    rows = np.flatnonzero(tableau[:-1, col] > _PIVOT_EPS)
+    if not rows.size:
+        return None
+    ratios = tableau[rows, -1] / tableau[rows, col]
+    ties = rows[ratios - ratios.min() <= _PIVOT_EPS]
+    return int(ties[np.argmin(basis[ties])])
 
 
-def _bland_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int | None:
-    column = tableau[:-1, col]
-    rhs = tableau[:-1, -1]
-    best_row = None
-    best_ratio = None
-    for row in np.flatnonzero(column > _PIVOT_EPS):
-        ratio = rhs[row] / column[row]
-        if (
-            best_ratio is None
-            or ratio < best_ratio - _PIVOT_EPS
-            or (abs(ratio - best_ratio) <= _PIVOT_EPS and basis[row] < basis[best_row])
-        ):
-            best_ratio = ratio
-            best_row = int(row)
-    return best_row
-
-
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], cap: int) -> str:
-    iterations = 0
-    while True:
-        col = _bland_entering(tableau[-1, :-1])
-        if col is None:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cap: int) -> str:
+    """Bland's rule: the first column with a negative reduced cost enters."""
+    for _ in range(cap + 1):
+        entering = np.flatnonzero(tableau[-1, :-1] < -_PIVOT_EPS)
+        if not entering.size:
             return "optimal"
-        row = _bland_leaving(tableau, basis, col)
+        row = _bland_leaving(tableau, basis, int(entering[0]))
         if row is None:
             return "unbounded"
-        _pivot(tableau, basis, row, col)
-        iterations += 1
-        if iterations > cap:
-            return "iteration_cap"
+        _pivot(tableau, basis, row, int(entering[0]))
+    return "iteration_cap"
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9,
-             max_iterations: int | None = None) -> LpResult:
+def _subtract_rows(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``first - rows[0] - rows[1] - ...``, one subtraction at a time in row order."""
+    return np.subtract.reduce(np.vstack([first, rows]), axis=0)
+
+
+def solve_lp(lp: LinearProgram) -> LpResult:
     """Two-phase dense simplex with Bland's rule.
 
     Returns an optimal basic feasible solution, or a distinct status for
     infeasible and unbounded programs.  Hitting the iteration cap reports
     the current (feasible) point when one exists.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    p = lp.num_variables
+    # Standard form x = offsets + T @ y with y >= 0, in variable order: a
+    # finite lower bound shifts its variable, a lone upper bound flips it, and
+    # a free variable splits into two adjacent columns.  Every column of T
+    # holds a single +-1, so ``@ T`` only copies or negates entries.
+    has_lo, has_hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
+    free = ~has_lo & ~has_hi
+    width = 1 + free
+    first = np.cumsum(width) - width
+    T = np.zeros((lp.num_variables, int(width.sum())))
+    T[np.arange(lp.num_variables), first] = np.where(has_hi & ~has_lo, -1.0, 1.0)
+    T[free, first[free] + 1] = -1.0
+    offsets = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
+    boxed = has_lo & has_hi
+    ncols = T.shape[1]
 
-    # Shift/flip/split variables so every simplex variable is >= 0.
-    # columns[k] lists (column, sign); offsets[k] is the constant part.
-    columns: list[list[tuple[int, float]]] = []
-    offsets = np.zeros(p)
-    extra_rows = []
-    ncols = 0
-    for k in range(p):
-        lo, hi = lp.lower[k], lp.upper[k]
-        if np.isfinite(lo):
-            columns.append([(ncols, 1.0)])
-            offsets[k] = lo
-            if np.isfinite(hi):
-                bound_row = np.zeros(p)
-                bound_row[k] = 1.0
-                extra_rows.append((bound_row, LEQ, hi))
-            ncols += 1
-        elif np.isfinite(hi):
-            columns.append([(ncols, -1.0)])
-            offsets[k] = hi
-            ncols += 1
-        else:
-            columns.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
+    # Rows: the constraints, then y_k <= upper - lower for each boxed
+    # variable, each negated where its right-hand side is negative.  A row's
+    # slack sign is +1 for <=, -1 for >= and 0 for =.
+    rows = np.vstack([lp.matrix @ T, T[boxed]])
+    rhs = np.concatenate([lp.rhs - lp.matrix @ offsets, lp.upper[boxed] - lp.lower[boxed]])
+    slack_sign = np.array([_SLACK_SIGN[rel] for rel in lp.relations] + [1.0] * int(boxed.sum()))
+    flip = np.where(rhs < 0, -1.0, 1.0)
+    rows *= flip[:, None]
+    rhs *= flip
+    slack_sign *= flip
 
-    rows = [(lp.matrix[r], lp.relations[r], lp.rhs[r]) for r in range(len(lp.relations))]
-    rows.extend(extra_rows)
-
-    def to_std(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        out = np.zeros(ncols)
-        shift = float(coeffs @ offsets)
-        for k in range(p):
-            for col, sign in columns[k]:
-                out[col] += sign * coeffs[k]
-        return out, shift
-
-    std_rows = []
-    std_rhs = []
-    std_rels = []
-    for coeffs, rel, rhs in rows:
-        row, shift = to_std(np.asarray(coeffs, dtype=np.float64))
-        b = float(rhs) - shift
-        if b < 0:
-            row = -row
-            b = -b
-            rel = {GEQ: LEQ, LEQ: GEQ, EQ: EQ}[rel]
-        std_rows.append(row)
-        std_rhs.append(b)
-        std_rels.append(rel)
-
-    r = len(std_rows)
-    n_slack = sum(1 for rel in std_rels if rel != EQ)
-    n_art = sum(1 for rel in std_rels if rel != LEQ)
-    total = ncols + n_slack + n_art
-    tableau = np.zeros((r + 1, total + 1))
-    basis: list[int] = []
-    slack_at = ncols
-    art_at = ncols + n_slack
-    art_cols = []
-    for i in range(r):
-        tableau[i, :ncols] = std_rows[i]
-        tableau[i, -1] = std_rhs[i]
-        if std_rels[i] == LEQ:
-            tableau[i, slack_at] = 1.0
-            basis.append(slack_at)
-            slack_at += 1
-        elif std_rels[i] == GEQ:
-            tableau[i, slack_at] = -1.0
-            slack_at += 1
-            tableau[i, art_at] = 1.0
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            tableau[i, art_at] = 1.0
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-
-    cap = max_iterations if max_iterations is not None else max(2000, 200 * (r + total))
+    # Columns: the variables, a slack per inequality row, then an artificial
+    # per >= or = row.  The start basis is the slack of each <= row and the
+    # artificial of every other row.
+    r = rhs.size
+    slack_rows, art_rows = np.flatnonzero(slack_sign), np.flatnonzero(slack_sign <= 0)
+    art_start = ncols + slack_rows.size
+    tableau = np.vstack([
+        np.hstack([rows, np.diag(slack_sign)[:, slack_rows], np.eye(r)[:, art_rows], rhs[:, None]]),
+        np.zeros((1, art_start + art_rows.size + 1)),
+    ])
+    basis = np.empty(r, dtype=np.intp)
+    basis[slack_rows] = np.arange(ncols, art_start)
+    basis[art_rows] = art_start + np.arange(art_rows.size)
+    cap = max(_CAP_FLOOR, _CAP_PER_LINE * (r + tableau.shape[1] - 1))
 
     # Phase 1: drive the artificial variables to zero.
-    if art_cols:
-        tableau[-1, art_cols] = 1.0
-        for i, bv in enumerate(basis):
-            if bv in art_cols:
-                tableau[-1] -= tableau[i]
-        status = _run_simplex(tableau, basis, cap)
-        if status == "iteration_cap":
+    if art_rows.size:
+        tableau[-1, art_start:-1] = 1.0
+        tableau[-1] = _subtract_rows(tableau[-1], tableau[art_rows])
+        if _run_simplex(tableau, basis, cap) == "iteration_cap":
             return LpResult("iteration_cap", None, None)
-        if tableau[-1, -1] < -tol * max(1.0, float(np.max(np.abs(std_rhs))) if std_rhs else 1.0):
+        if tableau[-1, -1] < -_TOL * max(1.0, float(np.max(np.abs(rhs)))):
             return LpResult("infeasible", None, None)
-        # Pivot basic artificials out; drop rows that are redundant.
-        keep = np.ones(r, dtype=bool)
-        for i in range(r):
-            if basis[i] in art_cols and abs(tableau[i, -1]) <= tol:
-                pivot_col = None
-                for jcol in range(ncols + n_slack):
-                    if abs(tableau[i, jcol]) > _PIVOT_EPS:
-                        pivot_col = jcol
-                        break
-                if pivot_col is None:
-                    keep[i] = False
-                else:
-                    _pivot(tableau, basis, i, pivot_col)
-            elif basis[i] in art_cols:
+        # Pivot basic artificials out, then delete the artificial columns
+        # and the rows left redundant.
+        keep = np.ones(r + 1, dtype=bool)
+        for i in np.flatnonzero(basis >= art_start):
+            if abs(tableau[i, -1]) > _TOL:
                 return LpResult("infeasible", None, None)
-        if not np.all(keep):
-            tableau = np.vstack([tableau[:-1][keep], tableau[-1]])
-            basis = [bv for i, bv in enumerate(basis) if keep[i]]
-            r = len(basis)
-        tableau[:, art_cols] = 0.0
+            nonzero = np.flatnonzero(np.abs(tableau[i, :art_start]) > _PIVOT_EPS)
+            if nonzero.size:
+                _pivot(tableau, basis, i, int(nonzero[0]))
+            else:
+                keep[i] = False
+        tableau = np.delete(tableau[keep], np.s_[art_start:-1], axis=1)
+        basis = basis[keep[:-1]]
 
     # Phase 2 with the real objective.
-    std_cost, cost_shift = to_std(lp.objective)
-    tableau[-1, :] = 0.0
-    tableau[-1, :ncols] = std_cost
-    for i, bv in enumerate(basis):
-        coeff = tableau[-1, bv]
-        if abs(coeff) > 0.0:
-            tableau[-1] -= coeff * tableau[i]
+    cost = np.zeros(tableau.shape[1])
+    cost[:ncols] = lp.objective @ T
+    tableau[-1] = _subtract_rows(cost, cost[basis, None] * tableau[:-1])
     status = _run_simplex(tableau, basis, cap)
-
-    std_x = np.zeros(total)
-    for i, bv in enumerate(basis):
-        std_x[bv] = tableau[i, -1]
-    x = offsets.copy()
-    for k in range(p):
-        for col, sign in columns[k]:
-            x[k] += sign * std_x[col]
-    objective = float(lp.objective @ x)
     if status == "unbounded":
         return LpResult("unbounded", None, None)
-    if status == "iteration_cap":
-        return LpResult("iteration_cap", x, objective)
-    return LpResult("optimal", x, objective)
+    y = np.zeros(tableau.shape[1] - 1)
+    y[basis] = tableau[:-1, -1]
+    x = offsets + T @ y[:ncols]
+    return LpResult(status, x, float(lp.objective @ x))
 
 
 def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,

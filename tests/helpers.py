@@ -146,8 +146,11 @@ def preserved_fraction(ds: Dataset, true_label: int, z_batch: np.ndarray, k: int
 def lp_vertex_minimum(lp) -> float | None:
     """Brute-force LP optimum by enumerating basic feasible points.
 
-    Only valid when the feasible region is bounded (callers bound every
-    variable).  Returns None when no vertex is feasible.
+    Valid when the feasible region contains no line and the objective is
+    bounded below on it: a minimum then sits at a vertex.  A bounded region
+    qualifies, and so do the regions of both LP builders (``v >= |delta_i|``
+    for the max norm, ``pos, neg >= 0`` for the sum norm).  Returns None when
+    no vertex is feasible.
     """
     p = lp.num_variables
     planes = [(np.asarray(row), float(rhs)) for row, rhs in zip(lp.matrix, lp.rhs)]

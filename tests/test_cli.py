@@ -240,9 +240,14 @@ class TestMainFlags:
             ["exact", "0.75", "1"], ["qp-1", "0.75", "1"]]
 
     def test_malformed_sweep_is_a_configuration_error(self, fix_files, capsys):
-        code = main(["bench", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
-                     "--nscr-sweep", "x"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert "usage:" not in err
+        # Also empty lists, empty method names and sweep values below 1: all
+        # are rejected before any table row is computed.
+        for flags in (["--nscr-sweep", "x"], ["--nscr-sweep", ""], ["--nscr-sweep", "0"],
+                      ["--methods", ""], ["--methods", "exact,,verifier"]):
+            code = main(["bench", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                         *flags])
+            assert code == 2, flags
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("configuration error:")
+            assert "usage:" not in err

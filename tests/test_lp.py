@@ -110,19 +110,30 @@ class TestSolveLp:
         )
 
     def test_agrees_with_vertex_enumeration(self):
+        # 60 boxed programs with inequality rows, then 400 whose variables are
+        # boxed, lower-only, upper-only or free and whose rows may be
+        # equalities.  Every infinite bound gets a row x_k >= -5 or x_k <= 5,
+        # so the feasible region stays bounded for the oracle.
         rng = np.random.default_rng(107)
-        solved = 0
-        while solved < 60:
+        for case in range(460):
             p = int(rng.integers(2, 5))
             r = int(rng.integers(1, 6))
-            lp = LinearProgram(
-                objective=rng.integers(-3, 4, size=p).astype(float),
-                matrix=rng.integers(-3, 4, size=(r, p)).astype(float),
-                relations=tuple(rng.choice([">=", "<="], size=r)),
-                rhs=rng.integers(-4, 5, size=r).astype(float),
-                lower=np.full(p, -5.0),
-                upper=np.full(p, 5.0),
-            )
+            objective = rng.integers(-3, 4, size=p).astype(float)
+            matrix = rng.integers(-3, 4, size=(r, p)).astype(float)
+            relations = list(rng.choice([">=", "<="] if case < 60 else [">=", "<=", "="], size=r))
+            rhs = rng.integers(-4, 5, size=r).astype(float)
+            lower, upper = np.full(p, -5.0), np.full(p, 5.0)
+            if case >= 60:
+                kind = rng.integers(0, 4, size=p)      # boxed, lower-only, upper-only, free
+                lower = rng.integers(-5, 1, size=p).astype(float)
+                upper = lower + rng.integers(0, 6, size=p)
+                lower[kind >= 2] = -np.inf
+                upper[(kind == 1) | (kind == 3)] = np.inf
+                no_lo, no_hi = np.flatnonzero(np.isinf(lower)), np.flatnonzero(np.isinf(upper))
+                matrix = np.vstack([matrix, np.eye(p)[no_lo], np.eye(p)[no_hi]])
+                rhs = np.concatenate([rhs, np.full(no_lo.size, -5.0), np.full(no_hi.size, 5.0)])
+                relations += [">="] * no_lo.size + ["<="] * no_hi.size
+            lp = LinearProgram(objective, matrix, tuple(relations), rhs, lower, upper)
             reference = lp_vertex_minimum(lp)
             result = solve_lp(lp)
             if reference is None:
@@ -130,7 +141,6 @@ class TestSolveLp:
             else:
                 assert result.status == "optimal"
                 assert result.objective == pytest.approx(reference, abs=1e-8)
-            solved += 1
 
 
 class TestExact1nnLp:
@@ -165,6 +175,18 @@ class TestExact1nnLp:
             l1 = exact_1nn_lp(ds, q, "l1").epsilon
             assert linf <= l2 + 1e-8
             assert l2 <= l1 + 1e-8
+
+    def test_matches_vertex_oracle(self):
+        # Each epsilon is the smallest per-target LP optimum, here found by
+        # vertex enumeration of the same LP instead of the simplex.
+        rng = np.random.default_rng(127)
+        for _ in range(40):
+            ds, q, _ = random_grid_dataset(rng, max_d=3)
+            targets = np.flatnonzero(ds.labels != q.true_label)
+            for norm, build in (("linf", build_linf_lp), ("l1", build_l1_lp)):
+                reference = min(lp_vertex_minimum(build(build_1nn_subproblem(ds, q, int(j))))
+                                for j in targets)
+                assert exact_1nn_lp(ds, q, norm).epsilon == pytest.approx(reference, abs=1e-9)
 
     def test_one_dimension_collapses(self):
         rng = np.random.default_rng(113)
