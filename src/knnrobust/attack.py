@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict
+from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict, knn_vote
 from .errors import CertificationError, SolverError
 from .qp_solver import (DualSolution, SolveStatus, SolverConfig, recover_primal,
                         screen_variables, solve_dual_gca)
@@ -420,20 +420,51 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     )
 
 
-def _bisect_flip(predicate, lo: float, hi: float, tol: float) -> float:
-    """Smallest magnitude in (lo, hi] at which ``predicate`` flips to True.
+def _bisect_flip(predicate, t_cap: float) -> float | None:
+    """Smallest t found in (0, t_cap] at which ``predicate`` flips to True, or None.
 
-    Assumes predicate(lo) is False and predicate(hi) is True; returns the
+    Doubles t from 1 until predicate(t) holds, then bisects the last bracket
+    to ``_LINE_SEARCH_TOL``.  Assumes predicate(0) is False; returns the
     upper end of the final bracket so the result always satisfies the
     predicate.
     """
-    while hi - lo > tol:
+    lo, hi = 0.0, 1.0
+    while not predicate(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > t_cap:
+            return None
+    while hi - lo > _LINE_SEARCH_TOL:
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule):
+    """Squared distances from ``q.z`` and the baselines' ``flip(u, t_cap)``.
+
+    ``flip`` runs ``_bisect_flip`` along z + t*u with O(n) probes: each votes
+    on ``dist_sq + t*(2u.(z-x) + t*||u||^2)``.  Where t*||u|| dwarfs the K-th
+    distance, rounding in that form can exceed the tie window, so a t is
+    returned only if ``knn_predict`` at the recomputed point flips too;
+    otherwise the search is repeated with such probes.
+    """
+    diff = q.z - ds.points
+    dist_sq = np.einsum("ij,ij->i", diff, diff)
+
+    def flip(u: np.ndarray, t_cap: float) -> float | None:
+        slope, uu = 2.0 * (diff @ u), float(u @ u)
+
+        def recomputed(t: float) -> bool:
+            return knn_predict(ds, q.z + t * u, k, tie, true_label=q.true_label) != q.true_label
+
+        t = _bisect_flip(lambda t: knn_vote(ds, dist_sq + t * (slope + t * uu), k,
+                                            q.true_label) != q.true_label, t_cap)
+        return t if t is not None and recomputed(t) else _bisect_flip(recomputed, t_cap)
+
+    return dist_sq, flip
 
 
 def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
@@ -455,7 +486,7 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
         stats.wall_time = time.perf_counter() - start
         return _zero_certificate(ds, f"naive-{tries}", stats)
 
-    dist_sq = ds.distances_sq(q.z)
+    dist_sq, flip = _line_search(ds, q, k, tie)
     others = np.flatnonzero(ds.labels != q.true_label)
     others = others[np.argsort(dist_sq[others], kind="stable")]
     k_minus = (k + 1) // 2
@@ -476,14 +507,9 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
         direction = target - q.z
         if not np.any(direction):
             continue
-
-        def predicate(t: float) -> bool:
-            return knn_predict(ds, q.z + t * direction, k, tie,
-                               true_label=q.true_label) != q.true_label
-
-        if not predicate(1.0):
+        t_star = flip(direction, 1.0)
+        if t_star is None:
             continue
-        t_star = _bisect_flip(predicate, 0.0, 1.0, _LINE_SEARCH_TOL)
         eps = t_star * float(np.linalg.norm(direction))
         if eps < best_eps:
             best_eps = eps
@@ -520,18 +546,10 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     direction = means[target_label] - q.z
     if not np.any(direction):
         raise SolverError("mean: query coincides with the target class mean")
-
-    def predicate(t: float) -> bool:
-        return knn_predict(ds, q.z + t * direction, k, tie,
-                           true_label=q.true_label) != q.true_label
-
-    t_hi = 1.0
-    while not predicate(t_hi):
-        t_hi *= 2.0
-        if t_hi > _RAY_EXTENSION_CAP:
-            raise SolverError("mean: no flip within the ray-length cap")
-    t_star = _bisect_flip(predicate, 0.0 if t_hi == 1.0 else t_hi / 2.0, t_hi,
-                          _LINE_SEARCH_TOL)
+    _, flip = _line_search(ds, q, k, tie)
+    t_star = flip(direction, _RAY_EXTENSION_CAP)
+    if t_star is None:
+        raise SolverError("mean: no flip within the ray-length cap")
     delta = t_star * direction
     stats.wall_time = time.perf_counter() - start
     return _validated(ds, q, delta, CertificateKind.UPPER_BOUND, "mean", stats, k, tie)

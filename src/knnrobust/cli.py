@@ -38,6 +38,7 @@ _ORDER_TOL = 1e-7
 ATTACK_METHODS = ("qp", "qp-greedy", "naive", "mean")
 _BENCH_1NN = ("exact", "verifier", "qp-1", "qp-10", "qp-greedy", "naive-1", "naive-10", "mean")
 _BENCH_KNN = ("verifier", "qp-greedy", "naive-1", "mean")
+_NAMED_METHODS = ("exact", "verifier", "qp", "qp-greedy", "naive", "mean")
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,26 @@ class RunConfig:
             raise ValueError("sample must be >= 1")
         if self.methods is not None and not (self.methods and all(self.methods)):
             raise ValueError(f"methods must be non-empty names, got {self.methods}")
+        for name in self.method_names():
+            prefix, _, count = name.partition("-")
+            if name not in _NAMED_METHODS and not (
+                    prefix in ("qp", "naive") and count.isdecimal() and int(count) >= 1):
+                raise ValueError(f"unknown method {name!r}; expected exact, verifier, qp, qp-<m>, "
+                                 "qp-greedy, naive, naive-<t> or mean, with m, t >= 1")
+            if self.k != 1 and prefix in ("exact", "qp") and name != "qp-greedy":
+                raise ValueError(f"{name} is defined for k=1 only")
         if self.nscr_sweep is not None and not (self.nscr_sweep and min(self.nscr_sweep) >= 1):
             raise ValueError(f"nscr_sweep values must be >= 1, got {self.nscr_sweep}")
-        if self.command == "exact" and self.k != 1:
-            raise ValueError("exact computation is defined for k=1 only")
         if self.command != "exact" and self.norm != "l2":
             raise ValueError("--norm linf/l1 applies to the exact command only")
-        if self.command == "attack" and self.method == "qp" and self.k != 1:
-            raise ValueError("the qp (top-m) attack is defined for k=1 only")
+        if self.nscr_sweep is not None and self.k != 1:
+            raise ValueError("the n_scr sweep runs exact, which is defined for k=1 only")
+
+    def method_names(self) -> tuple[str, ...]:
+        """The methods this command computes, in table order."""
+        if self.command == "bench":
+            return self.methods or (_BENCH_1NN if self.k == 1 else _BENCH_KNN)
+        return ({"exact": "exact", "verify": "verifier", "attack": self.method}[self.command],)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tolerance=self.tolerance, screening_enabled=self.screening)
@@ -237,7 +250,7 @@ def run(cfg: RunConfig) -> RobustnessReport:
     ds = load_csv(cfg.data_path, cfg.has_header)
     queries = load_queries(cfg.query_path, cfg.has_header)
     sample = _sample_queries(ds, queries, cfg)
-    method = {"exact": "exact", "verify": "verifier", "attack": cfg.method}[cfg.command]
+    (method,) = cfg.method_names()
     results = _evaluate(ds, sample, method, cfg)
     report = RobustnessReport(command=cfg.command, config=_config_echo(cfg))
     for index, q, cert in results:
@@ -290,9 +303,7 @@ def bench(cfg: RunConfig) -> RobustnessReport:
     ds = load_csv(cfg.data_path, cfg.has_header)
     queries = load_queries(cfg.query_path, cfg.has_header)
     sample = _sample_queries(ds, queries, cfg)
-    methods = list(cfg.methods) if cfg.methods else list(
-        _BENCH_1NN if cfg.k == 1 else _BENCH_KNN
-    )
+    methods = cfg.method_names()
 
     report = RobustnessReport(command="bench", config=_config_echo(cfg))
     per_method = {}

@@ -1,14 +1,12 @@
 """Reference database, CSV ingestion and K-NN prediction.
 
 The dataset is an immutable matrix of points with integer class labels in
-``{1..C}``.  Every routine in this module is a pure function of its inputs,
-so datasets can be shared freely between worker threads.
+``{1..C}``.  Every routine in this module is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,17 +220,46 @@ def k_nearest(ds: Dataset, z: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-def _vote(counts: Counter) -> int:
-    best = max(counts.values())
-    return min(label for label, c in counts.items() if c == best)
-
-
 # Distances this close (relative) to the K-th rank count as tied.  Exact
 # equality would be the mathematical definition, but a perturbation landing
 # on a bisection hyperplane rarely reproduces the tie bit-for-bit when the
 # distances are recomputed, and the tie rule exists precisely for that
 # boundary.
 _TIE_REL_TOL = 512 * np.finfo(np.float64).eps
+
+
+def knn_vote(ds: Dataset, dist_sq: np.ndarray, k: int, true_label: int | None = None) -> int:
+    """The vote of ``knn_predict`` on given squared distances to every point.
+
+    Needs ``k <= ds.n``.  The line searches update the distances along a ray.
+    """
+    kth = np.partition(dist_sq, k - 1)[k - 1]
+    window = _TIE_REL_TOL * max(1.0, kth)
+    strict = dist_sq < kth - window
+    tied = np.abs(dist_sq - kth) <= window
+    slots = k - int(np.count_nonzero(strict))
+    size = ds.class_count + 1
+    # Per-label counts are tiny (C + 1 entries), so the rest runs on lists.
+    fixed = np.bincount(ds.labels[strict], minlength=size).tolist()
+
+    if true_label is None:
+        tied_ids = np.flatnonzero(tied)
+        first = tied_ids[np.argsort(dist_sq[tied_ids], kind="stable")[:slots]]
+        # argmax takes the smallest label among equal counts.
+        return int(np.argmax(np.bincount(ds.labels[first], minlength=size) + fixed))
+
+    avail = np.bincount(ds.labels[tied], minlength=size).tolist()
+    votes = [f + min(a, slots) for f, a in zip(fixed, avail)]
+    own_fixed = own_avail = 0
+    if 0 <= true_label < size:
+        own_fixed, own_avail = fixed[true_label], avail[true_label]
+        votes[true_label] = -1
+    # Filling non-true tied candidates first leaves the true class with the
+    # fewest achievable votes; the overflow below is forced either way.
+    true_votes = own_fixed + max(0, slots - (sum(avail) - own_avail))
+    best = max(votes)
+    # index() takes the smallest label among equal counts.
+    return votes.index(best) if best >= true_votes else true_label
 
 
 def knn_predict(
@@ -255,35 +282,7 @@ def knn_predict(
         raise ValueError(f"K must be odd, got {k}")
     if k > ds.n:
         raise InsufficientPointsError(f"K={k} exceeds dataset size n={ds.n}")
-    dist_sq = ds.distances_sq(z)
-    order = np.argsort(dist_sq, kind="stable")
-    kth = dist_sq[order[k - 1]]
-    window = _TIE_REL_TOL * max(1.0, kth)
-    strict = order[dist_sq[order] < kth - window]
-    tied = order[np.abs(dist_sq[order] - kth) <= window]
-    slots = k - strict.size
-
-    fixed = Counter(int(ds.labels[i]) for i in strict)
-    avail = Counter(int(ds.labels[i]) for i in tied)
-
-    if true_label is None:
-        for i in tied[:slots]:
-            fixed[int(ds.labels[i])] += 1
-        return _vote(fixed)
-
-    other_avail = sum(c for label, c in avail.items() if label != true_label)
-    # Filling non-true tied candidates first leaves the true class with the
-    # fewest achievable votes; the overflow below is forced either way.
-    true_votes = fixed.get(true_label, 0) + max(0, slots - other_avail)
-    best_label = None
-    best_votes = -1
-    for label in sorted(set(fixed) | set(avail)):
-        if label == true_label:
-            continue
-        votes = fixed.get(label, 0) + min(avail.get(label, 0), slots)
-        if votes >= true_votes and votes > best_votes:
-            best_label, best_votes = label, votes
-    return best_label if best_label is not None else true_label
+    return knn_vote(ds, ds.distances_sq(z), k, true_label)
 
 
 def class_means(ds: Dataset) -> np.ndarray:

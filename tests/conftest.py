@@ -3,6 +3,15 @@ import pytest
 
 from knnrobust import Dataset, Query
 
+from helpers import CORPUS_SEED, CORPUS_SIZE, random_grid_dataset
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The acceptance corpus: seeded small integer-grid datasets with a query."""
+    rng = np.random.default_rng(CORPUS_SEED)
+    return [random_grid_dataset(rng) for _ in range(CORPUS_SIZE)]
+
 
 @pytest.fixture
 def fix_a():

@@ -3,11 +3,13 @@
 Nothing here shares code paths with the solvers under test: the exact 1-NN
 reference goes through active-set enumeration per target, the 1-D reference
 scans perturbation magnitudes densely, the K-NN verifier reference measures
-distances to bisecting hyperplanes and sorts, and the LP reference
-enumerates vertices.
+distances to bisecting hyperplanes and sorts, the vote reference sorts and
+counts, the line-search reference recomputes every distance at each probe,
+and the LP reference enumerates vertices.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -18,8 +20,12 @@ from knnrobust import (
     build_1nn_subproblem,
     knn_predict,
 )
+from knnrobust.data import _TIE_REL_TOL
 
 GRID = np.arange(-5, 6)
+# The acceptance corpus: CORPUS_SIZE random_grid_dataset draws from this seed.
+CORPUS_SEED = 20240501
+CORPUS_SIZE = 500
 
 
 def random_grid_dataset(rng, max_n=12, max_d=3, classes=(2, 3)):
@@ -54,6 +60,74 @@ def random_grid_dataset(rng, max_n=12, max_d=3, classes=(2, 3)):
         if not ok:
             continue
         return ds, Query(z, true), ks
+
+
+def knn_predict_reference(ds: Dataset, z: np.ndarray, k: int,
+                          true_label: int | None = None) -> int:
+    """K-NN vote under the attacker-favorable tie rule, by sorting and counting.
+
+    Points within the tie window of the K-th squared distance are tied.
+    Without ``true_label`` the tied points fill the free slots in (distance,
+    index) order and a vote tie goes to the smallest label.  With it, the
+    tied points are assigned so that the prediction leaves ``true_label``
+    whenever some assignment does, preferring the label with most votes and
+    then the smallest one.
+    """
+    dist_sq = ds.distances_sq(z)
+    order = np.argsort(dist_sq, kind="stable")
+    kth = dist_sq[order[k - 1]]
+    window = _TIE_REL_TOL * max(1.0, kth)
+    strict = order[dist_sq[order] < kth - window]
+    tied = order[np.abs(dist_sq[order] - kth) <= window]
+    slots = k - strict.size
+
+    fixed = Counter(int(ds.labels[i]) for i in strict)
+    avail = Counter(int(ds.labels[i]) for i in tied)
+
+    if true_label is None:
+        for i in tied[:slots]:
+            fixed[int(ds.labels[i])] += 1
+        best = max(fixed.values())
+        return min(label for label, c in fixed.items() if c == best)
+
+    other_avail = sum(c for label, c in avail.items() if label != true_label)
+    true_votes = fixed.get(true_label, 0) + max(0, slots - other_avail)
+    best_label = None
+    best_votes = -1
+    for label in sorted(set(fixed) | set(avail)):
+        if label == true_label:
+            continue
+        votes = fixed.get(label, 0) + min(avail.get(label, 0), slots)
+        if votes >= true_votes and votes > best_votes:
+            best_label, best_votes = label, votes
+    return best_label if best_label is not None else true_label
+
+
+def line_flip_reference(ds: Dataset, q: Query, k: int, direction: np.ndarray,
+                        extend: bool = False) -> float | None:
+    """The baselines' line search along z + t*direction, probing with ``knn_predict``.
+
+    Each probe recomputes every distance at the probed point.  The search
+    starts at t = 1; with ``extend`` it doubles t up to 2**20 until the
+    prediction flips.  It then bisects the last bracket to 1e-9 and returns
+    its upper end, or None when no probed t flips.
+    """
+    def flips(t):
+        return knn_predict(ds, q.z + t * direction, k, true_label=q.true_label) != q.true_label
+
+    hi = 1.0
+    while not flips(hi):
+        if not extend or 2.0 * hi > 2.0 ** 20:
+            return None
+        hi *= 2.0
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if flips(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def brute_force_exact_1nn(ds: Dataset, q: Query) -> float:

@@ -40,14 +40,11 @@ from knnrobust import (
 )
 
 from helpers import (
+    CORPUS_SEED,
     knn_pair_bound_reference,
     min_flip_1d,
     no_flip_below_1d,
-    random_grid_dataset,
 )
-
-CORPUS_SEED = 20240501
-CORPUS_SIZE = 500
 
 DATA_DIR = os.environ.get("KNNROBUST_DATA_DIR", "")
 _needs_data = pytest.mark.skipif(
@@ -60,12 +57,6 @@ def _report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:>3} {name}: {status}" + (f" ({detail})" if detail else ""))
     assert ok, f"criterion {num} {name}: {detail}"
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    rng = np.random.default_rng(CORPUS_SEED)
-    return [random_grid_dataset(rng) for _ in range(CORPUS_SIZE)]
 
 
 def _oracle_minimum(ds, q):

@@ -6,10 +6,12 @@ from knnrobust import (
     Dataset,
     Query,
     SolverConfig,
+    SolverError,
     active_set_oracle,
     build_knn_subproblem,
     exact_1nn,
     is_adversarial,
+    knn_predict,
     mean_attack,
     naive_attack,
     qp_greedy_knn,
@@ -18,7 +20,7 @@ from knnrobust import (
     verify_1nn,
 )
 
-from helpers import brute_force_exact_1nn, min_flip_1d, random_grid_dataset
+from helpers import brute_force_exact_1nn, line_flip_reference, min_flip_1d, random_grid_dataset
 
 
 class TestExact1nn:
@@ -243,6 +245,85 @@ class TestBaselines:
             a = naive_attack(ds, q, 1, 1).epsilon
             b = naive_attack(ds, q, 1, 10).epsilon
             assert b <= a + 1e-9
+
+
+def _naive_directions(ds, q, k, tries):
+    """Directions of naive-``tries``: toward the nearest other-class points
+    (K=1) or the centroids of size-(K+1)/2 same-label clusters around them."""
+    dist_sq = np.sum((ds.points - q.z) ** 2, axis=1)
+    seeds = [j for j in np.argsort(dist_sq, kind="stable") if ds.labels[j] != q.true_label]
+    for j in seeds[:tries]:
+        mates = np.flatnonzero(ds.labels == ds.labels[j])
+        if mates.size < (k + 1) // 2:
+            continue
+        gaps = np.sum((ds.points[mates] - ds.points[j]) ** 2, axis=1)
+        cluster = mates[np.argsort(gaps, kind="stable")[:(k + 1) // 2]]
+        direction = ds.points[cluster].mean(axis=0) - q.z
+        if np.any(direction):
+            yield direction
+
+
+def _mean_direction(ds, q):
+    """Direction of mean: toward the nearest other-class mean."""
+    means = [ds.points[ds.labels == c].mean(axis=0)
+             for c in np.unique(ds.labels) if c != q.true_label]
+    return min(means, key=lambda m: np.linalg.norm(m - q.z)) - q.z
+
+
+def test_line_search_matches_reference(corpus):
+    # Every probe of naive and mean must decide as knn_predict at the probed
+    # point does.  2,225 of the 2,226 flips found agree bit for bit; instance
+    # 236 (mean, K=1) flips at epsilon 5.9e6, where the t^2 term swamps the
+    # distance differences, and differs by 2e-9 relative.
+    checked = 0
+    for ds, q, _ in corpus:
+        for k in (1, 3):
+            if knn_predict(ds, q.z, k, true_label=q.true_label) != q.true_label:
+                continue
+            for method, directions, extend in (
+                (lambda: naive_attack(ds, q, k, 1), list(_naive_directions(ds, q, k, 1)), False),
+                (lambda: naive_attack(ds, q, k, 3), list(_naive_directions(ds, q, k, 3)), False),
+                (lambda: mean_attack(ds, q, k), [_mean_direction(ds, q)], True),
+            ):
+                radii = [float(np.linalg.norm(t * u)) for u in directions
+                         if (t := line_flip_reference(ds, q, k, u, extend)) is not None]
+                if not radii:
+                    with pytest.raises(SolverError):
+                        method()
+                    continue
+                assert method().epsilon == pytest.approx(min(radii), rel=1e-8, abs=0.0)
+                checked += 1
+    assert checked > 2000
+
+
+def test_far_flips_validate(corpus):
+    # A far other-class point with a same-class point just in front of it:
+    # near the flip, t^2*||u||^2 exceeds the K-th distance 1e8- to 1e15-fold, so
+    # distances expanded along the ray round past the tie window.  Each
+    # flip the line search returns must still validate at the recomputed
+    # point, and one exists at the target itself.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        d = int(rng.integers(1, 4))
+        unit = rng.normal(size=d)
+        unit /= np.linalg.norm(unit)
+        far = rng.uniform(1e4, 1e7) * unit
+        ds = Dataset(np.array([far - rng.uniform(1e-3, 1.0) * unit, far]), [1, 2])
+        q = Query(np.zeros(d), 1)
+        for cert in (naive_attack(ds, q, 1, 1), mean_attack(ds, q, 1)):
+            assert is_adversarial(ds, q, cert.delta, 1)
+    # The acceptance corpus scaled by 1e4: no walk may raise CertificationError;
+    # a SolverError (no flip found) is allowed.
+    for ds, q, _ in corpus[:200]:
+        ds, q = Dataset(ds.points * 1e4, ds.labels, ds.class_count), Query(q.z * 1e4, q.true_label)
+        for k in (1, 3):
+            if knn_predict(ds, q.z, k, true_label=q.true_label) != q.true_label:
+                continue
+            for method in (lambda: naive_attack(ds, q, k, 3), lambda: mean_attack(ds, q, k)):
+                try:
+                    method()
+                except SolverError:
+                    pass
 
 
 class TestIsAdversarial:

@@ -239,11 +239,20 @@ class TestMainFlags:
         assert [line.split(",")[:3] for line in lines[1:]] == [
             ["exact", "0.75", "1"], ["qp-1", "0.75", "1"]]
 
-    def test_malformed_sweep_is_a_configuration_error(self, fix_files, capsys):
-        # Also empty lists, empty method names and sweep values below 1: all
-        # are rejected before any table row is computed.
+    def test_malformed_sweep_is_a_configuration_error(self, fix_files, capsys, monkeypatch):
+        # Also empty lists, empty method names, sweep values below 1, unknown
+        # method names and zero counts: all are rejected before any data is
+        # loaded.
+        from knnrobust import cli
+
+        def no_loading(*args):
+            raise AssertionError("data loaded before the configuration was checked")
+
+        monkeypatch.setattr(cli, "load_csv", no_loading)
         for flags in (["--nscr-sweep", "x"], ["--nscr-sweep", ""], ["--nscr-sweep", "0"],
-                      ["--methods", ""], ["--methods", "exact,,verifier"]):
+                      ["--methods", ""], ["--methods", "exact,,verifier"],
+                      ["--methods", "exact,bogus"], ["--methods", "qp-0"],
+                      ["--methods", "naive-0"]):
             code = main(["bench", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
                          *flags])
             assert code == 2, flags
@@ -251,3 +260,17 @@ class TestMainFlags:
             assert out == ""
             assert err.startswith("configuration error:")
             assert "usage:" not in err
+
+    def test_one_nn_rows_rejected_at_k_above_1(self, fix_files, capsys):
+        # exact and qp-<m> certify the 1-NN classifier only, and the n_scr
+        # sweep runs exact; a K=3 table must not list them as K=3 results.
+        for flags in (["--methods", "qp-1,exact"], ["--methods", "verifier,qp"],
+                      ["--nscr-sweep", "1,8"]):
+            code = main(["bench", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
+                         "--k", "3", *flags])
+            assert code == 2, flags
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("configuration error:")
+        assert main(["bench", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
+                     "--k", "3", "--methods", "verifier,qp-greedy,naive-3,mean"]) == 0

@@ -17,6 +17,8 @@ from knnrobust import (
     load_queries,
 )
 
+from helpers import knn_predict_reference
+
 
 class TestDatasetInvariants:
     def test_rejects_single_point(self):
@@ -159,6 +161,37 @@ class TestKnnPredict:
         perm = rng.permutation(8)
         ds2 = Dataset(points[perm], labels[perm])
         assert knn_predict(ds, z, k, true_label=1) == knn_predict(ds2, z, k, true_label=1)
+
+    def test_matches_reference_vote_on_ties(self):
+        # Coarse integer grids with repeated points, and queries on grid
+        # points or on the bisector of two points, put exact distance ties
+        # at the K-th rank on most calls; a 0.1 scale turns some of them
+        # into near ties inside the tie window.
+        rng = np.random.default_rng(2024)
+        cases = straddled = 0
+        for _ in range(150):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(9, 21))
+            class_count = int(rng.integers(2, 5))
+            scale = float(rng.choice([1.0, 0.1]))
+            points = rng.integers(-2, 3, size=(n, d)) * scale
+            labels = rng.integers(1, class_count + 1, size=n)
+            labels[:2] = [1, 2]
+            ds = Dataset(points, labels, class_count)
+            a, b = rng.choice(n, size=2, replace=False)
+            for z in (rng.integers(-2, 3, size=d) * scale, 0.5 * (points[a] + points[b])):
+                dist_sq = ds.distances_sq(z)
+                for k in (1, 3, 5, 7, 9):
+                    kth = np.sort(dist_sq)[k - 1]
+                    straddled += int(np.count_nonzero(dist_sq <= kth) > k)
+                    cases += 1
+                    # A query label may lie outside the dataset's classes.
+                    for true_label in (None, *range(1, class_count + 2)):
+                        got = knn_predict(ds, z, k, true_label=true_label)
+                        assert got == knn_predict_reference(ds, z, k, true_label), (
+                            points.tolist(), labels.tolist(), z.tolist(), k, true_label)
+        # Exact ties straddle the K-th rank in 813 of the 1500 cases.
+        assert straddled > cases // 2
 
 
 class TestKNearest:
