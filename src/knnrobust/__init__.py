@@ -45,7 +45,6 @@ from .qp_solver import (
     KktReport,
     SolveStatus,
     SolverConfig,
-    active_set_oracle,
     kkt_check,
     recover_primal,
     screen_variables,
@@ -79,7 +78,6 @@ __all__ = [
     "Subproblem",
     "TieRule",
     "VerificationResult",
-    "active_set_oracle",
     "build_1nn_subproblem",
     "build_knn_subproblem",
     "build_l1_lp",

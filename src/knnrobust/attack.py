@@ -2,10 +2,10 @@
 
 The exact pipeline sorts the candidate targets by distance, discards most of
 them with cheap dual bounds before ever building their constraint systems,
-and solves the survivors by greedy coordinate ascent.  The greedy K-NN
-attack and the line-search baselines reuse the same certificate type; every
-certificate carrying a perturbation is validated against the classifier
-before being returned.
+and solves the survivors to their exact optimal vertex with the dual
+active-set solver.  The greedy K-NN attack and the line-search baselines
+reuse the same certificate type; every certificate carrying a perturbation
+is validated against the classifier before being returned.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict, knn_vote
-from .errors import CertificationError, SolverError
+from .errors import CertificationError, InfeasibleSubproblemError, SolverError
 from .qp_solver import (DualSolution, SolveStatus, SolverConfig, recover_primal,
                         screen_variables, solve_dual_gca)
 from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem
@@ -132,39 +132,6 @@ def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
                        np.einsum("ij,ij->i", a, a), incumbent_sq)
 
 
-def _polish(sp: Subproblem, sol: DualSolution, delta: np.ndarray) -> tuple[np.ndarray, DualSolution]:
-    """Refine a converged solution to machine precision on its active set.
-
-    Coordinate ascent stops within tolerance of the optimum; at degenerate
-    corners that residual noise can exceed the tie inflation used when
-    validating attacks.  Re-solving the equality system of the nonzero
-    multipliers fixes the vertex exactly; any sign of trouble (negative
-    multipliers, infeasibility of the full system) falls back to the
-    unpolished point.
-    """
-    if sol.indices.size == 0:
-        return delta, sol
-    sub = sp.rows[sol.indices]
-    gram = sub @ sub.T
-    try:
-        lam = np.linalg.solve(gram, -sp.offsets[sol.indices])
-    except np.linalg.LinAlgError:
-        lam, *_ = np.linalg.lstsq(gram, -sp.offsets[sol.indices], rcond=None)
-    if np.any(lam < 0.0):
-        return delta, sol
-    candidate = sub.T @ lam
-    if float(np.min(sp.residual(candidate))) < -1e-11 * sp.offset_scale:
-        return delta, sol
-    keep = lam > 0.0
-    polished = DualSolution(
-        indices=sol.indices[keep], values=lam[keep],
-        objective=-0.5 * float(candidate @ candidate)
-        - float(lam[keep] @ sp.offsets[sol.indices[keep]]),
-        iterations=sol.iterations, status=sol.status, size=sol.size,
-    )
-    return candidate, polished
-
-
 def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
                      stats: AttackStats) -> tuple[np.ndarray, DualSolution]:
     """Row-screen, solve, recover and feasibility-check one subproblem.
@@ -172,6 +139,7 @@ def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
     ``bound`` must be at least the norm of the subproblem's optimum; rows
     that ``screen_variables`` proves inactive under it are left out of the
     solve, and the solution is mapped back to the full row numbering.
+    Raises ``InfeasibleSubproblemError`` when the constraint set is empty.
     """
     reduced, keep = sp, None
     if cfg.screening_enabled:
@@ -190,20 +158,16 @@ def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
     sol = solve_dual_gca(reduced, cfg)
     stats.subproblems_solved += 1
     stats.solver_iterations += sol.iterations
+    if sol.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleSubproblemError("the subproblem's constraint set is empty")
     if keep is not None:
         sol = DualSolution(
             indices=keep[sol.indices], values=sol.values, objective=sol.objective,
             iterations=sol.iterations, status=sol.status, size=sp.m,
         )
     delta = recover_primal(sp, sol)
-    if sol.status is not SolveStatus.OBJECTIVE_CAP:
-        if sol.status is not SolveStatus.CONVERGED:
-            raise SolverError(
-                f"coordinate ascent hit the iteration cap after {sol.iterations} steps"
-            )
-        if float(np.min(sp.residual(delta))) < -1e-6 * sp.offset_scale:
-            raise SolverError("recovered perturbation violates the full constraint set")
-        delta, sol = _polish(sp, sol, delta)
+    if float(np.min(sp.residual(delta))) < -1e-6 * sp.offset_scale:
+        raise SolverError("recovered perturbation violates the full constraint set")
     return delta, sol
 
 
@@ -334,7 +298,8 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
 
     Enumerates size-ceil((K+1)/2) same-label target subsets in ascending
     order of summed distance to the query.  The first subset whose QP is
-    feasible and whose solution actually flips the prediction wins; a second
+    feasible, whose optimum lies within twice the farthest point's distance
+    (plus one) and whose solution actually flips the prediction wins; a second
     solve then drops the constraints of up to floor((K-1)/2) same-class
     points that carried nonzero multipliers, keeping the improvement when it
     still validates.
@@ -350,10 +315,9 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     k_minus = (k + 1) // 2
     k_plus = (k - 1) // 2
     dist_sq = ds.distances_sq(q.z)
-    # A useful attack never needs to travel further than twice the farthest
-    # point; infeasible subproblems blow past this dual cap quickly.
+    # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
-    solve_cfg = replace(cfg, screening_enabled=False, objective_cap=0.5 * cap_norm * cap_norm)
+    solve_cfg = replace(cfg, screening_enabled=False)
 
     def heap_entry(sub, gen):
         # Tie-break equal distance sums by member indices so that K=1
@@ -386,10 +350,9 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
         try:
             delta, sol = _solve_candidate(sp, solve_cfg, np.inf, stats)
         except SolverError:
-            continue
-        if sol.status is not SolveStatus.CONVERGED:
-            continue  # infeasible or beyond any useful radius
-        if not is_adversarial(ds, q, delta, k, tie):
+            continue  # empty constraint set, or a numerical failure
+        eps = float(np.linalg.norm(delta))
+        if eps > cap_norm or not is_adversarial(ds, q, delta, k, tie):
             continue
 
         if k_plus > 0 and sol.indices.size:
@@ -402,13 +365,12 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                 sp2 = build_knn_subproblem(ds, q, s_minus, s_plus)
                 stats.subproblems_built += 1
                 try:
-                    delta2, sol2 = _solve_candidate(sp2, solve_cfg, np.inf, stats)
+                    delta2, _ = _solve_candidate(sp2, solve_cfg, np.inf, stats)
                 except SolverError:
-                    sol2 = None
+                    delta2 = None
                 if (
-                    sol2 is not None
-                    and sol2.status is SolveStatus.CONVERGED
-                    and float(np.linalg.norm(delta2)) < float(np.linalg.norm(delta))
+                    delta2 is not None
+                    and float(np.linalg.norm(delta2)) < eps
                     and is_adversarial(ds, q, delta2, k, tie)
                 ):
                     delta = delta2

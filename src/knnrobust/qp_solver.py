@@ -1,56 +1,55 @@
-"""Greedy coordinate ascent for the dual QP, plus an exact reference oracle.
+"""Dual active-set solver for the perturbation QPs.
 
-The dual of each perturbation subproblem is
+Each subproblem is ``min 1/2 ||delta||^2  s.t.  A delta + b >= 0`` with dual
 
     max_{lambda >= 0}  D(lambda) = -1/2 lambda^T A A^T lambda - lambda^T b
 
-with the primal recovered through ``delta = A^T lambda``.  The solver keeps
-the gradient ``g = -A A^T lambda - b`` up to date with rank-1 updates and at
-each step moves the coordinate with the largest projected gradient.  ``A A^T``
-is never materialized; every product goes through ``A``.
+and the primal recovered through ``delta = A^T lambda``.  The solver is the
+dual method of Goldfarb and Idnani (Math. Programming 27, 1983) for the
+identity Hessian: starting from ``delta = 0`` it adds the most violated row
+and drops an active row whose multiplier would turn negative, so every step
+keeps the multipliers dual feasible and ends on the exact optimal vertex.
+Only the Gram matrix of the active rows (at most d of them) is ever formed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleSubproblemError, SolverError
+from .errors import SolverError
 from .subproblem import Subproblem
 
-# Full gradient recomputation period; bounds drift from the rank-1 updates.
-_REFRESH_INTERVAL = 1000
+# Add and drop steps allowed per solve; the method terminates in finitely
+# many, so reaching this means rounding made it cycle.
+_MAX_STEPS = 100_000
+# A joining row whose squared distance from the span of the active rows is
+# below this fraction of its squared norm counts as lying in that span.
+_DEPENDENT_ROW = 1e-20
 
 
 class SolveStatus(Enum):
     CONVERGED = "converged"
-    ITERATION_CAP = "iteration_cap"
-    OBJECTIVE_CAP = "objective_cap"
+    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the greedy coordinate ascent solver.
+    """Knobs for the dual active-set solver.
 
-    ``tolerance`` bounds the sup-norm of the projected gradient at exit,
-    ``max_iterations=None`` means 100 * m, and ``objective_cap`` aborts a
-    solve once the dual objective exceeds the cap (used to cut off
-    infeasible or hopeless subproblems, whose dual grows without bound).
+    ``tolerance`` bounds the constraint violation at exit: the solver stops
+    once ``min(A delta + b) >= -tolerance``.  ``screening_enabled`` lets the
+    pipelines drop rows that ``screen_variables`` proves inactive.
     """
 
     tolerance: float = 1e-8
-    max_iterations: int | None = None
     screening_enabled: bool = True
-    objective_cap: float | None = None
 
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class DualSolution:
     indices: np.ndarray     # rows with lambda > 0
     values: np.ndarray      # the corresponding multipliers
     objective: float
-    iterations: int
+    iterations: int         # add and drop steps
     status: SolveStatus
     size: int               # m of the subproblem this was solved on
 
@@ -74,78 +73,89 @@ class DualSolution:
         return lam
 
 
-def _sparse_solution(lam: np.ndarray, sp: Subproblem, iterations: int,
-                     status: SolveStatus) -> DualSolution:
-    idx = np.flatnonzero(lam > 0.0)
-    vals = lam[idx].copy()
-    delta = sp.rows[idx].T @ vals if idx.size else np.zeros(sp.d)
-    objective = -0.5 * float(delta @ delta) - float(vals @ sp.offsets[idx])
-    return DualSolution(
-        indices=idx, values=vals, objective=objective,
-        iterations=iterations, status=status, size=sp.m,
-    )
+def _gram_solve(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``N N^T x = rhs`` for the active rows N."""
+    try:
+        return np.linalg.solve(N @ N.T, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular active set in the dual active-set solver") from exc
 
 
 def solve_dual_gca(sp: Subproblem, cfg: SolverConfig = SolverConfig()) -> DualSolution:
-    """Maximize the dual by greedy coordinate ascent starting from zero.
+    """Solve the QP by the dual active-set method, starting from zero.
 
-    Each accepted step is an exact coordinate maximization, so the dual
-    objective never decreases.  Convergence is declared when the projected
-    gradient ``max(lambda + g, 0) - lambda`` has sup-norm at most
-    ``cfg.tolerance``; hitting the iteration cap is reported through the
-    status, not as an error.
+    While some row has residual below ``-cfg.tolerance``, the most violated
+    row p joins: the primal moves along the part of ``a_p`` orthogonal to the
+    active rows, and when an active multiplier reaches zero first, that row
+    is dropped and the move continues.  If ``a_p`` lies in the span of the
+    active rows and no active multiplier limits the move, the dual is
+    unbounded and the status is ``INFEASIBLE``.  The multipliers are finally
+    recomputed from the equality system of the active rows, which makes the
+    returned vertex exact up to rounding.
     """
     A = sp.rows
     b = sp.offsets
-    norms_sq = sp.row_norms_sq
-    m = sp.m
-    # 100*m is generous at scale but starves small ill-conditioned systems
-    # (two nearly parallel rows converge linearly with a slow rate), so the
-    # automatic cap never goes below a fixed floor.
-    cap = cfg.max_iterations if cfg.max_iterations is not None else max(100 * m, 50_000)
-
-    lam = np.zeros(m)
-    g = -b.copy()
-    objective = 0.0
-    status = SolveStatus.ITERATION_CAP
-    iterations = 0
-
-    for it in range(1, cap + 1):
-        pg = np.maximum(lam + g, 0.0) - lam
-        viol = np.abs(pg)
-        i = int(np.argmax(viol))
-        if viol[i] <= cfg.tolerance:
-            status = SolveStatus.CONVERGED
-            iterations = it - 1
+    delta = np.zeros(sp.d)
+    active: list[int] = []
+    u = np.zeros(0)          # multipliers of the active rows
+    steps = 0
+    status = SolveStatus.CONVERGED
+    while status is SolveStatus.CONVERGED:
+        s = A @ delta + b
+        s[active] = np.inf
+        p = int(np.argmin(s))
+        if s[p] >= -cfg.tolerance:
             break
-        iterations = it
-        new_val = max(lam[i] + g[i] / norms_sq[i], 0.0)
-        step = new_val - lam[i]
-        # Exact objective change for a single-coordinate move.
-        objective += step * g[i] - 0.5 * step * step * norms_sq[i]
-        g -= (A @ A[i]) * step
-        lam[i] = new_val
-        if it % _REFRESH_INTERVAL == 0:
-            g = -(A @ (A.T @ lam)) - b
-            objective = _exact_objective(sp, lam)
-            if not np.isfinite(objective) or not np.all(np.isfinite(g)):
-                raise SolverError("non-finite arithmetic in coordinate ascent")
-        if cfg.objective_cap is not None and objective > cfg.objective_cap:
-            status = SolveStatus.OBJECTIVE_CAP
-            break
-    else:
-        pg = np.maximum(lam + g, 0.0) - lam
-        if np.max(np.abs(pg)) <= cfg.tolerance:
-            status = SolveStatus.CONVERGED
+        u_p = 0.0
+        while True:
+            if steps == _MAX_STEPS:
+                raise SolverError(f"dual active-set solver did not finish within {steps} steps")
+            if active:
+                N = A[active]
+                r = _gram_solve(N, N @ A[p])  # multiplier change per unit step
+                z = A[p] - N.T @ r            # primal direction
+            else:
+                r, z = u, A[p]
+            zz = float(z @ z)
+            blocking = np.flatnonzero(r > 0.0)
+            ratios = u[blocking] / r[blocking]
+            # d independent active rows span the space, whatever rounding left in z.
+            if len(active) == sp.d or zz <= _DEPENDENT_ROW * sp.row_norms_sq[p]:
+                if not blocking.size:
+                    status = SolveStatus.INFEASIBLE
+                    break
+                t_full = np.inf
+            else:
+                t_full = -float(A[p] @ delta + b[p]) / zz
+            steps += 1
+            k = int(np.argmin(ratios)) if blocking.size else -1
+            t = t_full if k < 0 or t_full <= ratios[k] else float(ratios[k])
+            delta += t * z
+            if not np.all(np.isfinite(delta)):
+                raise SolverError("non-finite step in the dual active-set solver")
+            u = np.maximum(u - t * r, 0.0)
+            u_p += t
+            if t == t_full:
+                active.append(p)
+                u = np.append(u, u_p)
+                break
+            drop = int(blocking[k])
+            del active[drop]
+            u = np.delete(u, drop)
 
+    lam = np.zeros(sp.m)
+    if active:
+        lam[active] = _gram_solve(A[active], -b[active])
     if not np.all(np.isfinite(lam)):
-        raise SolverError("non-finite multipliers in coordinate ascent")
-    return _sparse_solution(lam, sp, iterations, status)
-
-
-def _exact_objective(sp: Subproblem, lam: np.ndarray) -> float:
-    delta = sp.rows.T @ lam
-    return -0.5 * float(delta @ delta) - float(lam @ sp.offsets)
+        raise SolverError("non-finite multipliers in the dual active-set solver")
+    idx = np.flatnonzero(lam > 0.0)
+    vals = lam[idx]
+    delta = A[idx].T @ vals
+    return DualSolution(
+        indices=idx, values=vals,
+        objective=-0.5 * float(delta @ delta) - float(vals @ b[idx]),
+        iterations=steps, status=status, size=sp.m,
+    )
 
 
 def recover_primal(sp: Subproblem, sol: DualSolution) -> np.ndarray:
@@ -202,61 +212,3 @@ def kkt_check(sp: Subproblem, sol: DualSolution, tol: float) -> KktReport:
         and abs(gap) <= tol * max(1.0, abs(sol.objective))
     )
     return KktReport(primal_violation, comp_slack, gap, passed)
-
-
-def active_set_oracle(
-    sp: Subproblem, max_rows: int = 16, max_dim: int = 6
-) -> tuple[np.ndarray, DualSolution]:
-    """Exact reference solver by enumerating candidate active sets.
-
-    For every subset S of constraint rows with |S| <= min(m, d), solve the
-    equality-constrained minimum-norm problem by dense linear algebra, keep
-    the candidates whose induced multipliers are nonnegative and whose delta
-    satisfies all constraints, and return the best KKT point found.  Meant
-    for tests: cost grows combinatorially, hence the size guards.
-    """
-    m, d = sp.m, sp.d
-    if m > max_rows or d > max_dim:
-        raise ValueError(f"oracle guard exceeded: m={m} (max {max_rows}), d={d} (max {max_dim})")
-    A = sp.rows
-    b = sp.offsets
-    feas_tol = 1e-9 * sp.offset_scale
-
-    best = None  # (objective, delta, lam_dense)
-    for size in range(0, min(m, d) + 1):
-        for subset in itertools.combinations(range(m), size):
-            S = list(subset)
-            if size == 0:
-                delta = np.zeros(d)
-                lam_S = np.zeros(0)
-            else:
-                gram = A[S] @ A[S].T
-                try:
-                    lam_S = np.linalg.solve(gram, -b[S])
-                except np.linalg.LinAlgError:
-                    lam_S, *_ = np.linalg.lstsq(gram, -b[S], rcond=None)
-                delta = A[S].T @ lam_S
-                if np.max(np.abs(A[S] @ delta + b[S])) > feas_tol:
-                    continue  # rows dependent and inconsistent for this subset
-                if np.any(lam_S < -1e-9):
-                    continue
-            if size and np.min(A @ delta + b) < -feas_tol:
-                continue
-            if size == 0 and np.min(b) < -feas_tol:
-                continue
-            obj = 0.5 * float(delta @ delta)
-            if best is None or obj < best[0] - 1e-15:
-                lam_dense = np.zeros(m)
-                if size:
-                    lam_dense[S] = np.maximum(lam_S, 0.0)
-                best = (obj, delta, lam_dense)
-    if best is None:
-        raise InfeasibleSubproblemError("no KKT point found; constraint set is likely empty")
-    _, delta, lam_dense = best
-    idx = np.flatnonzero(lam_dense > 0.0)
-    vals = lam_dense[idx]
-    sol = DualSolution(
-        indices=idx, values=vals, objective=_exact_objective(sp, lam_dense),
-        iterations=0, status=SolveStatus.CONVERGED, size=m,
-    )
-    return delta, sol

@@ -15,8 +15,11 @@ import numpy as np
 
 from knnrobust import (
     Dataset,
+    DualSolution,
+    InfeasibleSubproblemError,
     Query,
-    active_set_oracle,
+    SolveStatus,
+    Subproblem,
     build_1nn_subproblem,
     knn_predict,
 )
@@ -60,6 +63,66 @@ def random_grid_dataset(rng, max_n=12, max_d=3, classes=(2, 3)):
         if not ok:
             continue
         return ds, Query(z, true), ks
+
+
+def active_set_oracle(
+    sp: Subproblem, max_rows: int = 16, max_dim: int = 6
+) -> tuple[np.ndarray, DualSolution]:
+    """Exact reference solver by enumerating candidate active sets.
+
+    For every subset S of constraint rows with |S| <= min(m, d), solve the
+    equality-constrained minimum-norm problem by dense linear algebra, keep
+    the candidates whose induced multipliers are nonnegative and whose delta
+    satisfies all constraints, and return the best KKT point found.  Cost
+    grows combinatorially, hence the size guards.
+    """
+    m, d = sp.m, sp.d
+    if m > max_rows or d > max_dim:
+        raise ValueError(f"oracle guard exceeded: m={m} (max {max_rows}), d={d} (max {max_dim})")
+    A = sp.rows
+    b = sp.offsets
+    feas_tol = 1e-9 * sp.offset_scale
+
+    best = None  # (objective, delta, lam_dense)
+    for size in range(0, min(m, d) + 1):
+        for subset in itertools.combinations(range(m), size):
+            S = list(subset)
+            if size == 0:
+                delta = np.zeros(d)
+                lam_S = np.zeros(0)
+            else:
+                gram = A[S] @ A[S].T
+                try:
+                    lam_S = np.linalg.solve(gram, -b[S])
+                except np.linalg.LinAlgError:
+                    lam_S, *_ = np.linalg.lstsq(gram, -b[S], rcond=None)
+                delta = A[S].T @ lam_S
+                if np.max(np.abs(A[S] @ delta + b[S])) > feas_tol:
+                    continue  # rows dependent and inconsistent for this subset
+                if np.any(lam_S < -1e-9):
+                    continue
+            if size and np.min(A @ delta + b) < -feas_tol:
+                continue
+            if size == 0 and np.min(b) < -feas_tol:
+                continue
+            obj = 0.5 * float(delta @ delta)
+            if best is None or obj < best[0] - 1e-15:
+                lam_dense = np.zeros(m)
+                if size:
+                    lam_dense[S] = np.maximum(lam_S, 0.0)
+                best = (obj, delta, lam_dense)
+    if best is None:
+        raise InfeasibleSubproblemError("no KKT point found; constraint set is likely empty")
+    _, delta, lam_dense = best
+    idx = np.flatnonzero(lam_dense > 0.0)
+    vals = lam_dense[idx]
+    primal = A.T @ lam_dense
+    sol = DualSolution(
+        indices=idx, values=vals,
+        objective=-0.5 * float(primal @ primal) - float(lam_dense @ b),
+        iterations=0, status=SolveStatus.CONVERGED, size=m,
+    )
+    return delta, sol
 
 
 def knn_predict_reference(ds: Dataset, z: np.ndarray, k: int,

@@ -22,7 +22,6 @@ from knnrobust import (
     Query,
     SolverConfig,
     SolverError,
-    active_set_oracle,
     build_1nn_subproblem,
     exact_1nn,
     exact_1nn_lp,
@@ -41,6 +40,7 @@ from knnrobust import (
 
 from helpers import (
     CORPUS_SEED,
+    active_set_oracle,
     knn_pair_bound_reference,
     min_flip_1d,
     no_flip_below_1d,
@@ -111,15 +111,15 @@ def test_criterion_03_screening_soundness(corpus):
             f"max on/off diff={worst:.2e}, datasets with nonzero screened multiplier={bad_multipliers}")
 
 
-# Summed (built, solved, screened, solver iterations) over the corpus.  Each
-# pruning rule changes these totals when it stops firing: with n_scr=1 the
-# post-build row test prunes the 105 targets that n_scr=8 screens earlier.
+# Summed (built, solved, screened, solver add/drop steps) over the corpus.
+# Each pruning rule changes these totals when it stops firing: with n_scr=1
+# the post-build row test prunes the 105 targets that n_scr=8 screens earlier.
 PINNED_PRUNING_COUNTS = {
-    "exact, n_scr=8, sorted": ((590, 590, 1124, 7831), lambda ds, q: exact_1nn(ds, q)),
-    "exact, n_scr=1, sorted": ((695, 590, 1124, 7831), lambda ds, q: exact_1nn(ds, q, n_scr=1)),
-    "exact, n_scr=8, unsorted": ((948, 948, 766, 17094),
+    "exact, n_scr=8, sorted": ((590, 590, 1124, 1013), lambda ds, q: exact_1nn(ds, q)),
+    "exact, n_scr=1, sorted": ((695, 590, 1124, 1013), lambda ds, q: exact_1nn(ds, q, n_scr=1)),
+    "exact, n_scr=8, unsorted": ((948, 948, 766, 1843),
                                  lambda ds, q: exact_1nn(ds, q, sort_candidates=False)),
-    "qp-10": ((590, 590, 1123, 7831), lambda ds, q: qp_top_m(ds, q, 10)),
+    "qp-10": ((590, 590, 1123, 1013), lambda ds, q: qp_top_m(ds, q, 10)),
 }
 
 

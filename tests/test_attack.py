@@ -7,7 +7,6 @@ from knnrobust import (
     Query,
     SolverConfig,
     SolverError,
-    active_set_oracle,
     build_knn_subproblem,
     exact_1nn,
     is_adversarial,
@@ -20,7 +19,8 @@ from knnrobust import (
     verify_1nn,
 )
 
-from helpers import brute_force_exact_1nn, line_flip_reference, min_flip_1d, random_grid_dataset
+from helpers import (active_set_oracle, brute_force_exact_1nn, line_flip_reference, min_flip_1d,
+                     random_grid_dataset)
 
 
 class TestExact1nn:
@@ -83,6 +83,24 @@ class TestExact1nn:
             solved_sorted += exact_1nn(ds, q, sort_candidates=True).stats.subproblems_solved
             solved_unsorted += exact_1nn(ds, q, sort_candidates=False).stats.subproblems_solved
         assert solved_unsorted >= solved_sorted
+
+
+@pytest.mark.parametrize("points, labels, z, label, expected", [
+    ([[0, -2], [-2, 5], [3, -1], [-2, 4], [-1, -3], [-5, 1], [-2, 0]],
+     [1, 1, 1, 1, 1, 2, 1], [-5, 5], 1, np.sqrt(0.5)),
+    ([[-4, 1], [-3, 2], [3, -1], [5, -1], [-4, 0], [3, 3], [-2, 5], [-2, -5], [2, -2],
+      [0, 3], [-2, -3]],
+     [2, 1, 2, 1, 2, 1, 1, 2, 2, 1, 2], [-4, -1], 2, 3.0 / np.sqrt(2.0)),
+], ids=["grid-1", "grid-2"])
+def test_exact_vertex_at_degenerate_optimum(points, labels, z, label, expected):
+    # Two grid draws whose optimum is a degenerate vertex: a solver that
+    # stops a residual of ~1e-8 short of it leaves a point that does not
+    # flip the prediction, and exact_1nn used to raise CertificationError.
+    ds = Dataset(np.array(points, dtype=np.float64), np.array(labels))
+    q = Query(np.array(z, dtype=np.float64), label)
+    cert = exact_1nn(ds, q)
+    assert cert.epsilon == pytest.approx(expected, rel=1e-12)
+    assert cert.epsilon == pytest.approx(brute_force_exact_1nn(ds, q), rel=1e-12)
 
 
 class TestScreenSubproblem:
@@ -183,6 +201,28 @@ class TestQpGreedy:
         q = Query(np.array([0.0]), 1)
         eps = [qp_greedy_knn(ds, q, k).epsilon for k in (1, 3, 5)]
         assert all(a <= b + 1e-9 for a, b in zip(eps, eps[1:]))
+
+    @pytest.mark.parametrize("points, labels, z, label, s_minus, s_plus, unrefined", [
+        # The refinement dropping point 0 was skipped: its solution stopped
+        # short of the vertex and did not flip the vote.
+        ([[0, 0, 1], [3, 4, -5], [-4, 5, 5], [-5, 1, 0], [-3, 0, 4], [1, -5, 0],
+          [-5, -3, 4], [-4, 4, 3], [-5, 4, 2], [5, -2, 3], [-2, -1, 2]],
+         [2, 2, 1, 2, 2, 2, 1, 2, 2, 1, 2], [0, 1, 3], 2, [9, 2], [0], 4.8073710410712645),
+        # The nearest subset {8, 1} was skipped for the same reason, and a
+        # farther subset won.
+        ([[3, -1, 1], [3, -1, 5], [-2, 4, 3], [4, 2, 1], [-1, 3, -1], [-1, -5, -4],
+          [2, 5, -1], [4, 1, -1], [4, 5, 1], [-1, -3, 0]],
+         [3, 1, 2, 2, 2, 2, 2, 2, 1, 3], [1, 5, 1], 2, [8, 1], [3], 4.0087185257573275),
+    ], ids=["refinement", "subset"])
+    def test_exact_solutions_are_not_skipped(self, points, labels, z, label, s_minus,
+                                             s_plus, unrefined):
+        ds = Dataset(np.array(points, dtype=np.float64), np.array(labels))
+        q = Query(np.array(z, dtype=np.float64), label)
+        delta_ref, _ = active_set_oracle(build_knn_subproblem(ds, q, s_minus, s_plus))
+        cert = qp_greedy_knn(ds, q, 3)
+        assert cert.epsilon == pytest.approx(np.linalg.norm(delta_ref), rel=1e-12)
+        assert cert.epsilon < unrefined - 0.5
+        assert is_adversarial(ds, q, cert.delta, 3)
 
     def test_upper_bounds_true_minimum_random(self):
         from knnrobust import SolverError

@@ -3,19 +3,19 @@ import pytest
 
 from knnrobust import (
     Dataset,
+    InfeasibleSubproblemError,
     Query,
     SolveStatus,
-    SolverConfig,
     Subproblem,
-    active_set_oracle,
     build_1nn_subproblem,
+    build_knn_subproblem,
     kkt_check,
     recover_primal,
     screen_variables,
     solve_dual_gca,
 )
 
-from helpers import random_grid_dataset
+from helpers import active_set_oracle, random_grid_dataset
 
 
 def _fix_b_sp(fix_b):
@@ -23,7 +23,7 @@ def _fix_b_sp(fix_b):
     return build_1nn_subproblem(ds, q, 1)
 
 
-class TestGreedyCoordinateAscent:
+class TestDualActiveSet:
     def test_fix_b_closed_form(self, fix_b):
         sp = _fix_b_sp(fix_b)
         sol = solve_dual_gca(sp)
@@ -49,53 +49,72 @@ class TestGreedyCoordinateAscent:
         assert sol.objective == 0.0
         assert sol.nnz == 0
 
-    def test_iteration_cap_reported_as_status(self):
-        rng = np.random.default_rng(17)
-        sp = Subproblem(
-            rows=rng.normal(size=(6, 3)), offsets=-np.abs(rng.normal(size=6)),
-            target_ids=(0,), excluded_ids=(), query=np.zeros(3),
-        )
-        sol = solve_dual_gca(sp, SolverConfig(tolerance=1e-300, max_iterations=3))
-        assert sol.status is SolveStatus.ITERATION_CAP
-        assert sol.iterations == 3
-
     def test_multipliers_strictly_positive(self, fix_c):
         ds, q = fix_c
         for j in (2, 3, 4):
             sol = solve_dual_gca(build_1nn_subproblem(ds, q, j))
             assert np.all(sol.values > 0)
 
-    def test_objective_monotone(self):
-        # Re-run the update rule manually and check the dual never decreases.
-        rng = np.random.default_rng(17)
-        rows = rng.normal(size=(12, 4))
-        offsets = rng.normal(size=12)
-        sp = Subproblem(rows=rows, offsets=offsets, target_ids=(0,),
-                        excluded_ids=(), query=np.zeros(4))
-        lam = np.zeros(sp.m)
-        g = -sp.offsets.copy()
-        prev = 0.0
-        for _ in range(200):
-            pg = np.maximum(lam + g, 0.0) - lam
-            i = int(np.argmax(np.abs(pg)))
-            if abs(pg[i]) <= 1e-12:
-                break
-            lam[i] = max(lam[i] + g[i] / sp.row_norms_sq[i], 0.0)
-            g = -(sp.rows @ (sp.rows.T @ lam)) - sp.offsets
-            delta = sp.rows.T @ lam
-            obj = -0.5 * float(delta @ delta) - float(lam @ sp.offsets)
-            assert obj >= prev - 1e-12
-            prev = obj
-
-    def test_objective_cap_fires_on_infeasible_system(self):
-        # 1-D: require being closer to -1 and to +1 than to 0; impossible,
-        # so the dual is unbounded and must trip the cap.
+    def test_infeasible_system_reported_as_status(self):
+        # 1-D: require being closer to -1 and to +1 than to 0; impossible.
+        # The first row joins, the second lies in its span and no active
+        # multiplier limits the move, so the dual is unbounded.
         sp = Subproblem(
             rows=np.array([[-2.0], [2.0]]), offsets=np.array([-0.5, -0.5]),
             target_ids=(0, 1), excluded_ids=(), query=np.zeros(1),
         )
-        sol = solve_dual_gca(sp, SolverConfig(objective_cap=1.0))
-        assert sol.status is SolveStatus.OBJECTIVE_CAP
+        sol = solve_dual_gca(sp)
+        assert sol.status is SolveStatus.INFEASIBLE
+        assert sol.iterations == 1
+
+    def test_full_active_set_spans_the_space(self):
+        # d ill-conditioned rows (singular values 1 .. 1e-6) all active at
+        # x0, plus their negated mean, violated there: infeasible.  With d
+        # rows active, rounding leaves a_p a tiny distance from their span;
+        # the solver must still treat it as lying in the span.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = 6
+            U, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            V, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            N = U @ np.diag(np.logspace(0, -6, d)) @ V.T
+            x0 = N.T @ rng.uniform(0.5, 1.5, size=d)
+            a = -N.mean(axis=0)
+            sp = Subproblem(
+                rows=np.vstack([N, a]), offsets=np.append(-N @ x0, -a @ x0 - 1.0),
+                target_ids=(0,), excluded_ids=(), query=np.zeros(d),
+            )
+            assert solve_dual_gca(sp).status is SolveStatus.INFEASIBLE
+
+    def test_knn_systems_match_oracle_including_infeasible(self):
+        # Two-target systems with some same-class rows dropped: infeasible
+        # ones (both targets nearer than a point between them) must be
+        # reported as such, and the rest must reach the oracle's vertex.
+        rng = np.random.default_rng(31)
+        infeasible = feasible = 0
+        for _ in range(150):
+            ds, q, _ = random_grid_dataset(rng, max_n=10, max_d=3)
+            others = np.flatnonzero(ds.labels != q.true_label)
+            mates = np.flatnonzero(ds.labels == ds.labels[others[0]])
+            if mates.size < 2:
+                continue
+            same = np.flatnonzero(ds.labels == q.true_label)
+            sp = build_knn_subproblem(ds, q, mates[:2], same[:same.size // 2])
+            if sp.m > 16:
+                continue
+            sol = solve_dual_gca(sp)
+            try:
+                delta_ref, _ = active_set_oracle(sp)
+            except InfeasibleSubproblemError:
+                assert sol.status is SolveStatus.INFEASIBLE
+                infeasible += 1
+                continue
+            assert sol.status is SolveStatus.CONVERGED
+            assert np.linalg.norm(recover_primal(sp, sol)) == pytest.approx(
+                np.linalg.norm(delta_ref), rel=1e-9, abs=1e-12
+            )
+            feasible += 1
+        assert infeasible >= 5 and feasible >= 50
 
 
 class TestRecoverPrimal:
@@ -114,7 +133,7 @@ class TestRecoverPrimal:
 
     def test_zero_multipliers_give_zero(self, fix_b):
         sp = _fix_b_sp(fix_b)
-        sol = solve_dual_gca(sp, SolverConfig(tolerance=1e-300, max_iterations=1))
+        sol = solve_dual_gca(sp)
         empty = type(sol)(indices=np.array([], dtype=np.int64), values=np.array([]),
                           objective=0.0, iterations=0, status=SolveStatus.CONVERGED,
                           size=sp.m)
@@ -174,7 +193,7 @@ class TestKktCheck:
 
     def test_zero_multiplier_fails_on_fix_b(self, fix_b):
         sp = _fix_b_sp(fix_b)
-        sol = solve_dual_gca(sp, SolverConfig(tolerance=1e-300, max_iterations=1))
+        sol = solve_dual_gca(sp)
         zero = type(sol)(indices=np.array([], dtype=np.int64), values=np.array([]),
                          objective=0.0, iterations=0, status=SolveStatus.CONVERGED,
                          size=sp.m)
