@@ -133,13 +133,18 @@ def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
 
 
 def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
-                     stats: AttackStats) -> tuple[np.ndarray, DualSolution]:
+                     stats: AttackStats) -> tuple[np.ndarray, DualSolution] | None:
     """Row-screen, solve, recover and feasibility-check one subproblem.
 
-    ``bound`` must be at least the norm of the subproblem's optimum; rows
-    that ``screen_variables`` proves inactive under it are left out of the
-    solve, and the solution is mapped back to the full row numbering.
-    Raises ``InfeasibleSubproblemError`` when the constraint set is empty.
+    Rows that ``screen_variables`` proves inactive under ``bound`` are left
+    out of the solve, and the solution is mapped back to the full row
+    numbering.  A left-out row that the recovered perturbation violates
+    proves that the optimum's norm exceeds ``bound``.  The 1-NN pipeline
+    passes ``min(d_j, incumbent)`` and its optimum never exceeds d_j (z moved
+    onto x_j satisfies every row), so such a candidate cannot beat the
+    incumbent: it is counted as screened and None is returned.  Raises
+    ``InfeasibleSubproblemError`` when the constraint set is empty, and
+    ``SolverError`` when a solve that left out no row violates one.
     """
     reduced, keep = sp, None
     if cfg.screening_enabled:
@@ -167,7 +172,10 @@ def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
         )
     delta = recover_primal(sp, sol)
     if float(np.min(sp.residual(delta))) < -1e-6 * sp.offset_scale:
-        raise SolverError("recovered perturbation violates the full constraint set")
+        if keep is None:
+            raise SolverError("recovered perturbation violates the full constraint set")
+        stats.subproblems_screened += 1
+        return None
     return delta, sol
 
 
@@ -208,7 +216,7 @@ def _qp_pipeline(ds: Dataset, q: Query, cfg: SolverConfig, n_scr: int,
                            eps_best * eps_best):
                 stats.subproblems_screened += 1
                 continue
-        sp = build_1nn_subproblem(ds, q, int(j))
+        sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
         # The same test over every row; a survivor has all single-row radii
         # within the incumbent, which keeps the running-incumbent row
@@ -216,8 +224,10 @@ def _qp_pipeline(ds: Dataset, q: Query, cfg: SolverConfig, n_scr: int,
         if screening and _pair_prune(-sp.offsets, sp.row_norms_sq, eps_best * eps_best):
             stats.subproblems_screened += 1
             continue
-        bound = min(dj, eps_best)
-        delta, _ = _solve_candidate(sp, cfg, bound, stats)
+        solved = _solve_candidate(sp, cfg, min(dj, eps_best), stats)
+        if solved is None:
+            continue
+        delta, _ = solved
         eps_j = float(np.linalg.norm(delta))
         if eps_j < eps_best:
             eps_best = eps_j
@@ -345,7 +355,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
             heapq.heappush(heap, heap_entry(nxt, gen))
         tried += 1
 
-        sp = build_knn_subproblem(ds, q, s_minus)
+        sp = build_knn_subproblem(ds, q, s_minus, dist_sq=dist_sq)
         stats.subproblems_built += 1
         try:
             delta, sol = _solve_candidate(sp, solve_cfg, np.inf, stats)
@@ -362,7 +372,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                 mass[i] = mass.get(i, 0.0) + float(lam)
             s_plus = sorted(mass, key=lambda i: -mass[i])[:k_plus]
             if s_plus:
-                sp2 = build_knn_subproblem(ds, q, s_minus, s_plus)
+                sp2 = build_knn_subproblem(ds, q, s_minus, s_plus, dist_sq=dist_sq)
                 stats.subproblems_built += 1
                 try:
                     delta2, _ = _solve_candidate(sp2, solve_cfg, np.inf, stats)

@@ -251,7 +251,7 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
         if np.isfinite(best_eps) and (dj - d1) / shrink > best_eps:
             stats.subproblems_screened += len(others) - pos
             break
-        sp = build_1nn_subproblem(ds, q, int(j))
+        sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
         lp = build_linf_lp(sp) if norm == "linf" else build_l1_lp(sp)
         result = solve_lp(lp)

@@ -69,8 +69,9 @@ class Subproblem:
 
 
 def _build(ds: Dataset, z: np.ndarray, source_ids: np.ndarray, target_ids,
-           excluded) -> Subproblem:
-    dist_sq = ds.distances_sq(z)
+           excluded, dist_sq: np.ndarray | None) -> Subproblem:
+    if dist_sq is None:
+        dist_sq = ds.distances_sq(z)
     blocks = []
     offs = []
     src = []
@@ -93,21 +94,28 @@ def _build(ds: Dataset, z: np.ndarray, source_ids: np.ndarray, target_ids,
     )
 
 
-def build_1nn_subproblem(ds: Dataset, q: Query, j: int) -> Subproblem:
+def build_1nn_subproblem(ds: Dataset, q: Query, j: int, *,
+                         dist_sq: np.ndarray | None = None) -> Subproblem:
     """Constraints forcing z + delta to be (weakly) nearer x_j than every
     point sharing the query's label.  One row per same-class point; rows for
-    other classes would be identically zero and are not stored."""
+    other classes would be identically zero and are not stored.
+
+    ``dist_sq``, when given, must be ``ds.distances_sq(q.z)``; callers that
+    already hold it pass it so that it is not recomputed per target."""
     if int(ds.labels[j]) == q.true_label:
         raise ValueError(f"target {j} has the query's own label {q.true_label}")
     source_ids = ds.class_indices(q.true_label)
     if source_ids.size == 0:
         raise ValueError(f"no points with the query label {q.true_label}")
-    return _build(ds, q.z, source_ids, (int(j),), ())
+    return _build(ds, q.z, source_ids, (int(j),), (), dist_sq)
 
 
-def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=()) -> Subproblem:
+def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=(), *,
+                         dist_sq: np.ndarray | None = None) -> Subproblem:
     """K-NN constraint system: every target in ``s_minus`` must end up nearer
-    than every same-class point not listed in ``excluded``."""
+    than every same-class point not listed in ``excluded``.
+
+    ``dist_sq`` is as in ``build_1nn_subproblem``."""
     s_minus = tuple(int(j) for j in s_minus)
     excluded = tuple(int(i) for i in excluded)
     if not s_minus:
@@ -123,7 +131,7 @@ def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=()) -> Subprob
     source_ids = np.setdiff1d(ds.class_indices(q.true_label), np.asarray(excluded, dtype=np.int64))
     if source_ids.size == 0:
         raise ValueError("all same-class points excluded; constraint set is empty")
-    return _build(ds, q.z, source_ids, s_minus, excluded)
+    return _build(ds, q.z, source_ids, s_minus, excluded, dist_sq)
 
 
 def pair_bound(ds: Dataset, z: np.ndarray, i: int, j: int) -> float:

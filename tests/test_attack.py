@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from knnrobust import (
+    AttackStats,
     CertificateKind,
     Dataset,
+    DualSolution,
     Query,
+    SolveStatus,
     SolverConfig,
     SolverError,
+    Subproblem,
     build_knn_subproblem,
     exact_1nn,
     is_adversarial,
@@ -18,6 +22,9 @@ from knnrobust import (
     screen_subproblem,
     verify_1nn,
 )
+
+from knnrobust import attack
+from knnrobust.attack import _solve_candidate
 
 from helpers import (active_set_oracle, brute_force_exact_1nn, line_flip_reference, min_flip_1d,
                      random_grid_dataset)
@@ -101,6 +108,39 @@ def test_exact_vertex_at_degenerate_optimum(points, labels, z, label, expected):
     cert = exact_1nn(ds, q)
     assert cert.epsilon == pytest.approx(expected, rel=1e-12)
     assert cert.epsilon == pytest.approx(brute_force_exact_1nn(ds, q), rel=1e-12)
+
+
+def _two_row_system():
+    # Rows x >= 3 and y >= x - 1: the optimum is (3, 2).  Under a bound of
+    # 0.5 the second row (b = 1 > 0.5 * sqrt(2)) is screened, and the reduced
+    # optimum (3, 0) violates it.
+    return Subproblem(rows=np.array([[1.0, 0.0], [-1.0, 1.0]]), offsets=np.array([-3.0, 1.0]),
+                      target_ids=(2,), excluded_ids=(), query=np.zeros(2),
+                      row_source_ids=np.array([0, 1]), row_target_ids=np.array([2, 2]))
+
+
+class TestSolveCandidate:
+    def test_screened_row_violation_prunes(self):
+        stats = AttackStats()
+        assert _solve_candidate(_two_row_system(), SolverConfig(), 0.5, stats) is None
+        assert stats.subproblems_screened == 1
+        assert stats.subproblems_solved == 1
+
+    def test_unscreened_solve_reaches_optimum(self):
+        stats = AttackStats()
+        delta, _ = _solve_candidate(_two_row_system(), SolverConfig(), np.inf, stats)
+        np.testing.assert_allclose(delta, [3.0, 2.0], atol=1e-12)
+        assert stats.subproblems_screened == 0
+
+    def test_violation_without_screened_rows_raises(self, monkeypatch):
+        # A solver result that violates a row nothing screened is a failure.
+        sp = _two_row_system()
+        empty = DualSolution(indices=np.empty(0, dtype=np.int64), values=np.empty(0),
+                             objective=0.0, iterations=0, status=SolveStatus.CONVERGED,
+                             size=sp.m)
+        monkeypatch.setattr(attack, "solve_dual_gca", lambda sp, cfg: empty)
+        with pytest.raises(SolverError):
+            _solve_candidate(sp, SolverConfig(), np.inf, AttackStats())
 
 
 class TestScreenSubproblem:

@@ -104,6 +104,20 @@ class TestBuildKnn:
             build_knn_subproblem(ds, q, [2], excluded=[3])
 
 
+@pytest.mark.parametrize("build", [
+    lambda ds, q, **kw: build_1nn_subproblem(ds, q, 3, **kw),
+    lambda ds, q, **kw: build_knn_subproblem(ds, q, (2, 3), (0,), **kw),
+], ids=["1nn", "knn"])
+def test_given_distances_are_used_unchanged(fix_c, build, monkeypatch):
+    ds, q = fix_c
+    plain = build(ds, q)
+    dist_sq = ds.distances_sq(q.z)
+    monkeypatch.setattr(Dataset, "distances_sq", lambda self, z: pytest.fail("recomputed"))
+    given = build(ds, q, dist_sq=dist_sq)
+    assert np.array_equal(given.rows, plain.rows)
+    assert np.array_equal(given.offsets, plain.offsets)
+
+
 class TestPairBound:
     def test_fix_b(self, fix_b):
         ds, q = fix_b

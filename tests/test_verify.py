@@ -6,12 +6,15 @@ from knnrobust import (
     InsufficientPointsError,
     Query,
     exact_1nn,
+    generate_synthetic,
+    knn_predict,
     pair_bound,
     verify_1nn,
     verify_knn,
 )
 
-from helpers import no_flip_below_1d, preserved_fraction, random_grid_dataset
+from helpers import (knn_pair_bound_reference, no_flip_below_1d, preserved_fraction,
+                     random_grid_dataset)
 
 
 class TestVerify1nn:
@@ -120,6 +123,53 @@ class TestVerifyKnn:
         assert res.epsilon_lower == pytest.approx(
             verify_knn(merged, q, 1).epsilon_lower, abs=1e-12
         )
+
+    @pytest.mark.parametrize("classes, d", [(2, 2), (3, 2), (2, 20), (3, 20)])
+    def test_sorted_stop_matches_reference(self, classes, d):
+        # Gaussian blobs of 100 points per class: large enough that the walk
+        # stops before the farthest targets, unlike the grid corpus.
+        seed = 10 * classes + d
+        ds = generate_synthetic(100, d, classes, 3.0, seed)
+        queries = generate_synthetic(4, d, classes, 3.0, 1000 + seed)
+        checked = stopped = 0
+        for z, label in zip(queries.points, queries.labels):
+            q = Query(z, label)
+            same = int(np.count_nonzero(ds.labels == label))
+            for k in (1, 3, 5, 7, 9):
+                res = verify_knn(ds, q, k)
+                if res.misclassified:
+                    continue
+                r = (k + 1) // 2
+                ref = knn_pair_bound_reference(ds, q, r, r)
+                assert res.epsilon_lower == pytest.approx(ref, rel=1e-12)
+                assert pair_bound(ds, q.z, *res.binding_pair) == pytest.approx(
+                    res.epsilon_lower, rel=1e-12)
+                checked += 1
+                stopped += res.pair_bounds < same * (ds.n - same)
+        assert checked >= 20
+        assert stopped > 0.8 * checked
+
+    @pytest.mark.parametrize("extra", [[], [[9.0, 0.0]]], ids=["last-target", "mid-block"])
+    def test_cross_class_duplicate_has_zero_pair_bound(self, extra):
+        # Points 2 and 4 coincide across classes.  Their row 0.delta + 0 >= 0
+        # has pair bound 0, so the bound stays sound, and it is never
+        # evaluated because both points are equally far from z.  A farther
+        # target (9, 0) puts the pair inside a block without changing the bound.
+        points = [[0.0, 0.0], [1.0, 0.0], [6.0, 0.0], [3.0, 0.0], [6.0, 0.0]] + extra
+        ds = Dataset(np.array(points), np.array([1, 1, 1, 2, 2] + [2] * len(extra)))
+        q = Query(np.array([0.2, 0.0]), 1)
+        rng = np.random.default_rng(107)
+        directions = rng.normal(size=(2000, 2))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        # Tight by hand: K=1 flips at the (1,0)-(3,0) bisector x = 2, and K=3
+        # at x = 3, where (3,0) and a tie at distance 3 give class 2 two votes.
+        for k, expected in ((1, 1.8), (3, 2.8)):
+            bound = verify_knn(ds, q, k).epsilon_lower
+            assert bound == pytest.approx(expected, rel=1e-12)
+            z_batch = q.z + 0.999 * bound * directions
+            assert preserved_fraction(ds, q.true_label, z_batch, k) == 1.0
+            flipped = q.z + np.array([bound, 0.0])
+            assert knn_predict(ds, flipped, k, true_label=q.true_label) != q.true_label
 
 
 class TestSoundness:
