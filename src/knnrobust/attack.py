@@ -78,10 +78,17 @@ def is_adversarial(ds: Dataset, q: Query, delta: np.ndarray, k: int,
     return knn_predict(ds, q.z + delta, k, tie, true_label=q.true_label) != q.true_label
 
 
-def _zero_certificate(ds: Dataset, method: str, stats: AttackStats | None = None) -> PerturbationCertificate:
-    return PerturbationCertificate(
+def _begin(ds: Dataset, q: Query, k: int, tie: TieRule, method: str
+           ) -> tuple[AttackStats, float, PerturbationCertificate | None]:
+    """Fresh stats, the start time, and the zero certificate if the query is misclassified."""
+    stats = AttackStats()
+    start = time.perf_counter()
+    if knn_predict(ds, q.z, k, tie, true_label=q.true_label) == q.true_label:
+        return stats, start, None
+    stats.wall_time = time.perf_counter() - start
+    return stats, start, PerturbationCertificate(
         delta=np.zeros(ds.d), epsilon=0.0, kind=CertificateKind.EXACT,
-        method=method, stats=stats or AttackStats(), misclassified=True,
+        method=method, stats=stats, misclassified=True,
     )
 
 
@@ -160,7 +167,7 @@ def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
                 query=sp.query, row_source_ids=sp.row_source_ids[keep],
                 row_target_ids=sp.row_target_ids[keep],
             )
-    sol = solve_dual_gca(reduced, cfg)
+    sol = solve_dual_gca(reduced)
     stats.subproblems_solved += 1
     stats.solver_iterations += sol.iterations
     if sol.status is SolveStatus.INFEASIBLE:
@@ -248,11 +255,9 @@ def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
     model already misclassifies get a zero certificate immediately.
     """
     _check_n_scr(n_scr)
-    stats = AttackStats()
-    start = time.perf_counter()
-    if knn_predict(ds, q.z, 1, tie, true_label=q.true_label) != q.true_label:
-        stats.wall_time = time.perf_counter() - start
-        return _zero_certificate(ds, "exact-1nn", stats)
+    stats, start, zero = _begin(ds, q, 1, tie, "exact-1nn")
+    if zero is not None:
+        return zero
     delta, _ = _qp_pipeline(ds, q, cfg, n_scr, sort_candidates, None, stats)
     stats.wall_time = time.perf_counter() - start
     return _validated(ds, q, delta, CertificateKind.EXACT, "exact-1nn", stats, 1, tie)
@@ -264,11 +269,9 @@ def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), 
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_n_scr(n_scr)
-    stats = AttackStats()
-    start = time.perf_counter()
-    if knn_predict(ds, q.z, 1, tie, true_label=q.true_label) != q.true_label:
-        stats.wall_time = time.perf_counter() - start
-        return _zero_certificate(ds, f"qp-{m}", stats)
+    stats, start, zero = _begin(ds, q, 1, tie, f"qp-{m}")
+    if zero is not None:
+        return zero
     delta, _ = _qp_pipeline(ds, q, cfg, n_scr, True, m, stats)
     stats.wall_time = time.perf_counter() - start
     return _validated(ds, q, delta, CertificateKind.UPPER_BOUND, f"qp-{m}", stats, 1, tie)
@@ -316,11 +319,9 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     """
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
-    stats = AttackStats()
-    start = time.perf_counter()
-    if knn_predict(ds, q.z, k, tie, true_label=q.true_label) != q.true_label:
-        stats.wall_time = time.perf_counter() - start
-        return _zero_certificate(ds, "qp-greedy", stats)
+    stats, start, zero = _begin(ds, q, k, tie, "qp-greedy")
+    if zero is not None:
+        return zero
 
     k_minus = (k + 1) // 2
     k_plus = (k - 1) // 2
@@ -452,11 +453,9 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
         raise ValueError("tries must be >= 1")
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
-    stats = AttackStats()
-    start = time.perf_counter()
-    if knn_predict(ds, q.z, k, tie, true_label=q.true_label) != q.true_label:
-        stats.wall_time = time.perf_counter() - start
-        return _zero_certificate(ds, f"naive-{tries}", stats)
+    stats, start, zero = _begin(ds, q, k, tie, f"naive-{tries}")
+    if zero is not None:
+        return zero
 
     dist_sq, flip = _line_search(ds, q, k, tie)
     others = np.flatnonzero(ds.labels != q.true_label)
@@ -505,11 +504,9 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     """
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
-    stats = AttackStats()
-    start = time.perf_counter()
-    if knn_predict(ds, q.z, k, tie, true_label=q.true_label) != q.true_label:
-        stats.wall_time = time.perf_counter() - start
-        return _zero_certificate(ds, "mean", stats)
+    stats, start, zero = _begin(ds, q, k, tie, "mean")
+    if zero is not None:
+        return zero
 
     present = [c for c in np.unique(ds.labels) if c != q.true_label]
     means = {c: ds.points[ds.class_indices(int(c))].mean(axis=0) for c in present}

@@ -51,7 +51,6 @@ class RunConfig:
     method: str = "qp-greedy"
     m: int = 1
     n_scr: int = DEFAULT_N_SCR
-    tolerance: float = SolverConfig.tolerance
     workers: int = 1               # validated and echoed; queries run in order
     seed: int = 0
     output_path: str | None = None
@@ -104,7 +103,7 @@ class RunConfig:
         return ({"exact": "exact", "verify": "verifier", "attack": self.method}[self.command],)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(tolerance=self.tolerance, screening_enabled=self.screening)
+        return SolverConfig(screening_enabled=self.screening)
 
     def tie_rule(self) -> TieRule:
         return TieRule(inflation=self.inflation)
@@ -266,7 +265,8 @@ def _check_bound_ordering(per_method: dict[str, list], methods: list[str]) -> No
     """Abort with a certification error if any certified ordering is violated.
 
     Lower bounds must not exceed any upper bound or the exact value; the
-    exact value must not exceed any upper bound; and qp-10 <= qp-1.
+    exact value must not exceed any upper bound; and qp-10 <= qp-1.  The
+    slack is ``_ORDER_TOL`` times the upper value, with no absolute floor.
     """
     def eps_by_query(name):
         return {rec[0]: rec[2].epsilon for rec in per_method[name]}
@@ -284,7 +284,7 @@ def _check_bound_ordering(per_method: dict[str, list], methods: list[str]) -> No
                     (lo_kind is CertificateKind.LOWER_BOUND and hi_kind is not CertificateKind.LOWER_BOUND)
                     or (lo_kind is CertificateKind.EXACT and hi_kind is CertificateKind.UPPER_BOUND)
                 )
-                if ordered and lows[qi] > highs[qi] + _ORDER_TOL * (1.0 + abs(highs[qi])):
+                if ordered and lows[qi] > highs[qi] + _ORDER_TOL * abs(highs[qi]):
                     raise CertificationError(
                         f"bound ordering violated on query {qi}: "
                         f"{low_name}={lows[qi]:.9g} > {high_name}={highs[qi]:.9g}"
@@ -292,7 +292,7 @@ def _check_bound_ordering(per_method: dict[str, list], methods: list[str]) -> No
     if "qp-1" in per_method and "qp-10" in per_method:
         one, ten = eps_by_query("qp-1"), eps_by_query("qp-10")
         for qi in one.keys() & ten.keys():
-            if ten[qi] > one[qi] + _ORDER_TOL * (1.0 + abs(one[qi])):
+            if ten[qi] > one[qi] + _ORDER_TOL * abs(one[qi]):
                 raise CertificationError(
                     f"bound ordering violated on query {qi}: qp-10 > qp-1"
                 )
@@ -384,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--norm", choices=("l2", "linf", "l1"))
         p.add_argument("--m", type=int, help="truncation count for qp, tries for naive")
         p.add_argument("--n-scr", dest="n_scr", type=int)
-        p.add_argument("--tolerance", type=float)
         p.add_argument("--workers", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--output", "--output-path", dest="output_path")

@@ -220,11 +220,11 @@ def k_nearest(ds: Dataset, z: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-# Distances this close (relative) to the K-th rank count as tied.  Exact
+# Squared distances within this fraction of the K-th one count as tied, with
+# no absolute floor, so the vote is the same at every data scale.  Exact
 # equality would be the mathematical definition, but a perturbation landing
 # on a bisection hyperplane rarely reproduces the tie bit-for-bit when the
-# distances are recomputed, and the tie rule exists precisely for that
-# boundary.
+# distances are recomputed, and the tie rule exists for that boundary.
 _TIE_REL_TOL = 512 * np.finfo(np.float64).eps
 
 
@@ -234,7 +234,7 @@ def knn_vote(ds: Dataset, dist_sq: np.ndarray, k: int, true_label: int | None = 
     Needs ``k <= ds.n``.  The line searches update the distances along a ray.
     """
     kth = np.partition(dist_sq, k - 1)[k - 1]
-    window = _TIE_REL_TOL * max(1.0, kth)
+    window = _TIE_REL_TOL * kth
     strict = dist_sq < kth - window
     tied = np.abs(dist_sq - kth) <= window
     slots = k - int(np.count_nonzero(strict))

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackStats, CertificateKind, PerturbationCertificate, _validated, _zero_certificate
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict
+from .attack import CertificateKind, PerturbationCertificate, _begin, _validated
+# knn_predict is not called here, but it stays bound as lp.knn_predict:
+# the benchmark's tracer rebinds that name.
+from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict  # noqa: F401
 from .errors import SolverError
 from .subproblem import Subproblem, build_1nn_subproblem
 
@@ -230,12 +232,10 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")
-    stats = AttackStats()
-    start = time.perf_counter()
     method = f"exact-{norm}"
-    if knn_predict(ds, q.z, 1, tie, true_label=q.true_label) != q.true_label:
-        stats.wall_time = time.perf_counter() - start
-        return _zero_certificate(ds, method, stats)
+    stats, start, zero = _begin(ds, q, 1, tie, method)
+    if zero is not None:
+        return zero
 
     dist_sq = ds.distances_sq(q.z)
     same = ds.class_indices(q.true_label)

@@ -28,6 +28,8 @@ _MAX_STEPS = 100_000
 # A joining row whose squared distance from the span of the active rows is
 # below this fraction of its squared norm counts as lying in that span.
 _DEPENDENT_ROW = 1e-20
+# A solve ends once every residual is at least -_EXIT_TOL * offset_scale.
+_EXIT_TOL = 1e-10
 
 
 class SolveStatus(Enum):
@@ -37,19 +39,14 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the dual active-set solver.
+    """Pipeline settings around the dual active-set solver.
 
-    ``tolerance`` bounds the constraint violation at exit: the solver stops
-    once ``min(A delta + b) >= -tolerance``.  ``screening_enabled`` lets the
-    pipelines drop rows that ``screen_variables`` proves inactive.
+    ``screening_enabled`` lets the pipelines drop rows that
+    ``screen_variables`` proves inactive.  The solver itself has no setting:
+    its exit tolerance is relative to each subproblem's ``offset_scale``.
     """
 
-    tolerance: float = 1e-8
     screening_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,14 @@ def _gram_solve(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverError("singular active set in the dual active-set solver") from exc
 
 
-def solve_dual_gca(sp: Subproblem, cfg: SolverConfig = SolverConfig()) -> DualSolution:
+def solve_dual_gca(sp: Subproblem) -> DualSolution:
     """Solve the QP by the dual active-set method, starting from zero.
 
-    While some row has residual below ``-cfg.tolerance``, the most violated
-    row p joins: the primal moves along the part of ``a_p`` orthogonal to the
-    active rows, and when an active multiplier reaches zero first, that row
-    is dropped and the move continues.  If ``a_p`` lies in the span of the
+    While some row has residual below ``-_EXIT_TOL * sp.offset_scale``, the
+    most violated row p joins: the primal moves along the part of ``a_p``
+    orthogonal to the active rows, and when an active multiplier reaches
+    zero first, that row is dropped and the move continues.  The exit bound
+    has no unit, so scaling the data by s scales the solution by s.  If ``a_p`` lies in the span of the
     active rows and no active multiplier limits the move, the dual is
     unbounded and the status is ``INFEASIBLE``.  The multipliers are finally
     recomputed from the equality system of the active rows, which makes the
@@ -95,6 +93,7 @@ def solve_dual_gca(sp: Subproblem, cfg: SolverConfig = SolverConfig()) -> DualSo
     """
     A = sp.rows
     b = sp.offsets
+    exit_residual = -_EXIT_TOL * sp.offset_scale
     delta = np.zeros(sp.d)
     active: list[int] = []
     u = np.zeros(0)          # multipliers of the active rows
@@ -104,7 +103,7 @@ def solve_dual_gca(sp: Subproblem, cfg: SolverConfig = SolverConfig()) -> DualSo
         s = A @ delta + b
         s[active] = np.inf
         p = int(np.argmin(s))
-        if s[p] >= -cfg.tolerance:
+        if s[p] >= exit_residual:
             break
         u_p = 0.0
         while True:
@@ -192,8 +191,9 @@ def kkt_check(sp: Subproblem, sol: DualSolution, tol: float) -> KktReport:
     """Verify feasibility, complementary slackness and the duality gap.
 
     Stationarity holds by construction (delta is defined as A^T lambda).
-    The pass flag scales the feasibility tests by ``1 + ||b||_inf`` and the
-    gap by ``max(1, |D|)`` so one tolerance works across problem scales.
+    The pass flag scales the feasibility tests by ``offset_scale`` and the
+    gap by ``|D|``, with no absolute floor, so one unitless ``tol`` works at
+    every data scale.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -209,6 +209,6 @@ def kkt_check(sp: Subproblem, sol: DualSolution, tol: float) -> KktReport:
     passed = (
         primal_violation <= tol * scale
         and comp_slack <= tol * scale
-        and abs(gap) <= tol * max(1.0, abs(sol.objective))
+        and abs(gap) <= tol * abs(sol.objective)
     )
     return KktReport(primal_violation, comp_slack, gap, passed)

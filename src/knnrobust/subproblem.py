@@ -60,8 +60,9 @@ class Subproblem:
 
     @property
     def offset_scale(self) -> float:
-        """``1 + ||b||_inf``: the scale that residual tolerances are relative to."""
-        return 1.0 + float(np.max(np.abs(self.offsets)))
+        """``||b||_inf``, the unit of every residual tolerance: like the
+        residuals, it scales by s^2 when the data and the query scale by s."""
+        return float(np.max(np.abs(self.offsets)))
 
     def residual(self, delta: np.ndarray) -> np.ndarray:
         """Constraint slack A delta + b (nonnegative iff delta feasible)."""

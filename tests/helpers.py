@@ -139,7 +139,7 @@ def knn_predict_reference(ds: Dataset, z: np.ndarray, k: int,
     dist_sq = ds.distances_sq(z)
     order = np.argsort(dist_sq, kind="stable")
     kth = dist_sq[order[k - 1]]
-    window = _TIE_REL_TOL * max(1.0, kth)
+    window = _TIE_REL_TOL * kth
     strict = order[dist_sq[order] < kth - window]
     tied = order[np.abs(dist_sq[order] - kth) <= window]
     slots = k - strict.size

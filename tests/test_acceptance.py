@@ -84,7 +84,7 @@ def test_criterion_02_duality(corpus):
     for ds, q, _ in corpus:
         for j in np.flatnonzero(ds.labels != q.true_label):
             sp = build_1nn_subproblem(ds, q, int(j))
-            sol = solve_dual_gca(sp, SolverConfig())
+            sol = solve_dual_gca(sp)
             if sol.status.value != "converged":
                 continue
             solves += 1

@@ -138,7 +138,7 @@ class TestSolveCandidate:
         empty = DualSolution(indices=np.empty(0, dtype=np.int64), values=np.empty(0),
                              objective=0.0, iterations=0, status=SolveStatus.CONVERGED,
                              size=sp.m)
-        monkeypatch.setattr(attack, "solve_dual_gca", lambda sp, cfg: empty)
+        monkeypatch.setattr(attack, "solve_dual_gca", lambda sp: empty)
         with pytest.raises(SolverError):
             _solve_candidate(sp, SolverConfig(), np.inf, AttackStats())
 

@@ -4,7 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from knnrobust.cli import RobustnessReport, RunConfig, bench, main, run
+from knnrobust import CertificationError, Query
+from knnrobust.attack import CertificateKind, PerturbationCertificate
+from knnrobust.cli import RobustnessReport, RunConfig, _check_bound_ordering, bench, main, run
 
 
 @pytest.fixture
@@ -111,6 +113,30 @@ class TestBench:
         assert values["exact"] <= values["qp-10"] + 1e-9
         assert values["qp-10"] <= values["qp-1"] + 1e-9
 
+    def test_table_at_small_scale(self, fix_files):
+        # fix A scaled by 1e-6: every value is 1e-6.
+        (fix_files["dir"] / "small.csv").write_text("1,-1e-6\n2,3e-6\n")
+        cfg = RunConfig(command="bench", data_path=str(fix_files["dir"] / "small.csv"),
+                        query_path=fix_files["fixA_q"], k=1,
+                        methods=("exact", "verifier", "qp-1", "naive-1", "mean"))
+        values = {row["method"]: row["mean_epsilon"] for row in bench(cfg).table}
+        for value in values.values():
+            assert value == pytest.approx(1e-6, rel=1e-8)
+
+    def test_ordering_slack_is_relative(self):
+        # A lower bound 5% above the exact value is a violation at any scale.
+        q = Query(np.zeros(1), 1)
+
+        def records(epsilon, kind):
+            return [(0, q, PerturbationCertificate(None, epsilon, kind, kind.value))]
+
+        exact = records(1e-6, CertificateKind.EXACT)
+        planted = {"exact": exact, "verifier": records(1.05e-6, CertificateKind.LOWER_BOUND)}
+        with pytest.raises(CertificationError):
+            _check_bound_ordering(planted, ["exact", "verifier"])
+        tight = {"exact": exact, "verifier": records(1e-6, CertificateKind.LOWER_BOUND)}
+        _check_bound_ordering(tight, ["exact", "verifier"])
+
     def test_nscr_sweep_emitted(self, fix_files):
         cfg = RunConfig(command="bench", data_path=fix_files["fixC"],
                         query_path=fix_files["fixC_q"], k=1,
@@ -183,7 +209,7 @@ class TestMainFlags:
         code = main(["bench", "--data-path", str(d / "hdr.csv"),
                      "--query-path", str(d / "hdr_q.csv"),
                      "--output-path", fix_files["out"], "--m", "2", "--n-scr", "3",
-                     "--tolerance", "1e-9", "--workers", "2", "--seed", "7",
+                     "--workers", "2", "--seed", "7",
                      "--sample", "5", "--repeats", "2", "--emit-deltas", "--omit-timing",
                      "--no-screening", "--no-sorting", "--has-header",
                      "--inflation", "1e-8", "--methods", "exact, verifier",
@@ -192,7 +218,7 @@ class TestMainFlags:
         payload = json.loads(open(fix_files["out"]).read())
         assert payload["config"] == _echo(
             command="bench", data_path=str(d / "hdr.csv"), query_path=str(d / "hdr_q.csv"),
-            output_path=fix_files["out"], m=2, n_scr=3, tolerance=1e-9, workers=2, seed=7,
+            output_path=fix_files["out"], m=2, n_scr=3, workers=2, seed=7,
             sample=5, repeats=2, emit_deltas=True, omit_timing=True, screening=False,
             sorting=False, has_header=True, inflation=1e-8, methods=("exact", "verifier"),
             nscr_sweep=(1, 8), table_csv=table,
@@ -200,6 +226,15 @@ class TestMainFlags:
         assert [row["method"] for row in payload["table"]] == ["exact", "verifier"]
         assert [entry["n_scr"] for entry in payload["sweep"]] == [1, 8]
         assert all("delta" in rec for rec in payload["queries"] if rec["method"] == "exact-1nn")
+
+    def test_tolerance_flag_is_gone(self, fix_files, capsys):
+        # The solver's tolerance is relative to each subproblem, so there is
+        # no flag for it; argparse rejects the old one as a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                  "--tolerance", "1e-9"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_short_spellings_and_defaults(self, fix_files, capsys):
         code = main(["attack", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],

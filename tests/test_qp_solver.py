@@ -3,6 +3,7 @@ import pytest
 
 from knnrobust import (
     Dataset,
+    DualSolution,
     InfeasibleSubproblemError,
     Query,
     SolveStatus,
@@ -200,6 +201,20 @@ class TestKktCheck:
         report = kkt_check(sp, zero, 1e-6)
         assert not report.passed
         assert report.primal_violation == pytest.approx(1.0)
+
+    def test_zero_multiplier_fails_on_scaled_fix_b(self, fix_b):
+        # Every residual here is about 1e-12, so an absolute tolerance would
+        # pass delta = 0.
+        ds, q = fix_b
+        s = 1e-6
+        sp = build_1nn_subproblem(Dataset(ds.points * s, ds.labels), Query(q.z * s, 1), 1)
+        zero = DualSolution(indices=np.array([], dtype=np.int64), values=np.array([]),
+                            objective=0.0, iterations=0, status=SolveStatus.CONVERGED,
+                            size=sp.m)
+        assert not kkt_check(sp, zero, 1e-6).passed
+        sol = solve_dual_gca(sp)
+        np.testing.assert_allclose(sol.dense(), [0.5], rtol=1e-12)
+        assert kkt_check(sp, sol, 1e-8).passed
 
     def test_trivial_problem_passes_with_zero_gap(self):
         sp = Subproblem(
