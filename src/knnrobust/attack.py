@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict, knn_vote
+from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict
 from .errors import CertificationError, InfeasibleSubproblemError, SolverError
 from .qp_solver import (DualSolution, SolveStatus, SolverConfig, recover_primal,
                         screen_variables, solve_dual_gca)
@@ -25,8 +25,12 @@ from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem
 
 DEFAULT_N_SCR = 8
 _SUBSET_BUDGET = 50
-_LINE_SEARCH_TOL = 1e-9
 _RAY_EXTENSION_CAP = 2.0 ** 20
+# Backstop on the line search's events; it ends after at most (K + 1) times
+# the number of line pairs in exact arithmetic.
+_MAX_EVENTS = 100_000
+# Relative window within which other lines count as tying a crossing.
+_EVENT_TIE_TOL = 1e-9
 
 
 class CertificateKind(Enum):
@@ -99,6 +103,12 @@ def _validated(ds: Dataset, q: Query, delta: np.ndarray, kind: CertificateKind,
         raise CertificationError(
             f"{method}: produced perturbation does not flip the {k}-NN prediction"
         )
+    return _certificate(delta, kind, method, stats, norm_ord)
+
+
+def _certificate(delta: np.ndarray, kind: CertificateKind, method: str,
+                 stats: AttackStats, norm_ord: float = 2) -> PerturbationCertificate:
+    """A certificate for a perturbation that ``is_adversarial`` has accepted."""
     return PerturbationCertificate(
         delta=delta, epsilon=float(np.linalg.norm(delta, ord=norm_ord)), kind=kind,
         method=method, stats=stats,
@@ -393,49 +403,85 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     )
 
 
-def _bisect_flip(predicate, t_cap: float) -> float | None:
-    """Smallest t found in (0, t_cap] at which ``predicate`` flips to True, or None.
-
-    Doubles t from 1 until predicate(t) holds, then bisects the last bracket
-    to ``_LINE_SEARCH_TOL``.  Assumes predicate(0) is False; returns the
-    upper end of the final bracket so the result always satisfies the
-    predicate.
-    """
-    lo, hi = 0.0, 1.0
-    while not predicate(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > t_cap:
-            return None
-    while hi - lo > _LINE_SEARCH_TOL:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule):
     """Squared distances from ``q.z`` and the baselines' ``flip(u, t_cap)``.
 
-    ``flip`` runs ``_bisect_flip`` along z + t*u with O(n) probes: each votes
-    on ``dist_sq + t*(2u.(z-x) + t*||u||^2)``.  Where t*||u|| dwarfs the K-th
-    distance, rounding in that form can exceed the tie window, so a t is
-    returned only if ``knn_predict`` at the recomputed point flips too;
-    otherwise the search is repeated with such probes.
+    ``flip`` returns the first t in (0, t_cap] at which the vote flips along
+    z + t*u, or None.  There every squared distance is
+    ``d_i^2 + t*s_i + t^2*||u||^2`` with ``s_i = 2u.(z - x_i)``; the t^2 term
+    is common to all points, so the K nearest change only where two lines
+    ``d_i^2 + t*s_i`` cross, and the walk steps from crossing to crossing.
+    It keeps the K-nearest set and its top line (the largest value, ties to
+    the larger slope).  The next event is the earlier of an outside line
+    crossing below the top, which swaps the two, and a member line rising
+    above it, which makes that line the top.  Lines cross once at most and a
+    swap needs the incoming slope below the outgoing one, so the walk ends.
+
+    Crossing times are compared in this ray form, O(n) per event.  The
+    chosen swap's time is recomputed from the two points in difference form,
+    ``(x_h - x_o).((z - x_h) + (z - x_o)) / (2u.(x_o - x_h))``, because the
+    ray form cancels when t*||u|| dwarfs the distances involved.  After a
+    swap whose label counts flip the vote (a tied vote goes to the attacker),
+    or where other lines tie the pair's crossing so that the tie rule may
+    choose another set, t is returned if ``is_adversarial`` holds at t*u;
+    otherwise the walk goes on.
     """
     diff = q.z - ds.points
     dist_sq = np.einsum("ij,ij->i", diff, diff)
+    n = ds.n
+    labels = ds.labels.tolist()
+    true = q.true_label
+    rivals = [c for c in range(ds.class_count + 1) if c != true]
 
     def flip(u: np.ndarray, t_cap: float) -> float | None:
         slope, uu = 2.0 * (diff @ u), float(u @ u)
-
-        def recomputed(t: float) -> bool:
-            return knn_predict(ds, q.z + t * u, k, tie, true_label=q.true_label) != q.true_label
-
-        t = _bisect_flip(lambda t: knn_vote(ds, dist_sq + t * (slope + t * uu), k,
-                                            q.true_label) != q.true_label, t_cap)
-        return t if t is not None and recomputed(t) else _bisect_flip(recomputed, t_cap)
+        members = np.argpartition(dist_sq, k - 1)[:k]
+        outside = np.ones(n, dtype=bool)
+        outside[members] = False
+        counts = np.bincount(ds.labels[members], minlength=ds.class_count + 1).tolist()
+        a_in, s_in = dist_sq[members], slope[members]
+        top = int(np.argmax(a_in))
+        t = 0.0
+        for _ in range(_MAX_EVENTS):
+            h = int(members[top])
+            a_h, s_h = a_in[top], s_in[top]
+            rate = s_h - slope
+            times = np.divide(dist_sq - a_h, rate, out=np.full(n, np.inf),
+                              where=(rate > 0.0) & outside)
+            o = int(np.argmin(times))
+            t_out = times[o]
+            if k > 1:
+                rate = s_in - s_h
+                rise = np.divide(a_h - a_in, rate, out=np.full(k, np.inf), where=rate > 0.0)
+                r = int(np.argmin(rise))
+                if rise[r] <= t_out and rise[r] < np.inf:
+                    top, t = r, max(t, float(rise[r]))
+                    continue
+            if t_out == np.inf:
+                return None
+            gap = ds.points[h] - ds.points[o]
+            rate_exact = -2.0 * float(u @ gap)
+            if rate_exact > 0.0:
+                t = max(t, float(gap @ (diff[h] + diff[o])) / rate_exact)
+            else:
+                t = max(t, float(t_out))
+            if t > t_cap:
+                return None
+            # Other lines at the pair's crossing: a second outside line, or a
+            # member level with the top there.
+            level = a_in + t * s_in
+            window = _EVENT_TIE_TOL * (abs(a_h) + t * abs(s_h) + t * t * uu)
+            tied = (np.count_nonzero(times <= t_out * (1.0 + _EVENT_TIE_TOL)) > 1
+                    or np.count_nonzero(level >= level[top] - window) > 1)
+            members[top], a_in[top], s_in[top] = o, dist_sq[o], slope[o]
+            outside[h], outside[o] = True, False
+            counts[labels[h]] -= 1
+            counts[labels[o]] += 1
+            own = counts[true] if 0 <= true < len(counts) else 0
+            flips = max(counts[c] for c in rivals) >= own
+            if (flips or tied) and t > 0.0 and is_adversarial(ds, q, t * u, k, tie):
+                return t
+        raise SolverError(f"line search: no first flip within {_MAX_EVENTS} events")
 
     return dist_sq, flip
 
@@ -446,8 +492,9 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
 
     For K=1 the targets are the ``tries`` nearest other-class instances; for
     K>1 each target is the centroid of a size-(K+1)/2 same-label cluster
-    grown around such an instance.  The step is found by bisection to 1e-9
-    in the line parameter.
+    grown around such an instance.  Each direction gets the first flip on
+    the segment to its target, found exactly by ``_line_search``; a direction
+    is searched only up to the best radius found so far.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
@@ -471,36 +518,37 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
             mates = ds.class_indices(int(ds.labels[seed]))
             if mates.size < k_minus:
                 continue
-            gaps = np.einsum("ij,ij->i", ds.points[mates] - ds.points[seed],
-                             ds.points[mates] - ds.points[seed])
+            spread = ds.points[mates] - ds.points[seed]
+            gaps = np.einsum("ij,ij->i", spread, spread)
             cluster = mates[np.argsort(gaps, kind="stable")[:k_minus]]
             target = ds.points[cluster].mean(axis=0)
         direction = target - q.z
         if not np.any(direction):
             continue
-        t_star = flip(direction, 1.0)
+        length = float(np.linalg.norm(direction))
+        t_star = flip(direction, min(1.0, best_eps / length))
         if t_star is None:
             continue
-        eps = t_star * float(np.linalg.norm(direction))
+        eps = t_star * length
         if eps < best_eps:
             best_eps = eps
             best_delta = t_star * direction
     if best_delta is None:
         raise SolverError(f"naive-{tries}: no tested direction flips the {k}-NN prediction")
     stats.wall_time = time.perf_counter() - start
-    return _validated(ds, q, best_delta, CertificateKind.UPPER_BOUND,
-                      f"naive-{tries}", stats, k, tie)
+    # flip has accepted best_delta with is_adversarial, the test of _validated.
+    return _certificate(best_delta, CertificateKind.UPPER_BOUND, f"naive-{tries}", stats)
 
 
 def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
                 tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
     """Baseline walking toward the nearest other-class mean.
 
-    The ray through the mean is extended beyond it (doubling, then
-    bisection) until the prediction flips; gives the loosest but cheapest
-    upper bound.  Its flip may land on a farther target than the nearest
-    other-class point, so it bounds ``exact_1nn`` but is not ordered
-    against ``qp_top_m``.
+    The ray through the mean, extended beyond it up to 2**20 times its
+    length, is walked by ``_line_search`` to its first flip; gives the
+    loosest but cheapest upper bound.  Its flip may land on a farther
+    target than the nearest other-class point, so it bounds ``exact_1nn``
+    but is not ordered against ``qp_top_m``.
     """
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
@@ -519,6 +567,6 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     t_star = flip(direction, _RAY_EXTENSION_CAP)
     if t_star is None:
         raise SolverError("mean: no flip within the ray-length cap")
-    delta = t_star * direction
     stats.wall_time = time.perf_counter() - start
-    return _validated(ds, q, delta, CertificateKind.UPPER_BOUND, "mean", stats, k, tie)
+    # flip has accepted t_star * direction with is_adversarial, the test of _validated.
+    return _certificate(t_star * direction, CertificateKind.UPPER_BOUND, "mean", stats)

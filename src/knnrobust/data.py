@@ -231,7 +231,8 @@ _TIE_REL_TOL = 512 * np.finfo(np.float64).eps
 def knn_vote(ds: Dataset, dist_sq: np.ndarray, k: int, true_label: int | None = None) -> int:
     """The vote of ``knn_predict`` on given squared distances to every point.
 
-    Needs ``k <= ds.n``.  The line searches update the distances along a ray.
+    Needs ``k <= ds.n``.  ``knn_predict`` and the verifier pass distances
+    they already hold.
     """
     kth = np.partition(dist_sq, k - 1)[k - 1]
     window = _TIE_REL_TOL * kth

@@ -4,12 +4,13 @@ Nothing here shares code paths with the solvers under test: the exact 1-NN
 reference goes through active-set enumeration per target, the 1-D reference
 scans perturbation magnitudes densely, the K-NN verifier reference measures
 distances to bisecting hyperplanes and sorts, the vote reference sorts and
-counts, the line-search reference recomputes every distance at each probe,
-and the LP reference enumerates vertices.
+counts, the line-search references recompute every distance at each probe
+or pair crossing, and the LP reference enumerates vertices.
 """
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,12 +169,15 @@ def knn_predict_reference(ds: Dataset, z: np.ndarray, k: int,
 
 def line_flip_reference(ds: Dataset, q: Query, k: int, direction: np.ndarray,
                         extend: bool = False) -> float | None:
-    """The baselines' line search along z + t*direction, probing with ``knn_predict``.
+    """The baselines' former line search along z + t*direction, probing with ``knn_predict``.
 
     Each probe recomputes every distance at the probed point.  The search
     starts at t = 1; with ``extend`` it doubles t up to 2**20 until the
     prediction flips.  It then bisects the last bracket to 1e-9 and returns
-    its upper end, or None when no probed t flips.
+    its upper end, or None when no probed t flips.  The returned t flips, so
+    the first flip on the ray is never later: this is an upper bound on
+    ``ray_flip_reference``, which can be far below it when the vote flips
+    and flips back between probes.
     """
     def flips(t):
         return knn_predict(ds, q.z + t * direction, k, true_label=q.true_label) != q.true_label
@@ -191,6 +195,32 @@ def line_flip_reference(ds: Dataset, q: Query, k: int, direction: np.ndarray,
         else:
             lo = mid
     return hi
+
+
+def ray_flip_reference(ds: Dataset, q: Query, k: int, direction: np.ndarray,
+                       t_cap: float) -> float | None:
+    """First t in (0, t_cap] at which ``knn_predict`` flips along z + t*direction, or None.
+
+    The ray analogue of ``min_flip_1d``: along the ray the K-NN ranking only
+    changes where two points are equally far, and with the attacker-favorable
+    tie rule a flip that happens at all happens exactly there.  Every pair's
+    crossing time is taken in difference form,
+    ``(x_i - x_j).((z - x_i) + (z - x_j)) / (2u.(x_j - x_i))``, and the
+    crossings are checked in ascending order at the recomputed point.
+    """
+    z, u = q.z, np.asarray(direction, dtype=np.float64)
+    times = set()
+    for i, j in itertools.combinations(range(ds.n), 2):
+        gap = ds.points[i] - ds.points[j]
+        rate = -2.0 * float(u @ gap)
+        if rate != 0.0:
+            t = float(gap @ ((z - ds.points[i]) + (z - ds.points[j]))) / rate
+            if 0.0 < t <= t_cap:
+                times.add(t)
+    for t in sorted(times):
+        if knn_predict(ds, z + t * u, k, true_label=q.true_label) != q.true_label:
+            return t
+    return None
 
 
 def brute_force_exact_1nn(ds: Dataset, q: Query) -> float:
@@ -223,6 +253,30 @@ def knn_pair_bound_reference(ds: Dataset, q: Query, inner: int, outer: int) -> f
     bounds = np.maximum(signed, 0.0) / np.linalg.norm(diff, axis=2)
     per_target = -np.sort(-bounds, axis=0)[inner - 1]
     return float(np.sort(per_target)[outer - 1])
+
+
+def knn_pair_bound_exact_sq(ds: Dataset, q: Query, inner: int, outer: int) -> Fraction:
+    """The square of B(inner, outer) of ``knn_pair_bound_reference``, in exact arithmetic.
+
+    Every coordinate is taken as the rational number its float stores, so
+    no cancellation occurs: a pair's squared bound is
+    ``max(0, n)^2 / (4 ||x_i - x_j||^2)`` with
+    ``n = (x_i - x_j).((z - x_i) + (z - x_j))``, and squares order the
+    nonnegative bounds as the bounds themselves.
+    """
+    exact = [[Fraction(float(v)) for v in row] for row in ds.points]
+    z = [Fraction(float(v)) for v in q.z]
+    same = [i for i in range(ds.n) if ds.labels[i] == q.true_label]
+    per_target = []
+    for j in (j for j in range(ds.n) if ds.labels[j] != q.true_label):
+        squares = []
+        for i in same:
+            gap = [a - b for a, b in zip(exact[i], exact[j])]
+            numer = sum(g * ((c - a) + (c - b)) for g, c, a, b in zip(gap, z, exact[i], exact[j]))
+            norm_sq = sum(g * g for g in gap)
+            squares.append(numer * numer / (4 * norm_sq) if numer > 0 else Fraction(0))
+        per_target.append(sorted(squares, reverse=True)[inner - 1])
+    return sorted(per_target)[outer - 1]
 
 
 def min_flip_1d(ds: Dataset, q: Query, k: int, hi: float) -> float:

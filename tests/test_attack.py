@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from knnrobust import (
+    DEFAULT_TIE_RULE,
     AttackStats,
     CertificateKind,
     Dataset,
@@ -27,7 +28,7 @@ from knnrobust import attack
 from knnrobust.attack import _solve_candidate
 
 from helpers import (active_set_oracle, brute_force_exact_1nn, line_flip_reference, min_flip_1d,
-                     random_grid_dataset)
+                     random_grid_dataset, ray_flip_reference)
 
 
 class TestExact1nn:
@@ -351,28 +352,39 @@ def _mean_direction(ds, q):
 
 
 def test_line_search_matches_reference(corpus):
-    # Every probe of naive and mean must decide as knn_predict at the probed
-    # point does.  2,225 of the 2,226 flips found agree bit for bit; instance
-    # 236 (mean, K=1) flips at epsilon 5.9e6, where the t^2 term swamps the
-    # distance differences, and differs by 2e-9 relative.
-    checked = 0
+    # naive and mean must return the first pair crossing on their rays at
+    # which knn_predict flips.  The former doubling-and-bisection search
+    # returns a t that flips, so it bounds them from above; it is strictly
+    # higher where the vote flips and flips back between its probes (one
+    # instance: 1.5 against 4.5).
+    checked = lower = earlier = 0
     for ds, q, _ in corpus:
         for k in (1, 3):
             if knn_predict(ds, q.z, k, true_label=q.true_label) != q.true_label:
                 continue
-            for method, directions, extend in (
-                (lambda: naive_attack(ds, q, k, 1), list(_naive_directions(ds, q, k, 1)), False),
-                (lambda: naive_attack(ds, q, k, 3), list(_naive_directions(ds, q, k, 3)), False),
-                (lambda: mean_attack(ds, q, k), [_mean_direction(ds, q)], True),
+            for method, directions, t_cap in (
+                (lambda: naive_attack(ds, q, k, 1), list(_naive_directions(ds, q, k, 1)), 1.0),
+                (lambda: naive_attack(ds, q, k, 3), list(_naive_directions(ds, q, k, 3)), 1.0),
+                (lambda: mean_attack(ds, q, k), [_mean_direction(ds, q)], 2.0 ** 20),
             ):
                 radii = [float(np.linalg.norm(t * u)) for u in directions
-                         if (t := line_flip_reference(ds, q, k, u, extend)) is not None]
+                         if (t := ray_flip_reference(ds, q, k, u, t_cap)) is not None]
                 if not radii:
                     with pytest.raises(SolverError):
                         method()
                     continue
-                assert method().epsilon == pytest.approx(min(radii), rel=1e-8, abs=0.0)
+                epsilon = method().epsilon
+                assert epsilon == pytest.approx(min(radii), rel=1e-9, abs=0.0)
+                bisected = [float(np.linalg.norm(t * u)) for u in directions
+                            if (t := line_flip_reference(ds, q, k, u, t_cap > 1.0)) is not None]
+                if bisected:
+                    assert epsilon <= min(bisected) * (1.0 + 1e-12)
+                    lower += epsilon < min(bisected)
+                    earlier += epsilon < min(bisected) * (1.0 - 1e-8)
                 checked += 1
+    # Most are lower by the bisection's last bracket, below 1e-9 in t.
+    print(f"\nline search: {lower} of {checked} results below the bisection reference, "
+          f"{earlier} by more than 1e-8 relative")
     assert checked > 2000
 
 
@@ -404,6 +416,63 @@ def test_far_flips_validate(corpus):
                     method()
                 except SolverError:
                     pass
+
+
+class TestLineSearchWalk:
+    """Edge cases of the first-flip walk along z + t*u."""
+
+    @staticmethod
+    def _flip(ds, q, k, u, t_cap=2.0 ** 20):
+        _, flip = attack._line_search(ds, q, k, DEFAULT_TIE_RULE)
+        return flip(np.asarray(u, dtype=np.float64), t_cap)
+
+    def test_vote_tie_at_an_event_flips(self):
+        # K=3 along +x: at t = 0.75 the point at 2.5 (class 3) replaces the
+        # one at -1 (class 1), leaving one vote per class; a tied vote goes
+        # to the attacker, so that event is the first flip.
+        ds = Dataset(np.array([[-0.5], [-1.0], [1.5], [2.5]]), np.array([1, 1, 2, 3]), 3)
+        q = Query(np.array([0.0]), 1)
+        assert self._flip(ds, q, 3, [1.0]) == pytest.approx(0.75, rel=1e-12)
+        assert ray_flip_reference(ds, q, 3, np.array([1.0]), 2.0 ** 20) == pytest.approx(0.75)
+        # The nearest other-class mean is the class-2 point at 1.5.
+        assert mean_attack(ds, q, 3).epsilon == pytest.approx(0.75, rel=1e-12)
+
+    def test_k_equal_to_n_never_flips(self):
+        # Every point votes at K = n, so class 1 keeps its majority anywhere.
+        ds = Dataset(np.array([[-1.0], [0.5], [1.0], [2.0], [3.0]]), np.array([1, 1, 1, 2, 2]))
+        q = Query(np.array([0.0]), 1)
+        assert self._flip(ds, q, 5, [1.0]) is None
+        with pytest.raises(SolverError):
+            mean_attack(ds, q, 5)
+        with pytest.raises(SolverError):
+            naive_attack(ds, q, 5, 2)
+
+    def test_equal_slopes(self):
+        # Along +x the points at (2, -1) and (2, 1) are always equally far
+        # (one line) and (2, 3) runs parallel to them.  At t = 2/3 the pair
+        # overtakes (-1, 0); the tie rule may then take the class-2 twin,
+        # although the class-1 twin comes first by index.
+        ds = Dataset(np.array([[-1.0, 0.0], [2.0, -1.0], [2.0, 1.0], [2.0, 3.0]]),
+                     np.array([1, 1, 2, 2]))
+        q = Query(np.zeros(2), 1)
+        u = np.array([1.0, 0.0])
+        assert self._flip(ds, q, 1, u) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert ray_flip_reference(ds, q, 1, u, 2.0 ** 20) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        # At K=3, (2, 3) never crosses the pair it runs parallel to; it
+        # overtakes (-1, 0) at t = 2, which leaves class 1 one vote.
+        assert self._flip(ds, q, 3, u) == pytest.approx(2.0, rel=1e-12)
+        assert ray_flip_reference(ds, q, 3, u, 2.0 ** 20) == pytest.approx(2.0, rel=1e-12)
+
+    def test_first_flip_before_a_flip_back(self):
+        # Toward x = 4 the nearest point is 1.2 (class 2) from x = 0.1 to 1.4,
+        # then 1.6 (class 1) up to 2.8.  Bisecting from t = 1 (x = 4) lands on
+        # the second flip at t = 0.7; the first is at t = 0.025.
+        ds = Dataset(np.array([[-1.0], [1.2], [1.6], [4.0]]), np.array([1, 2, 1, 2]))
+        q = Query(np.array([0.0]), 1)
+        u = np.array([4.0])
+        assert self._flip(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12)
+        assert ray_flip_reference(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12)
+        assert line_flip_reference(ds, q, 1, u) == pytest.approx(0.7, abs=1e-8)
 
 
 class TestIsAdversarial:

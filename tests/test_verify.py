@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ from knnrobust import (
     verify_knn,
 )
 
-from helpers import (knn_pair_bound_reference, no_flip_below_1d, preserved_fraction,
-                     random_grid_dataset)
+from helpers import (knn_pair_bound_exact_sq, knn_pair_bound_reference, no_flip_below_1d,
+                     preserved_fraction, random_grid_dataset)
 
 
 class TestVerify1nn:
@@ -199,3 +201,42 @@ class TestSoundness:
                 bound = verify_knn(ds, q, k).epsilon_lower
                 assert no_flip_below_1d(ds, q, k, 0.999 * bound)
             checked += 1
+
+
+class TestFarFromOrigin:
+    """Near-duplicate points far from the origin, checked against exact arithmetic.
+
+    There the Gram form ``||x_i||^2 + ||x_j||^2 - 2 x_i.x_j`` of a cross
+    distance cancels: at 1e5 from the origin the squares are 1e10 and a
+    squared distance of 9e-6 keeps about one digit.  A distance shrunk that
+    way inflates the certified bound; one rounded to zero raises
+    ``DegeneratePairError`` on distinct points.
+    """
+
+    @pytest.mark.parametrize("offset", [1e5, 1e6])
+    def test_planted_pair(self, offset):
+        # The bisector of 0.001 and 0.004 lies 0.0025 from the query; the
+        # Gram form gives 0.00272 at 1e5 and a zero distance at 1e6.
+        ds = Dataset(np.array([[0.001], [0.004]]) + offset, np.array([1, 2]))
+        q = Query(np.array([offset]), 1)
+        bound = verify_knn(ds, q, 1).epsilon_lower
+        assert bound == pytest.approx(0.0025, rel=1e-6)
+        assert bound <= math.sqrt(knn_pair_bound_exact_sq(ds, q, 1, 1)) * (1.0 + 1e-12)
+
+    def test_random_near_duplicates(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(150):
+            d = int(rng.integers(1, 4))
+            offset = 10.0 ** rng.uniform(2, 6) * rng.choice([-1.0, 1.0], size=d)
+            spread = 10.0 ** rng.uniform(-4, 0)
+            ds = Dataset(offset + spread * rng.normal(size=(6, d)), np.array([1, 1, 1, 2, 2, 2]))
+            q = Query(offset + spread * rng.normal(size=d), 1)
+            for k in (1, 3):
+                res = verify_knn(ds, q, k)
+                if res.misclassified:
+                    continue
+                exact = math.sqrt(knn_pair_bound_exact_sq(ds, q, res.k_used, res.k_used))
+                assert res.epsilon_lower <= exact * (1.0 + 1e-12)
+                checked += 1
+        assert checked > 100
