@@ -39,7 +39,7 @@ from .errors import (
     KnnRobustError,
     SolverError,
 )
-from .lp import LinearProgram, LpResult, build_l1_lp, build_linf_lp, exact_1nn_lp, solve_lp
+from .lp import build_l1_lp, build_linf_lp, exact_1nn_lp, solve_lp
 from .qp_solver import (
     DualSolution,
     KktReport,
@@ -68,8 +68,6 @@ __all__ = [
     "InsufficientPointsError",
     "KktReport",
     "KnnRobustError",
-    "LinearProgram",
-    "LpResult",
     "PerturbationCertificate",
     "Query",
     "SolveStatus",

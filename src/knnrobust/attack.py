@@ -396,8 +396,8 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                 ):
                     delta = delta2
         stats.wall_time = time.perf_counter() - start
-        return _validated(ds, q, delta, CertificateKind.UPPER_BOUND, "qp-greedy",
-                          stats, k, tie)
+        # The subset loop has accepted delta with is_adversarial, the test of _validated.
+        return _certificate(delta, CertificateKind.UPPER_BOUND, "qp-greedy", stats)
     raise SolverError(
         f"qp-greedy: no feasible target subset among {tried} candidates (budget {subset_budget})"
     )

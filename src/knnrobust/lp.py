@@ -1,11 +1,17 @@
 """Minimum-perturbation computation under the max and sum norms.
 
-Each per-target constraint system turns into a small linear program:
-minimize the box radius v with ``-v <= delta_i <= v`` for the max norm, or
-split ``delta = pos - neg`` and minimize ``sum(pos + neg)`` for the sum
-norm.  The solver is a dense two-phase simplex with Bland's anti-cycling
-rule; problem sizes here are m rows by O(d) columns, so no sparse machinery
-is needed.
+For one target, the least perturbation is ``min ||delta|| s.t. A delta + b >= 0``
+under the max or the sum norm, a linear program.  It is solved in the
+homogenized form of Charnes and Cooper (Naval Res. Logist. Q. 9, 1962): with
+``w = p - n`` and ``y = (p, n, mu) >= 0``, maximize ``mu`` subject to
+``-A w - mu b <= 0`` and the norm rows, ``p_k + n_k <= 1`` for every k under
+the max norm or ``sum(p + n) <= 1`` under the sum norm.  The optimum is
+``mu = 1/epsilon`` at ``w = delta/epsilon``.  Every right-hand side is 0 or 1,
+so the slack basis is feasible at the origin and a single simplex phase
+with Bland's rule solves it.  Each constraint row and then ``mu``'s column
+are divided by powers of two, so the simplex sees the same numbers at every
+power-of-two data scale and its one tolerance is relative.  Problem sizes
+are at most m + d rows by O(m + d) columns, so no sparse machinery is needed.
 """
 
 from __future__ import annotations
@@ -23,80 +29,47 @@ from .errors import SolverError
 from .subproblem import Subproblem, build_1nn_subproblem
 
 _PIVOT_EPS = 1e-10
-_TOL = 1e-9                 # phase-1 infeasibility and artificial-row tolerance
-# Pivot cap per phase: max(_CAP_FLOOR, _CAP_PER_LINE * (rows + columns)).
-_CAP_FLOOR = 2000
-_CAP_PER_LINE = 200
-
-GEQ = ">="
-LEQ = "<="
-EQ = "="
-_SLACK_SIGN = {LEQ: 1.0, GEQ: -1.0, EQ: 0.0}
+# Bland's rule cannot cycle, so this only stops a run that rounding has stalled.
+_MAX_PIVOTS = 50_000
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """min objective . x subject to rows and per-variable bounds."""
+class HomogenizedLp:
+    """maximize mu' over y = (p, n, mu') >= 0 subject to matrix @ y <= rhs.
 
-    objective: np.ndarray          # (p,)
-    matrix: np.ndarray             # (r, p)
-    relations: tuple[str, ...]     # one of >=, <=, = per row
-    rhs: np.ndarray                # (r,)
-    lower: np.ndarray              # (p,), -inf allowed
-    upper: np.ndarray              # (p,), +inf allowed
+    The first rows are the scaled constraints, with right-hand side 0; the
+    rest are the norm rows, with right-hand side 1.  ``mu'`` is ``mu`` times
+    ``scale``, so the perturbation is ``(p - n) * scale / mu'`` and its norm
+    is at most ``scale / mu'``.
+    """
 
-    def __post_init__(self) -> None:
-        for name in ("objective", "rhs", "lower", "upper"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64).ravel())
-        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=np.float64)))
-        p = self.objective.size
-        if self.matrix.shape != (self.rhs.size, p) or self.lower.size != p or self.upper.size != p:
-            raise ValueError("inconsistent LP dimensions")
-        if len(self.relations) != self.rhs.size:
-            raise ValueError("one relation per constraint row required")
-        if not all(rel in (GEQ, LEQ, EQ) for rel in self.relations):
-            raise ValueError(f"bad relation in {self.relations}")
-        if not all(np.all(np.isfinite(a)) for a in (self.objective, self.matrix, self.rhs)):
-            raise ValueError("LP coefficients must be finite")
-        object.__setattr__(self, "relations", tuple(self.relations))
-
-    @property
-    def num_variables(self) -> int:
-        return self.objective.size
+    matrix: np.ndarray      # (m + norm rows, 2d + 1)
+    rhs: np.ndarray         # (m + norm rows,)
+    scale: float            # 2^c, the divisor of mu's column
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str                    # optimal / infeasible / unbounded / iteration_cap
-    x: np.ndarray | None
-    objective: float | None
+def _homogenized(sp: Subproblem, norm_rows: np.ndarray) -> HomogenizedLp:
+    """Row i divided by 2^floor(log2 max|a_i|), then mu's column by
+    2^c = 2^floor(log2 max|b'|); dividing by a power of two is exact."""
+    _, row_exp = np.frexp(np.max(np.abs(sp.rows), axis=1))
+    rows = np.ldexp(sp.rows, 1 - row_exp[:, None])
+    offsets = np.ldexp(sp.offsets, 1 - row_exp)
+    c = int(np.frexp(np.max(np.abs(offsets)))[1]) - 1
+    mu_column = -np.ldexp(offsets, -c)
+    matrix = np.vstack([np.hstack([-rows, rows, mu_column[:, None]]), norm_rows])
+    rhs = np.concatenate([np.zeros(sp.m), np.ones(norm_rows.shape[0])])
+    return HomogenizedLp(matrix, rhs, float(np.ldexp(1.0, c)))
 
 
-def build_linf_lp(sp: Subproblem) -> LinearProgram:
-    """Variables (delta_1..delta_d, v); minimize v with |delta_i| <= v."""
-    d = sp.d
-    matrix = np.zeros((sp.m + 2 * d, d + 1))
-    rhs = np.zeros(sp.m + 2 * d)
-    matrix[: sp.m, :d] = sp.rows
-    rhs[: sp.m] = -sp.offsets
-    # Two box rows per coordinate: delta_i - v <= 0, then delta_i + v >= 0.
-    matrix[sp.m::2, :d] = np.eye(d)
-    matrix[sp.m::2, d] = -1.0
-    matrix[sp.m + 1::2, :d] = np.eye(d)
-    matrix[sp.m + 1::2, d] = 1.0
-    objective = np.zeros(d + 1)
-    objective[d] = 1.0
-    lower = np.full(d + 1, -np.inf)
-    lower[d] = 0.0
-    return LinearProgram(objective, matrix, (GEQ,) * sp.m + (LEQ, GEQ) * d, rhs,
-                         lower, np.full(d + 1, np.inf))
+def build_linf_lp(sp: Subproblem) -> HomogenizedLp:
+    """The homogenized max-norm program: one row p_k + n_k <= 1 per coordinate."""
+    eye = np.eye(sp.d)
+    return _homogenized(sp, np.hstack([eye, eye, np.zeros((sp.d, 1))]))
 
 
-def build_l1_lp(sp: Subproblem) -> LinearProgram:
-    """Split variables (pos, neg) >= 0 with delta = pos - neg; minimize the sum."""
-    d = sp.d
-    return LinearProgram(np.ones(2 * d), np.hstack([sp.rows, -sp.rows]), (GEQ,) * sp.m,
-                         -sp.offsets, np.zeros(2 * d), np.full(2 * d, np.inf))
+def build_l1_lp(sp: Subproblem) -> HomogenizedLp:
+    """The homogenized sum-norm program: the one row sum(p + n) <= 1."""
+    return _homogenized(sp, np.append(np.ones(2 * sp.d), 0.0)[None, :])
 
 
 def _bland_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None:
@@ -110,113 +83,49 @@ def _bland_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | No
     return int(ties[np.argmin(basis[ties])])
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col
+def solve_lp(lp: HomogenizedLp) -> tuple[np.ndarray, float, int]:
+    """Dense simplex from the slack basis with Bland's rule.
 
-
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cap: int) -> str:
-    """Bland's rule: the first column with a negative reduced cost enters."""
-    for _ in range(cap + 1):
+    Returns the perturbation delta, the optimum epsilon = scale / mu' (the
+    norm that delta attains up to rounding) and the number of pivots.
+    Raises ``SolverError`` when mu' is unbounded (no row has b < 0, so
+    delta = 0 already meets every row), when its optimum is 0 (no delta
+    meets the rows), or when ``_MAX_PIVOTS`` pivots do not reach the optimum.
+    """
+    r, cols = lp.matrix.shape
+    # Columns: p, n, mu', then one slack per row; the last row holds the
+    # reduced costs of minimizing -mu'.
+    tableau = np.zeros((r + 1, cols + r + 1))
+    tableau[:-1, :cols] = lp.matrix
+    tableau[:-1, cols:-1] = np.eye(r)
+    tableau[:-1, -1] = lp.rhs
+    tableau[-1, cols - 1] = -1.0
+    basis = np.arange(cols, cols + r)
+    pivots = 0
+    while True:
         entering = np.flatnonzero(tableau[-1, :-1] < -_PIVOT_EPS)
         if not entering.size:
-            return "optimal"
-        row = _bland_leaving(tableau, basis, int(entering[0]))
+            break
+        if pivots == _MAX_PIVOTS:
+            raise SolverError(f"no optimum after {_MAX_PIVOTS} pivots")
+        col = int(entering[0])
+        row = _bland_leaving(tableau, basis, col)
         if row is None:
-            return "unbounded"
-        _pivot(tableau, basis, row, int(entering[0]))
-    return "iteration_cap"
-
-
-def _subtract_rows(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``first - rows[0] - rows[1] - ...``, one subtraction at a time in row order."""
-    return np.subtract.reduce(np.vstack([first, rows]), axis=0)
-
-
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Two-phase dense simplex with Bland's rule.
-
-    Returns an optimal basic feasible solution, or a distinct status for
-    infeasible and unbounded programs.  Hitting the iteration cap reports
-    the current (feasible) point when one exists.
-    """
-    # Standard form x = offsets + T @ y with y >= 0, in variable order: a
-    # finite lower bound shifts its variable, a lone upper bound flips it, and
-    # a free variable splits into two adjacent columns.  Every column of T
-    # holds a single +-1, so ``@ T`` only copies or negates entries.
-    has_lo, has_hi = np.isfinite(lp.lower), np.isfinite(lp.upper)
-    free = ~has_lo & ~has_hi
-    width = 1 + free
-    first = np.cumsum(width) - width
-    T = np.zeros((lp.num_variables, int(width.sum())))
-    T[np.arange(lp.num_variables), first] = np.where(has_hi & ~has_lo, -1.0, 1.0)
-    T[free, first[free] + 1] = -1.0
-    offsets = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
-    boxed = has_lo & has_hi
-    ncols = T.shape[1]
-
-    # Rows: the constraints, then y_k <= upper - lower for each boxed
-    # variable, each negated where its right-hand side is negative.  A row's
-    # slack sign is +1 for <=, -1 for >= and 0 for =.
-    rows = np.vstack([lp.matrix @ T, T[boxed]])
-    rhs = np.concatenate([lp.rhs - lp.matrix @ offsets, lp.upper[boxed] - lp.lower[boxed]])
-    slack_sign = np.array([_SLACK_SIGN[rel] for rel in lp.relations] + [1.0] * int(boxed.sum()))
-    flip = np.where(rhs < 0, -1.0, 1.0)
-    rows *= flip[:, None]
-    rhs *= flip
-    slack_sign *= flip
-
-    # Columns: the variables, a slack per inequality row, then an artificial
-    # per >= or = row.  The start basis is the slack of each <= row and the
-    # artificial of every other row.
-    r = rhs.size
-    slack_rows, art_rows = np.flatnonzero(slack_sign), np.flatnonzero(slack_sign <= 0)
-    art_start = ncols + slack_rows.size
-    tableau = np.vstack([
-        np.hstack([rows, np.diag(slack_sign)[:, slack_rows], np.eye(r)[:, art_rows], rhs[:, None]]),
-        np.zeros((1, art_start + art_rows.size + 1)),
-    ])
-    basis = np.empty(r, dtype=np.intp)
-    basis[slack_rows] = np.arange(ncols, art_start)
-    basis[art_rows] = art_start + np.arange(art_rows.size)
-    cap = max(_CAP_FLOOR, _CAP_PER_LINE * (r + tableau.shape[1] - 1))
-
-    # Phase 1: drive the artificial variables to zero.
-    if art_rows.size:
-        tableau[-1, art_start:-1] = 1.0
-        tableau[-1] = _subtract_rows(tableau[-1], tableau[art_rows])
-        if _run_simplex(tableau, basis, cap) == "iteration_cap":
-            return LpResult("iteration_cap", None, None)
-        if tableau[-1, -1] < -_TOL * max(1.0, float(np.max(np.abs(rhs)))):
-            return LpResult("infeasible", None, None)
-        # Pivot basic artificials out, then delete the artificial columns
-        # and the rows left redundant.
-        keep = np.ones(r + 1, dtype=bool)
-        for i in np.flatnonzero(basis >= art_start):
-            if abs(tableau[i, -1]) > _TOL:
-                return LpResult("infeasible", None, None)
-            nonzero = np.flatnonzero(np.abs(tableau[i, :art_start]) > _PIVOT_EPS)
-            if nonzero.size:
-                _pivot(tableau, basis, i, int(nonzero[0]))
-            else:
-                keep[i] = False
-        tableau = np.delete(tableau[keep], np.s_[art_start:-1], axis=1)
-        basis = basis[keep[:-1]]
-
-    # Phase 2 with the real objective.
-    cost = np.zeros(tableau.shape[1])
-    cost[:ncols] = lp.objective @ T
-    tableau[-1] = _subtract_rows(cost, cost[basis, None] * tableau[:-1])
-    status = _run_simplex(tableau, basis, cap)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None)
-    y = np.zeros(tableau.shape[1] - 1)
+            raise SolverError("mu is unbounded: delta = 0 meets every row")
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row])
+        basis[row] = col
+        pivots += 1
+    y = np.zeros(cols + r)
     y[basis] = tableau[:-1, -1]
-    x = offsets + T @ y[:ncols]
-    return LpResult(status, x, float(lp.objective @ x))
+    mu = y[cols - 1]
+    if not mu > 0.0:
+        raise SolverError("the optimum of mu is 0: no perturbation meets the rows")
+    d = (cols - 1) // 2
+    epsilon = lp.scale / mu
+    return (y[:d] - y[d:2 * d]) * epsilon, epsilon, pivots
 
 
 def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
@@ -254,16 +163,14 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
         sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
         lp = build_linf_lp(sp) if norm == "linf" else build_l1_lp(sp)
-        result = solve_lp(lp)
+        try:
+            delta, eps, pivots = solve_lp(lp)
+        except SolverError as err:
+            raise SolverError(f"{method}: LP for target {j}: {err}") from err
         stats.subproblems_solved += 1
-        if result.status != "optimal":
-            raise SolverError(f"{method}: LP for target {j} returned {result.status}")
-        if result.objective < best_eps:
-            best_eps = result.objective
-            if norm == "linf":
-                best_delta = result.x[: ds.d]
-            else:
-                best_delta = result.x[: ds.d] - result.x[ds.d:]
+        stats.solver_iterations += pivots
+        if eps < best_eps:
+            best_eps, best_delta = eps, delta
     if best_delta is None:
         raise SolverError(f"{method}: no candidate produced a perturbation")
     stats.wall_time = time.perf_counter() - start

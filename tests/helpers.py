@@ -5,11 +5,13 @@ reference goes through active-set enumeration per target, the 1-D reference
 scans perturbation magnitudes densely, the K-NN verifier reference measures
 distances to bisecting hyperplanes and sorts, the vote reference sorts and
 counts, the line-search references recompute every distance at each probe
-or pair crossing, and the LP reference enumerates vertices.
+or pair crossing, and the LP reference enumerates the vertices of the plain
+min-norm LP, not of the homogenized program that ``solve_lp`` runs.
 """
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -334,16 +336,56 @@ def preserved_fraction(ds: Dataset, true_label: int, z_batch: np.ndarray, k: int
     return float(np.mean(votes >= (k + 1) // 2))
 
 
-def lp_vertex_minimum(lp) -> float | None:
+@dataclass(frozen=True)
+class MinNormLp:
+    """min objective . x subject to ``matrix @ x (relation) rhs`` and lower <= x <= upper."""
+
+    objective: np.ndarray
+    matrix: np.ndarray
+    relations: tuple[str, ...]     # >= or <= per row
+    rhs: np.ndarray
+    lower: np.ndarray              # -inf allowed
+    upper: np.ndarray              # +inf allowed
+
+
+def min_norm_lp(sp: Subproblem, norm: str) -> MinNormLp:
+    """``min ||delta|| s.t. A delta + b >= 0`` as a plain LP, without homogenization.
+
+    Max norm: variables (delta_1..delta_d, v), minimize v with
+    ``-v <= delta_i <= v``.  Sum norm: split variables (pos, neg) >= 0 with
+    delta = pos - neg, minimize ``sum(pos + neg)``.
+    """
+    d = sp.d
+    if norm == "l1":
+        return MinNormLp(np.ones(2 * d), np.hstack([sp.rows, -sp.rows]), (">=",) * sp.m,
+                         -sp.offsets, np.zeros(2 * d), np.full(2 * d, np.inf))
+    matrix = np.zeros((sp.m + 2 * d, d + 1))
+    rhs = np.zeros(sp.m + 2 * d)
+    matrix[: sp.m, :d] = sp.rows
+    rhs[: sp.m] = -sp.offsets
+    # Two box rows per coordinate: delta_i - v <= 0, then delta_i + v >= 0.
+    matrix[sp.m::2, :d] = np.eye(d)
+    matrix[sp.m::2, d] = -1.0
+    matrix[sp.m + 1::2, :d] = np.eye(d)
+    matrix[sp.m + 1::2, d] = 1.0
+    objective = np.zeros(d + 1)
+    objective[d] = 1.0
+    lower = np.full(d + 1, -np.inf)
+    lower[d] = 0.0
+    return MinNormLp(objective, matrix, (">=",) * sp.m + ("<=", ">=") * d, rhs,
+                     lower, np.full(d + 1, np.inf))
+
+
+def lp_vertex_minimum(lp: MinNormLp) -> float | None:
     """Brute-force LP optimum by enumerating basic feasible points.
 
     Valid when the feasible region contains no line and the objective is
-    bounded below on it: a minimum then sits at a vertex.  A bounded region
-    qualifies, and so do the regions of both LP builders (``v >= |delta_i|``
-    for the max norm, ``pos, neg >= 0`` for the sum norm).  Returns None when
-    no vertex is feasible.
+    bounded below on it: a minimum then sits at a vertex.  Both forms of
+    ``min_norm_lp`` qualify (``v >= |delta_i|`` for the max norm,
+    ``pos, neg >= 0`` for the sum norm).  Returns None when no vertex is
+    feasible.
     """
-    p = lp.num_variables
+    p = lp.objective.size
     planes = [(np.asarray(row), float(rhs)) for row, rhs in zip(lp.matrix, lp.rhs)]
     for kvar in range(p):
         for bound in (lp.lower[kvar], lp.upper[kvar]):
@@ -358,8 +400,6 @@ def lp_vertex_minimum(lp) -> float | None:
             if rel == ">=" and v < rhs - 1e-9:
                 return False
             if rel == "<=" and v > rhs + 1e-9:
-                return False
-            if rel == "=" and abs(v - rhs) > 1e-9:
                 return False
         return bool(np.all(x >= lp.lower - 1e-9) and np.all(x <= lp.upper + 1e-9))
 

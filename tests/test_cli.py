@@ -53,6 +53,7 @@ class TestRun:
         report = run(RunConfig(command="exact", data_path=fix_files["fixB"],
                                query_path=fix_files["fixB_q"], norm="linf"))
         assert report.queries[0]["epsilon"] == pytest.approx(0.5, abs=1e-9)
+        assert report.queries[0]["stats"]["solver_iterations"] > 0     # the LP's pivots
 
     def test_round_trip(self, fix_files):
         report = run(RunConfig(command="exact", data_path=fix_files["fixA"],

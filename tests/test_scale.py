@@ -1,4 +1,4 @@
-"""Scale equivariance of the l2 path.
+"""Scale equivariance of the l2 path and of the max- and sum-norm LPs.
 
 Scaling the data and the query by s scales the minimum perturbation and its
 bounds by s, so each value must come out as s times its value at scale 1.
@@ -14,6 +14,7 @@ from knnrobust import (
     Query,
     SolverError,
     exact_1nn,
+    exact_1nn_lp,
     generate_synthetic,
     knn_predict,
     mean_attack,
@@ -28,9 +29,11 @@ def _scaled(ds, q, s):
 
 
 def _certified(ds, q, ks):
-    """exact, qp-10 and the verifier at every K: the values that no distance
-    tie among the candidates can change."""
-    out = {"exact": exact_1nn(ds, q).epsilon, "qp-10": qp_top_m(ds, q, 10).epsilon}
+    """exact (l2, linf and l1), qp-10 and the verifier at every K: the values
+    that no distance tie among the candidates can change."""
+    out = {"exact": exact_1nn(ds, q).epsilon, "qp-10": qp_top_m(ds, q, 10).epsilon,
+           "exact-linf": exact_1nn_lp(ds, q, "linf").epsilon,
+           "exact-l1": exact_1nn_lp(ds, q, "l1").epsilon}
     for k in ks:
         out[f"verifier K={k}"] = verify_knn(ds, q, k).epsilon_lower
     return out
