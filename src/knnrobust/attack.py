@@ -118,13 +118,23 @@ def _certificate(delta: np.ndarray, kind: CertificateKind, method: str,
 def _pair_prune(neg_b: np.ndarray, norms_sq: np.ndarray, incumbent_sq: float) -> bool:
     """True iff one constraint row alone certifies a radius beyond the incumbent.
 
-    Row ``a.delta + b >= 0`` forces ``||delta|| >= max(-b, 0)/||a||`` (the
-    single-coordinate dual value), compared here in squared form.  A zero
-    row is a degenerate pair that proves nothing; the builder raises on it.
+    Row ``a.delta + b >= 0`` forces ``||delta|| >= max(-b, 0)/||a||_*`` in
+    any norm, with ``||.||_*`` its dual norm (Hölder's inequality; the dual
+    of l2 is l2, of the max norm the sum norm and of the sum norm the max
+    norm).  ``norms_sq`` holds the squared dual norms of the rows, and the
+    comparison is made in squared form.  A zero row is a degenerate pair
+    that proves nothing; the builder raises on it.
     """
     if norms_sq.min() == 0.0:
         return False
     return bool(np.any(incumbent_sq < np.square(np.maximum(neg_b, 0.0)) / norms_sq))
+
+
+def _dual_norms_sq(a: np.ndarray, norm: str) -> np.ndarray:
+    """Squared dual norms of the rows of ``a``, for ``_pair_prune`` under ``norm``."""
+    if norm == "l2":
+        return np.einsum("ij,ij->i", a, a)
+    return np.square(np.linalg.norm(a, ord={"linf": 1, "l1": np.inf}[norm], axis=1))
 
 
 def _check_n_scr(n_scr: int) -> None:
@@ -196,12 +206,23 @@ def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
     return delta, sol
 
 
-def _qp_pipeline(ds: Dataset, q: Query, cfg: SolverConfig, n_scr: int,
-                 sort_candidates: bool, candidate_limit: int | None,
-                 stats: AttackStats) -> tuple[np.ndarray | None, float]:
-    """Shared engine behind the exact and top-m 1-NN pipelines."""
-    z = q.z
-    dist_sq = ds.distances_sq(z)
+def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str,
+            solve, cfg: SolverConfig, n_scr: int, sort_candidates: bool,
+            candidate_limit: int | None, tie: TieRule) -> PerturbationCertificate:
+    """The 1-NN candidate loop behind ``exact_1nn``, ``qp_top_m`` and ``exact_1nn_lp``.
+
+    Targets are the other-class points, nearest first when ``sort_candidates``,
+    cut to ``candidate_limit``.  ``solve(sp, cfg, bound, stats)`` counts its
+    solves and returns a tuple led by target ``sp``'s least perturbation, or
+    None when it proves the optimum exceeds ``bound`` (``min(d_j, incumbent)``
+    in l2).  The loop keeps the perturbation of least ``norm``, prunes with
+    ``_pair_prune`` in the dual norm and validates the winner.
+    """
+    _check_n_scr(n_scr)
+    stats, start, zero = _begin(ds, q, 1, tie, method)
+    if zero is not None:
+        return zero
+    dist_sq = ds.distances_sq(q.z)
     same = ds.class_indices(q.true_label)
     others = np.flatnonzero(ds.labels != q.true_label)
     if sort_candidates:
@@ -209,7 +230,9 @@ def _qp_pipeline(ds: Dataset, q: Query, cfg: SolverConfig, n_scr: int,
     if candidate_limit is not None:
         others = others[:candidate_limit]
 
+    norm_ord = {"l2": 2, "linf": np.inf, "l1": 1}[norm]
     d1 = float(np.sqrt(np.min(dist_sq[same])))
+    shrink = 2.0 * np.sqrt(ds.d) if norm == "linf" else 2.0
     scr_ids = same[np.argsort(dist_sq[same], kind="stable")[:n_scr]]
     x_scr = ds.points[scr_ids]
     dz2_scr = dist_sq[scr_ids]
@@ -218,40 +241,38 @@ def _qp_pipeline(ds: Dataset, q: Query, cfg: SolverConfig, n_scr: int,
     delta_best: np.ndarray | None = None
     for pos, j in enumerate(others):
         dj = float(np.sqrt(dist_sq[j]))
-        # No target farther out can certify below (dj - d1)/2, so once the
-        # incumbent beats that, sorted iteration can stop altogether.
-        if np.isfinite(eps_best) and (dj - d1) / 2.0 > eps_best:
+        # No target farther out can certify below (dj - d1)/2 in l2 or l1, or
+        # that over sqrt(d) in the max norm (||.||_1 >= ||.||_2 >= sqrt(d) ||.||_inf),
+        # so once the incumbent beats that, sorted iteration can stop altogether.
+        if np.isfinite(eps_best) and (dj - d1) / shrink > eps_best:
             if sort_candidates:
                 stats.subproblems_screened += len(others) - pos
                 break
             stats.subproblems_screened += 1
             continue
         screening = cfg.screening_enabled and np.isfinite(eps_best)
-        if screening:
-            a = ds.points[j] - x_scr
-            if _pair_prune(0.5 * (dist_sq[j] - dz2_scr), np.einsum("ij,ij->i", a, a),
-                           eps_best * eps_best):
-                stats.subproblems_screened += 1
-                continue
+        if screening and _pair_prune(0.5 * (dist_sq[j] - dz2_scr),
+                                     _dual_norms_sq(ds.points[j] - x_scr, norm),
+                                     eps_best * eps_best):
+            stats.subproblems_screened += 1
+            continue
         sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
         # The same test over every row; a survivor has all single-row radii
         # within the incumbent, which keeps the running-incumbent row
         # screening sound.
-        if screening and _pair_prune(-sp.offsets, sp.row_norms_sq, eps_best * eps_best):
+        norms_sq = sp.row_norms_sq if norm == "l2" else _dual_norms_sq(sp.rows, norm)
+        if screening and _pair_prune(-sp.offsets, norms_sq, eps_best * eps_best):
             stats.subproblems_screened += 1
             continue
-        solved = _solve_candidate(sp, cfg, min(dj, eps_best), stats)
-        if solved is None:
-            continue
-        delta, _ = solved
-        eps_j = float(np.linalg.norm(delta))
+        solved = solve(sp, cfg, min(dj, eps_best), stats)
+        eps_j = np.inf if solved is None else float(np.linalg.norm(solved[0], ord=norm_ord))
         if eps_j < eps_best:
-            eps_best = eps_j
-            delta_best = delta
+            eps_best, delta_best = eps_j, solved[0]
     if delta_best is None:
-        raise SolverError("no candidate subproblem produced a perturbation")
-    return delta_best, eps_best
+        raise SolverError(f"{method}: no candidate subproblem produced a perturbation")
+    stats.wall_time = time.perf_counter() - start
+    return _validated(ds, q, delta_best, kind, method, stats, 1, tie, norm_ord)
 
 
 def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
@@ -264,13 +285,8 @@ def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
     soon as the remaining sorted candidates provably cannot win.  Queries the
     model already misclassifies get a zero certificate immediately.
     """
-    _check_n_scr(n_scr)
-    stats, start, zero = _begin(ds, q, 1, tie, "exact-1nn")
-    if zero is not None:
-        return zero
-    delta, _ = _qp_pipeline(ds, q, cfg, n_scr, sort_candidates, None, stats)
-    stats.wall_time = time.perf_counter() - start
-    return _validated(ds, q, delta, CertificateKind.EXACT, "exact-1nn", stats, 1, tie)
+    return _one_nn(ds, q, "exact-1nn", CertificateKind.EXACT, "l2", _solve_candidate, cfg,
+                   n_scr, sort_candidates, None, tie)
 
 
 def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), *,
@@ -278,13 +294,8 @@ def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), 
     """Upper bound from solving only the m nearest target subproblems."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_n_scr(n_scr)
-    stats, start, zero = _begin(ds, q, 1, tie, f"qp-{m}")
-    if zero is not None:
-        return zero
-    delta, _ = _qp_pipeline(ds, q, cfg, n_scr, True, m, stats)
-    stats.wall_time = time.perf_counter() - start
-    return _validated(ds, q, delta, CertificateKind.UPPER_BOUND, f"qp-{m}", stats, 1, tie)
+    return _one_nn(ds, q, f"qp-{m}", CertificateKind.UPPER_BOUND, "l2", _solve_candidate,
+                   cfg, n_scr, True, m, tie)
 
 
 def _subset_candidates(sorted_ids: np.ndarray, dists: np.ndarray, size: int):
@@ -556,11 +567,9 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     if zero is not None:
         return zero
 
-    present = [c for c in np.unique(ds.labels) if c != q.true_label]
-    means = {c: ds.points[ds.class_indices(int(c))].mean(axis=0) for c in present}
-    gaps = [float(np.linalg.norm(means[c] - q.z)) for c in present]
-    target_label = present[int(np.argmin(gaps))]
-    direction = means[target_label] - q.z
+    means = [m for c, m in ds.means_by_label.items() if c != q.true_label]
+    gaps = [float(np.linalg.norm(m - q.z)) for m in means]
+    direction = means[int(np.argmin(gaps))] - q.z
     if not np.any(direction):
         raise SolverError("mean: query coincides with the target class mean")
     _, flip = _line_search(ds, q, k, tie)

@@ -178,7 +178,8 @@ def _run_method(ds: Dataset, q: Query, method: str, cfg: RunConfig) -> Perturbat
         if cfg.norm == "l2":
             return attack_mod.exact_1nn(ds, q, solver, n_scr=cfg.n_scr,
                                         sort_candidates=cfg.sorting, tie=tie)
-        return exact_1nn_lp(ds, q, cfg.norm, tie=tie)
+        return exact_1nn_lp(ds, q, cfg.norm, cfg=solver, n_scr=cfg.n_scr,
+                            sort_candidates=cfg.sorting, tie=tie)
     if method == "verifier":
         res = verify_knn(ds, q, cfg.k, tie)
         return PerturbationCertificate(

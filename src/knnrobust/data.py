@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,12 @@ class Dataset:
 
     def class_indices(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.labels == label)
+
+    @cached_property
+    def means_by_label(self) -> dict[int, np.ndarray]:
+        """The mean of each class's points, keyed by the labels that have points."""
+        return {int(c): self.points[self.class_indices(c)].mean(axis=0)
+                for c in np.unique(self.labels)}
 
     def distances_sq(self, z: np.ndarray) -> np.ndarray:
         """Squared Euclidean distances from ``z`` to every point.
@@ -287,11 +294,9 @@ def knn_predict(
 
 
 def class_means(ds: Dataset) -> np.ndarray:
-    """Row c-1 is the arithmetic mean of class-c points."""
-    means = np.empty((ds.class_count, ds.d))
-    for c in range(1, ds.class_count + 1):
-        idx = ds.class_indices(c)
-        if idx.size == 0:
-            raise InsufficientPointsError(f"class {c} has no points")
-        means[c - 1] = ds.points[idx].mean(axis=0)
-    return means
+    """Row c-1 is the arithmetic mean of class-c points (``ds.means_by_label``)."""
+    labels = range(1, ds.class_count + 1)
+    missing = [c for c in labels if c not in ds.means_by_label]
+    if missing:
+        raise InsufficientPointsError(f"class {missing[0]} has no points")
+    return np.array([ds.means_by_label[c] for c in labels])

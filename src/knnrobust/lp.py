@@ -16,17 +16,17 @@ are at most m + d rows by O(m + d) columns, so no sparse machinery is needed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import CertificateKind, PerturbationCertificate, _begin, _validated
-# knn_predict is not called here, but it stays bound as lp.knn_predict:
-# the benchmark's tracer rebinds that name.
+from .attack import DEFAULT_N_SCR, CertificateKind, PerturbationCertificate, _one_nn
+# knn_predict and build_1nn_subproblem are not called here, but they stay
+# bound in lp: the benchmark's tracer rebinds lp.<name>.
 from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict  # noqa: F401
 from .errors import SolverError
-from .subproblem import Subproblem, build_1nn_subproblem
+from .qp_solver import SolverConfig
+from .subproblem import Subproblem, build_1nn_subproblem  # noqa: F401
 
 _PIVOT_EPS = 1e-10
 # Bland's rule cannot cycle, so this only stops a run that rounding has stalled.
@@ -129,50 +129,31 @@ def solve_lp(lp: HomogenizedLp) -> tuple[np.ndarray, float, int]:
 
 
 def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
+                 cfg: SolverConfig = SolverConfig(), n_scr: int = DEFAULT_N_SCR,
+                 sort_candidates: bool = True,
                  tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
     """Exact minimum perturbation of 1-NN under the max or sum norm.
 
-    Same outer loop as the quadratic pipeline, with one LP per candidate
-    target.  The quadratic screening rules would transfer through Hölder's
-    inequality (a row forces ``||delta|| >= max(-b, 0)/||a||_*`` in the dual
-    norm) but are not applied yet, so only the sorted-candidate early stop
-    is kept, made conservative by the norm equivalence factor sqrt(d) in the
-    max-norm case.
+    The candidate loop of ``exact_1nn`` with one LP per target.  Its pair
+    prunes carry over through Hölder's inequality: a row forces
+    ``||delta|| >= max(-b, 0)/||a||_*`` in the dual norm (the sum norm under
+    the max norm, the max norm under the sum norm).  The sorted stop is the
+    l2 one, divided by sqrt(d) under the max norm.  ``cfg.screening_enabled``
+    turns the pair prunes on and off; rows are not screened.
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")
     method = f"exact-{norm}"
-    stats, start, zero = _begin(ds, q, 1, tie, method)
-    if zero is not None:
-        return zero
 
-    dist_sq = ds.distances_sq(q.z)
-    same = ds.class_indices(q.true_label)
-    others = np.flatnonzero(ds.labels != q.true_label)
-    others = others[np.argsort(dist_sq[others], kind="stable")]
-    d1 = float(np.sqrt(np.min(dist_sq[same])))
-    shrink = 2.0 * np.sqrt(ds.d) if norm == "linf" else 2.0
-
-    best_eps = np.inf
-    best_delta = None
-    for pos, j in enumerate(others):
-        dj = float(np.sqrt(dist_sq[j]))
-        if np.isfinite(best_eps) and (dj - d1) / shrink > best_eps:
-            stats.subproblems_screened += len(others) - pos
-            break
-        sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
-        stats.subproblems_built += 1
-        lp = build_linf_lp(sp) if norm == "linf" else build_l1_lp(sp)
+    def solve(sp: Subproblem, cfg: SolverConfig, bound: float, stats):
+        program = build_linf_lp(sp) if norm == "linf" else build_l1_lp(sp)
         try:
-            delta, eps, pivots = solve_lp(lp)
+            solved = solve_lp(program)
         except SolverError as err:
-            raise SolverError(f"{method}: LP for target {j}: {err}") from err
+            raise SolverError(f"{method}: LP for target {sp.target_ids[0]}: {err}") from err
         stats.subproblems_solved += 1
-        stats.solver_iterations += pivots
-        if eps < best_eps:
-            best_eps, best_delta = eps, delta
-    if best_delta is None:
-        raise SolverError(f"{method}: no candidate produced a perturbation")
-    stats.wall_time = time.perf_counter() - start
-    return _validated(ds, q, best_delta, CertificateKind.EXACT, method, stats, 1, tie,
-                      norm_ord=np.inf if norm == "linf" else 1)
+        stats.solver_iterations += solved[2]
+        return solved
+
+    return _one_nn(ds, q, method, CertificateKind.EXACT, norm, solve, cfg, n_scr,
+                   sort_candidates, None, tie)

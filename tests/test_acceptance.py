@@ -100,6 +100,13 @@ def test_criterion_03_screening_soundness(corpus):
     bad_multipliers = 0
     for ds, q, _ in corpus:
         worst = max(worst, abs(exact_1nn(ds, q, on).epsilon - exact_1nn(ds, q, off).epsilon))
+        # The LP path's pair prunes and sorted stop must not change its value either.
+        for norm in ("linf", "l1"):
+            default = exact_1nn_lp(ds, q, norm).epsilon
+            for ablated in (exact_1nn_lp(ds, q, norm, cfg=off),
+                            exact_1nn_lp(ds, q, norm, sort_candidates=False),
+                            exact_1nn_lp(ds, q, norm, n_scr=1)):
+                worst = max(worst, abs(ablated.epsilon - default))
         dist = np.linalg.norm(ds.points - q.z, axis=1)
         for j in np.flatnonzero(ds.labels != q.true_label):
             sp = build_1nn_subproblem(ds, q, int(j))
@@ -120,6 +127,11 @@ PINNED_PRUNING_COUNTS = {
     "exact, n_scr=8, unsorted": ((948, 948, 766, 1843),
                                  lambda ds, q: exact_1nn(ds, q, sort_candidates=False)),
     "qp-10": ((590, 590, 1123, 1013), lambda ds, q: qp_top_m(ds, q, 10)),
+    # The same loop with one LP per target and pivots as its steps; without
+    # the dual-norm pair prunes these were (1010, 1010, 704, 4015) and
+    # (995, 995, 719, 3493).
+    "exact-linf": ((613, 613, 1101, 2332), lambda ds, q: exact_1nn_lp(ds, q, "linf")),
+    "exact-l1": ((595, 595, 1119, 1970), lambda ds, q: exact_1nn_lp(ds, q, "l1")),
 }
 
 

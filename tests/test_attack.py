@@ -319,6 +319,11 @@ class TestBaselines:
         ds, q = fix_b
         assert mean_attack(ds, q, 1).epsilon == pytest.approx(1.0, abs=1e-7)
 
+    def test_mean_skips_empty_class(self):
+        # Class 2 of 3 has no points; the walk goes toward class 3's mean at 4.
+        ds = Dataset(np.array([[-1.0], [3.0], [5.0]]), np.array([1, 3, 3]), class_count=3)
+        assert mean_attack(ds, Query(np.array([0.0]), 1), 1).epsilon == pytest.approx(1.0, abs=1e-7)
+
     def test_naive_more_tries_not_worse(self):
         rng = np.random.default_rng(71)
         for _ in range(20):

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from knnrobust import CertificationError, Query
+from knnrobust import CertificationError, Query, cli, exact_1nn_lp
 from knnrobust.attack import CertificateKind, PerturbationCertificate
 from knnrobust.cli import RobustnessReport, RunConfig, _check_bound_ordering, bench, main, run
 
@@ -257,6 +257,21 @@ class TestMainFlags:
             output_path=fix_files["out"], norm="linf",
         )
 
+    def test_lp_norm_takes_the_pruning_flags(self, fix_files, capsys, monkeypatch):
+        seen = {}
+
+        def recorder(ds, q, norm, **kwargs):
+            seen.update(kwargs, norm=norm)
+            return exact_1nn_lp(ds, q, norm, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_1nn_lp", recorder)
+        code = main(["exact", "--data", fix_files["fixB"], "--queries", fix_files["fixB_q"],
+                     "--output", fix_files["out"], "--norm", "l1", "--n-scr", "3",
+                     "--no-screening", "--no-sorting"])
+        assert code == 0
+        assert seen["norm"] == "l1" and seen["n_scr"] == 3
+        assert seen["cfg"].screening_enabled is False and seen["sort_candidates"] is False
+
     @pytest.mark.parametrize("omit_timing", [False, True])
     def test_table_csv_header_and_rows(self, fix_files, capsys, omit_timing):
         table = str(fix_files["dir"] / "table.csv")
@@ -279,8 +294,6 @@ class TestMainFlags:
         # Also empty lists, empty method names, sweep values below 1, unknown
         # method names and zero counts: all are rejected before any data is
         # loaded.
-        from knnrobust import cli
-
         def no_loading(*args):
             raise AssertionError("data loaded before the configuration was checked")
 

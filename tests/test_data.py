@@ -235,3 +235,13 @@ class TestClassMeans:
     def test_singleton_class_is_identity(self):
         ds = Dataset(np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 2.0]]), np.array([1, 2, 1]))
         np.testing.assert_allclose(class_means(ds)[1], [0.0, 0.0])
+
+    def test_empty_class(self):
+        # Label 2 of 3 has no points: the per-label means skip it, and
+        # class_means, which has a row for it, raises.
+        ds = Dataset(np.array([[1.0], [3.0], [5.0]]), np.array([1, 1, 3]), class_count=3)
+        assert ds.means_by_label.keys() == {1, 3}
+        assert ds.means_by_label is ds.means_by_label       # computed once
+        np.testing.assert_array_equal(ds.means_by_label[1], [2.0])
+        with pytest.raises(InsufficientPointsError):
+            class_means(ds)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from knnrobust import lp
 from knnrobust import (
     SolverError,
     Subproblem,
@@ -169,6 +170,31 @@ class TestExact1nnLp:
                                                               norm))
                                 for j in targets)
                 assert exact_1nn_lp(ds, q, norm).epsilon == pytest.approx(reference, abs=1e-9)
+
+    def test_lp_calls_go_through_module_names(self, monkeypatch):
+        # Tracing rebinds lp.solve_lp, lp.build_linf_lp and lp.build_l1_lp,
+        # so every LP of the pipeline must be made and solved through them.
+        calls = {}
+
+        def counting(name):
+            original = getattr(lp, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+            return wrapper
+
+        for name in ("solve_lp", "build_linf_lp", "build_l1_lp"):
+            monkeypatch.setattr(lp, name, counting(name))
+        rng = np.random.default_rng(131)
+        solved = {"linf": 0, "l1": 0}
+        for _ in range(20):
+            ds, q, _ = random_grid_dataset(rng)
+            for norm in solved:
+                solved[norm] += exact_1nn_lp(ds, q, norm).stats.subproblems_solved
+        assert solved["linf"] > 0 and solved["l1"] > 0
+        assert calls == {"build_linf_lp": solved["linf"], "build_l1_lp": solved["l1"],
+                         "solve_lp": solved["linf"] + solved["l1"]}
 
     def test_one_dimension_collapses(self):
         rng = np.random.default_rng(113)
