@@ -47,7 +47,6 @@ from .qp_solver import (
     SolverConfig,
     kkt_check,
     recover_primal,
-    screen_variables,
     solve_dual_gca,
 )
 from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem, pair_bound
@@ -97,7 +96,6 @@ __all__ = [
     "qp_top_m",
     "recover_primal",
     "screen_subproblem",
-    "screen_variables",
     "solve_dual_gca",
     "solve_lp",
     "verify_1nn",

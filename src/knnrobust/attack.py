@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict
 from .errors import CertificationError, InfeasibleSubproblemError, SolverError
-from .qp_solver import (DualSolution, SolveStatus, SolverConfig, recover_primal,
-                        screen_variables, solve_dual_gca)
+from .qp_solver import DualSolution, SolveStatus, SolverConfig, recover_primal, solve_dual_gca
 from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem
 
 DEFAULT_N_SCR = 8
@@ -159,51 +158,27 @@ def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
                        np.einsum("ij,ij->i", a, a), incumbent_sq)
 
 
-def _solve_candidate(sp: Subproblem, cfg: SolverConfig, bound: float,
-                     stats: AttackStats) -> tuple[np.ndarray, DualSolution] | None:
-    """Row-screen, solve, recover and feasibility-check one subproblem.
+def _solve_candidate(sp: Subproblem, stats: AttackStats) -> tuple[np.ndarray, DualSolution]:
+    """Solve, recover and feasibility-check one subproblem.
 
-    Rows that ``screen_variables`` proves inactive under ``bound`` are left
-    out of the solve, and the solution is mapped back to the full row
-    numbering.  A left-out row that the recovered perturbation violates
-    proves that the optimum's norm exceeds ``bound``.  The 1-NN pipeline
-    passes ``min(d_j, incumbent)`` and its optimum never exceeds d_j (z moved
-    onto x_j satisfies every row), so such a candidate cannot beat the
-    incumbent: it is counted as screened and None is returned.  Raises
-    ``InfeasibleSubproblemError`` when the constraint set is empty, and
-    ``SolverError`` when a solve that left out no row violates one.
+    Counts the solve and its steps.  Raises ``InfeasibleSubproblemError``
+    when the constraint set is empty, and ``SolverError`` when the recovered
+    perturbation violates a row.
     """
-    reduced, keep = sp, None
-    if cfg.screening_enabled:
-        dropped = screen_variables(sp, bound)
-        if dropped.size:
-            # A mask: np.delete added ~1% to a qp-1 query on 1000 points.
-            mask = np.ones(sp.m, dtype=bool)
-            mask[dropped] = False
-            keep = np.flatnonzero(mask)
-            reduced = Subproblem(
-                rows=sp.rows[keep], offsets=sp.offsets[keep],
-                target_ids=sp.target_ids, excluded_ids=sp.excluded_ids,
-                query=sp.query, row_source_ids=sp.row_source_ids[keep],
-                row_target_ids=sp.row_target_ids[keep],
-            )
-    sol = solve_dual_gca(reduced)
+    sol = solve_dual_gca(sp)
     stats.subproblems_solved += 1
     stats.solver_iterations += sol.iterations
     if sol.status is SolveStatus.INFEASIBLE:
         raise InfeasibleSubproblemError("the subproblem's constraint set is empty")
-    if keep is not None:
-        sol = DualSolution(
-            indices=keep[sol.indices], values=sol.values, objective=sol.objective,
-            iterations=sol.iterations, status=sol.status, size=sp.m,
-        )
     delta = recover_primal(sp, sol)
     if float(np.min(sp.residual(delta))) < -1e-6 * sp.offset_scale:
-        if keep is None:
-            raise SolverError("recovered perturbation violates the full constraint set")
-        stats.subproblems_screened += 1
-        return None
+        raise SolverError("recovered perturbation violates the full constraint set")
     return delta, sol
+
+
+def _solve_delta(sp: Subproblem, stats: AttackStats) -> np.ndarray:
+    """``_one_nn``'s l2 solve: the least perturbation of ``sp``."""
+    return _solve_candidate(sp, stats)[0]
 
 
 def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str,
@@ -212,11 +187,13 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
     """The 1-NN candidate loop behind ``exact_1nn``, ``qp_top_m`` and ``exact_1nn_lp``.
 
     Targets are the other-class points, nearest first when ``sort_candidates``,
-    cut to ``candidate_limit``.  ``solve(sp, cfg, bound, stats)`` counts its
-    solves and returns a tuple led by target ``sp``'s least perturbation, or
-    None when it proves the optimum exceeds ``bound`` (``min(d_j, incumbent)``
-    in l2).  The loop keeps the perturbation of least ``norm``, prunes with
-    ``_pair_prune`` in the dual norm and validates the winner.
+    cut to ``candidate_limit``.  ``solve(sp, stats)`` counts its solves and
+    returns target ``sp``'s least perturbation.  The loop keeps the
+    perturbation of least ``norm`` and validates the winner.  Once it has an
+    incumbent, it skips targets too far out to win (the rest of the list when
+    sorted), and when ``cfg.screening_enabled`` ``_pair_prune`` in the dual
+    norm drops a target on its ``n_scr`` nearest same-class rows before the
+    build, then on all its rows.
     """
     _check_n_scr(n_scr)
     stats, start, zero = _begin(ds, q, 1, tie, method)
@@ -258,17 +235,15 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
             continue
         sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
-        # The same test over every row; a survivor has all single-row radii
-        # within the incumbent, which keeps the running-incumbent row
-        # screening sound.
+        # The same test over every row.
         norms_sq = sp.row_norms_sq if norm == "l2" else _dual_norms_sq(sp.rows, norm)
         if screening and _pair_prune(-sp.offsets, norms_sq, eps_best * eps_best):
             stats.subproblems_screened += 1
             continue
-        solved = solve(sp, cfg, min(dj, eps_best), stats)
-        eps_j = np.inf if solved is None else float(np.linalg.norm(solved[0], ord=norm_ord))
+        delta = solve(sp, stats)
+        eps_j = float(np.linalg.norm(delta, ord=norm_ord))
         if eps_j < eps_best:
-            eps_best, delta_best = eps_j, solved[0]
+            eps_best, delta_best = eps_j, delta
     if delta_best is None:
         raise SolverError(f"{method}: no candidate subproblem produced a perturbation")
     stats.wall_time = time.perf_counter() - start
@@ -285,7 +260,7 @@ def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
     soon as the remaining sorted candidates provably cannot win.  Queries the
     model already misclassifies get a zero certificate immediately.
     """
-    return _one_nn(ds, q, "exact-1nn", CertificateKind.EXACT, "l2", _solve_candidate, cfg,
+    return _one_nn(ds, q, "exact-1nn", CertificateKind.EXACT, "l2", _solve_delta, cfg,
                    n_scr, sort_candidates, None, tie)
 
 
@@ -294,7 +269,7 @@ def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), 
     """Upper bound from solving only the m nearest target subproblems."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _one_nn(ds, q, f"qp-{m}", CertificateKind.UPPER_BOUND, "l2", _solve_candidate,
+    return _one_nn(ds, q, f"qp-{m}", CertificateKind.UPPER_BOUND, "l2", _solve_delta,
                    cfg, n_scr, True, m, tie)
 
 
@@ -336,7 +311,8 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     (plus one) and whose solution actually flips the prediction wins; a second
     solve then drops the constraints of up to floor((K-1)/2) same-class
     points that carried nonzero multipliers, keeping the improvement when it
-    still validates.
+    still validates.  ``cfg`` has no effect: every subset QP is solved whole,
+    and the parameter stays for callers that pass it by position.
     """
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
@@ -349,7 +325,6 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     dist_sq = ds.distances_sq(q.z)
     # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
-    solve_cfg = replace(cfg, screening_enabled=False)
 
     def heap_entry(sub, gen):
         # Tie-break equal distance sums by member indices so that K=1
@@ -380,7 +355,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
         sp = build_knn_subproblem(ds, q, s_minus, dist_sq=dist_sq)
         stats.subproblems_built += 1
         try:
-            delta, sol = _solve_candidate(sp, solve_cfg, np.inf, stats)
+            delta, sol = _solve_candidate(sp, stats)
         except SolverError:
             continue  # empty constraint set, or a numerical failure
         eps = float(np.linalg.norm(delta))
@@ -397,7 +372,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                 sp2 = build_knn_subproblem(ds, q, s_minus, s_plus, dist_sq=dist_sq)
                 stats.subproblems_built += 1
                 try:
-                    delta2, _ = _solve_candidate(sp2, solve_cfg, np.inf, stats)
+                    delta2, _ = _solve_candidate(sp2, stats)
                 except SolverError:
                     delta2 = None
                 if (

@@ -203,14 +203,13 @@ def _run_method(ds: Dataset, q: Query, method: str, cfg: RunConfig) -> Perturbat
 
 def _sample_queries(ds: Dataset, queries: list[Query], cfg: RunConfig) -> list[tuple[int, Query]]:
     """Seeded uniform sample of correctly classified queries, index order."""
+    if any(q.z.size != ds.d for q in queries):
+        raise DataFormatError("query dimension does not match the dataset")
     tie = cfg.tie_rule()
     correct = [
         (i, q) for i, q in enumerate(queries)
-        if q.z.size == ds.d
-        and knn_predict(ds, q.z, cfg.k, tie, true_label=q.true_label) == q.true_label
+        if knn_predict(ds, q.z, cfg.k, tie, true_label=q.true_label) == q.true_label
     ]
-    if any(q.z.size != ds.d for q in queries):
-        raise DataFormatError("query dimension does not match the dataset")
     if len(correct) > cfg.sample:
         rng = np.random.default_rng(cfg.seed)
         chosen = rng.choice(len(correct), size=cfg.sample, replace=False)
@@ -262,40 +261,47 @@ def run(cfg: RunConfig) -> RobustnessReport:
     return report
 
 
+# (lower, upper) rows whose per-query ordering is a theorem beyond the kinds.
+# qp-10 solves a superset of qp-1's targets.  Along the segment from z to
+# the nearest other-class point x_j, x_j stays the nearest other-class
+# point, so naive-1's first flip lies in x_j's region, which qp-1 minimizes over.
+_THEOREM_PAIRS = (("qp-10", "qp-1"), ("qp-1", "naive-1"))
+
+
+def _extreme(certs: dict[str, PerturbationCertificate], pick, *kinds) -> str | None:
+    """The name whose epsilon ``pick`` (max or min) chooses among ``kinds``, or None."""
+    names = [name for name, cert in certs.items() if cert.kind in kinds]
+    return pick(names, key=lambda name: certs[name].epsilon, default=None)
+
+
 def _check_bound_ordering(per_method: dict[str, list], methods: list[str]) -> None:
     """Abort with a certification error if any certified ordering is violated.
 
-    Lower bounds must not exceed any upper bound or the exact value; the
-    exact value must not exceed any upper bound; and qp-10 <= qp-1.  The
-    slack is ``_ORDER_TOL`` times the upper value, with no absolute floor.
+    Per query, the largest lower bound must not exceed the smallest exact or
+    upper value, the largest exact value must not exceed the smallest upper
+    bound, and each pair in ``_THEOREM_PAIRS`` must hold.  The slack is
+    ``_ORDER_TOL`` times the upper value, with no absolute floor.
     """
-    def eps_by_query(name):
-        return {rec[0]: rec[2].epsilon for rec in per_method[name]}
-
-    kinds = {name: {rec[0]: rec[2].kind for rec in per_method[name]} for name in methods}
-    for low_name in methods:
-        for high_name in methods:
-            if low_name == high_name:
+    by_query: dict[int, dict[str, PerturbationCertificate]] = {}
+    for name in methods:
+        for index, _, cert in per_method[name]:
+            by_query.setdefault(index, {})[name] = cert
+    lower, exact = CertificateKind.LOWER_BOUND, CertificateKind.EXACT
+    upper = CertificateKind.UPPER_BOUND
+    for qi, certs in by_query.items():
+        pairs = [
+            (_extreme(certs, max, lower), _extreme(certs, min, exact, upper)),
+            (_extreme(certs, max, exact), _extreme(certs, min, upper)),
+            *_THEOREM_PAIRS,
+        ]
+        for low_name, high_name in pairs:
+            if low_name not in certs or high_name not in certs:
                 continue
-            lows, highs = eps_by_query(low_name), eps_by_query(high_name)
-            for qi in lows.keys() & highs.keys():
-                lo_kind = kinds[low_name][qi]
-                hi_kind = kinds[high_name][qi]
-                ordered = (
-                    (lo_kind is CertificateKind.LOWER_BOUND and hi_kind is not CertificateKind.LOWER_BOUND)
-                    or (lo_kind is CertificateKind.EXACT and hi_kind is CertificateKind.UPPER_BOUND)
-                )
-                if ordered and lows[qi] > highs[qi] + _ORDER_TOL * abs(highs[qi]):
-                    raise CertificationError(
-                        f"bound ordering violated on query {qi}: "
-                        f"{low_name}={lows[qi]:.9g} > {high_name}={highs[qi]:.9g}"
-                    )
-    if "qp-1" in per_method and "qp-10" in per_method:
-        one, ten = eps_by_query("qp-1"), eps_by_query("qp-10")
-        for qi in one.keys() & ten.keys():
-            if ten[qi] > one[qi] + _ORDER_TOL * abs(one[qi]):
+            low, high = certs[low_name].epsilon, certs[high_name].epsilon
+            if low > high + _ORDER_TOL * abs(high):
                 raise CertificationError(
-                    f"bound ordering violated on query {qi}: qp-10 > qp-1"
+                    f"bound ordering violated on query {qi}: "
+                    f"{low_name}={low:.9g} > {high_name}={high:.9g}"
                 )
 
 

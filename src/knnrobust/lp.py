@@ -139,13 +139,13 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
     ``||delta|| >= max(-b, 0)/||a||_*`` in the dual norm (the sum norm under
     the max norm, the max norm under the sum norm).  The sorted stop is the
     l2 one, divided by sqrt(d) under the max norm.  ``cfg.screening_enabled``
-    turns the pair prunes on and off; rows are not screened.
+    turns the pair prunes on and off.
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")
     method = f"exact-{norm}"
 
-    def solve(sp: Subproblem, cfg: SolverConfig, bound: float, stats):
+    def solve(sp: Subproblem, stats) -> np.ndarray:
         program = build_linf_lp(sp) if norm == "linf" else build_l1_lp(sp)
         try:
             solved = solve_lp(program)
@@ -153,7 +153,7 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
             raise SolverError(f"{method}: LP for target {sp.target_ids[0]}: {err}") from err
         stats.subproblems_solved += 1
         stats.solver_iterations += solved[2]
-        return solved
+        return solved[0]
 
     return _one_nn(ds, q, method, CertificateKind.EXACT, norm, solve, cfg, n_scr,
                    sort_candidates, None, tie)

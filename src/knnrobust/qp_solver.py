@@ -41,9 +41,12 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Pipeline settings around the dual active-set solver.
 
-    ``screening_enabled`` lets the pipelines drop rows that
-    ``screen_variables`` proves inactive.  The solver itself has no setting:
-    its exit tolerance is relative to each subproblem's ``offset_scale``.
+    ``screening_enabled`` turns on the 1-NN pipelines' pair prunes: the
+    ``n_scr`` quick test and the post-build row test, which drop a target
+    whose single-row bound already exceeds the incumbent.  The sorted stop
+    does not depend on it, and qp-greedy ignores it.  The solver itself has
+    no setting: its exit tolerance is relative to each subproblem's
+    ``offset_scale``.
     """
 
     screening_enabled: bool = True
@@ -162,19 +165,6 @@ def recover_primal(sp: Subproblem, sol: DualSolution) -> np.ndarray:
     if sol.indices.size == 0:
         return np.zeros(sp.d)
     return sp.rows[sol.indices].T @ sol.values
-
-
-def screen_variables(sp: Subproblem, delta_norm_bound: float) -> np.ndarray:
-    """Rows whose multiplier is provably zero at every dual optimum.
-
-    Requires ``delta_norm_bound >= ||delta*||``; then any row with
-    ``-b_i + ||a_i|| * bound < 0`` has a strictly negative dual gradient at
-    the optimum and can be deleted without changing it.
-    """
-    if delta_norm_bound < 0:
-        raise ValueError("delta_norm_bound must be nonnegative")
-    lhs = -sp.offsets + np.sqrt(sp.row_norms_sq) * delta_norm_bound
-    return np.flatnonzero(lhs < 0.0)
 
 
 @dataclass(frozen=True)

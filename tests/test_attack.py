@@ -14,6 +14,7 @@ from knnrobust import (
     Subproblem,
     build_knn_subproblem,
     exact_1nn,
+    generate_synthetic,
     is_adversarial,
     knn_predict,
     mean_attack,
@@ -112,36 +113,50 @@ def test_exact_vertex_at_degenerate_optimum(points, labels, z, label, expected):
 
 
 def _two_row_system():
-    # Rows x >= 3 and y >= x - 1: the optimum is (3, 2).  Under a bound of
-    # 0.5 the second row (b = 1 > 0.5 * sqrt(2)) is screened, and the reduced
-    # optimum (3, 0) violates it.
+    # Rows x >= 3 and y >= x - 1: the optimum is (3, 2), where both are tight.
     return Subproblem(rows=np.array([[1.0, 0.0], [-1.0, 1.0]]), offsets=np.array([-3.0, 1.0]),
                       target_ids=(2,), excluded_ids=(), query=np.zeros(2),
                       row_source_ids=np.array([0, 1]), row_target_ids=np.array([2, 2]))
 
 
 class TestSolveCandidate:
-    def test_screened_row_violation_prunes(self):
-        stats = AttackStats()
-        assert _solve_candidate(_two_row_system(), SolverConfig(), 0.5, stats) is None
-        assert stats.subproblems_screened == 1
-        assert stats.subproblems_solved == 1
-
     def test_unscreened_solve_reaches_optimum(self):
         stats = AttackStats()
-        delta, _ = _solve_candidate(_two_row_system(), SolverConfig(), np.inf, stats)
+        delta, _ = _solve_candidate(_two_row_system(), stats)
         np.testing.assert_allclose(delta, [3.0, 2.0], atol=1e-12)
+        assert stats.subproblems_solved == 1
         assert stats.subproblems_screened == 0
 
     def test_violation_without_screened_rows_raises(self, monkeypatch):
-        # A solver result that violates a row nothing screened is a failure.
+        # A solver result that violates a row is a failure.
         sp = _two_row_system()
         empty = DualSolution(indices=np.empty(0, dtype=np.int64), values=np.empty(0),
                              objective=0.0, iterations=0, status=SolveStatus.CONVERGED,
                              size=sp.m)
         monkeypatch.setattr(attack, "solve_dual_gca", lambda sp: empty)
         with pytest.raises(SolverError):
-            _solve_candidate(sp, SolverConfig(), np.inf, AttackStats())
+            _solve_candidate(sp, AttackStats())
+
+    def test_every_row_reaches_the_solver(self, monkeypatch):
+        # A 1-NN subproblem has one row per point of the query's class, and
+        # each built subproblem is solved whole, on data where a row screen
+        # by min(d_j, incumbent) would have dropped rows.
+        ds = generate_synthetic(30, 4, 2, 3.0, seed=11)
+        queries = generate_synthetic(5, 4, 2, 3.0, seed=12)
+        rows = []
+        solve = attack.solve_dual_gca
+        monkeypatch.setattr(attack, "solve_dual_gca", lambda sp: (rows.append(sp.m), solve(sp))[1])
+        solves = 0
+        for z, label in zip(queries.points, queries.labels):
+            q = Query(z, int(label))
+            if knn_predict(ds, z, 1, true_label=q.true_label) != q.true_label:
+                continue
+            rows.clear()
+            exact_1nn(ds, q)
+            qp_top_m(ds, q, 10)
+            assert set(rows) == {int(np.count_nonzero(ds.labels == q.true_label))}
+            solves += len(rows)
+        assert solves > 10
 
 
 class TestScreenSubproblem:

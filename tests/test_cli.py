@@ -1,10 +1,11 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from knnrobust import CertificationError, Query, cli, exact_1nn_lp
+from knnrobust import CertificationError, DataFormatError, Query, cli, exact_1nn_lp
 from knnrobust.attack import CertificateKind, PerturbationCertificate
 from knnrobust.cli import RobustnessReport, RunConfig, _check_bound_ordering, bench, main, run
 
@@ -138,6 +139,20 @@ class TestBench:
         tight = {"exact": exact, "verifier": records(1e-6, CertificateKind.LOWER_BOUND)}
         _check_bound_ordering(tight, ["exact", "verifier"])
 
+    @pytest.mark.parametrize("low, high", [("qp-10", "qp-1"), ("qp-1", "naive-1")])
+    def test_theorem_pairs_enforced(self, low, high):
+        # Two upper bounds whose order is a theorem: the lower one 5% above the other.
+        q = Query(np.zeros(1), 1)
+
+        def records(epsilon):
+            return [(0, q, PerturbationCertificate(None, epsilon, CertificateKind.UPPER_BOUND,
+                                                   "attack"))]
+
+        planted = {low: records(1.05), high: records(1.0)}
+        with pytest.raises(CertificationError, match=f"{low}=1.05 > {high}=1"):
+            _check_bound_ordering(planted, [low, high])
+        _check_bound_ordering({low: records(1.0), high: records(1.0)}, [low, high])
+
     def test_nscr_sweep_emitted(self, fix_files):
         cfg = RunConfig(command="bench", data_path=fix_files["fixC"],
                         query_path=fix_files["fixC_q"], k=1,
@@ -160,7 +175,7 @@ class TestMainExitCodes:
                      "--queries", fix_files["fixA_q"], "--k", "1",
                      "--output", fix_files["out"]])
         assert code == 0
-        payload = json.loads(open(fix_files["out"]).read())
+        payload = json.loads(Path(fix_files["out"]).read_text())
         assert payload["schema_version"] == 1
         assert payload["queries"][0]["epsilon"] == pytest.approx(1.0)
 
@@ -171,7 +186,7 @@ class TestMainExitCodes:
                      "--methods", "exact,verifier",
                      "--table-csv", table])
         assert code == 0
-        lines = open(table).read().strip().splitlines()
+        lines = Path(table).read_text().strip().splitlines()
         assert lines[0].startswith("method,")
         assert len(lines) == 3
 
@@ -184,6 +199,17 @@ class TestMainExitCodes:
         code = main(["exact", "--data", str(fix_files["dir"] / "nope.csv"),
                      "--queries", fix_files["fixA_q"]])
         assert code == 3
+
+    def test_query_dimension_checked_before_prediction(self, fix_files, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "knn_predict", lambda *args, **kwargs: calls.append(args))
+        ds = cli.load_csv(fix_files["fixA"])
+        queries = [Query(np.array([1.0]), 1), Query(np.array([1.0, 0.0]), 1)]
+        cfg = RunConfig(command="exact", data_path=fix_files["fixA"],
+                        query_path=fix_files["fixA_q"])
+        with pytest.raises(DataFormatError, match="query dimension does not match the dataset"):
+            cli._sample_queries(ds, queries, cfg)
+        assert calls == []
 
     def test_even_k_verify_error(self, fix_files, capsys):
         code = main(["verify", "--data", fix_files["fixC"],
@@ -204,7 +230,7 @@ def _echo(**fields):
 class TestMainFlags:
     def test_every_bench_flag_reaches_its_field(self, fix_files, capsys):
         d = fix_files["dir"]
-        (d / "hdr.csv").write_text("label,x\n" + open(fix_files["fixC"]).read())
+        (d / "hdr.csv").write_text("label,x\n" + Path(fix_files["fixC"]).read_text())
         (d / "hdr_q.csv").write_text("label,x\n1,0\n")
         table = str(d / "table.csv")
         code = main(["bench", "--data-path", str(d / "hdr.csv"),
@@ -216,7 +242,7 @@ class TestMainFlags:
                      "--inflation", "1e-8", "--methods", "exact, verifier",
                      "--nscr-sweep", "1,8", "--table-csv", table])
         assert code == 0
-        payload = json.loads(open(fix_files["out"]).read())
+        payload = json.loads(Path(fix_files["out"]).read_text())
         assert payload["config"] == _echo(
             command="bench", data_path=str(d / "hdr.csv"), query_path=str(d / "hdr_q.csv"),
             output_path=fix_files["out"], m=2, n_scr=3, workers=2, seed=7,
@@ -241,7 +267,7 @@ class TestMainFlags:
         code = main(["attack", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
                      "--output", fix_files["out"], "--method", "mean", "--k", "3"])
         assert code == 0
-        payload = json.loads(open(fix_files["out"]).read())
+        payload = json.loads(Path(fix_files["out"]).read_text())
         assert payload["config"] == _echo(
             command="attack", data_path=fix_files["fixC"], query_path=fix_files["fixC_q"],
             output_path=fix_files["out"], method="mean", k=3,
@@ -251,7 +277,7 @@ class TestMainFlags:
         code = main(["exact", "--data", fix_files["fixB"], "--queries", fix_files["fixB_q"],
                      "--output", fix_files["out"], "--norm", "linf"])
         assert code == 0
-        payload = json.loads(open(fix_files["out"]).read())
+        payload = json.loads(Path(fix_files["out"]).read_text())
         assert payload["config"] == _echo(
             command="exact", data_path=fix_files["fixB"], query_path=fix_files["fixB_q"],
             output_path=fix_files["out"], norm="linf",
@@ -279,13 +305,13 @@ class TestMainFlags:
                      "--methods", "exact,qp-1", "--table-csv", table,
                      "--output", fix_files["out"]] + (["--omit-timing"] if omit_timing else []))
         assert code == 0
-        lines = open(table).read().splitlines()
+        lines = Path(table).read_text().splitlines()
         header = ["method", "mean_epsilon", "count", "mean_subproblems_built",
                   "mean_subproblems_solved", "mean_subproblems_screened"]
         if not omit_timing:
             header.append("runtime_seconds")
         assert lines[0].split(",") == header
-        rows = json.loads(open(fix_files["out"]).read())["table"]
+        rows = json.loads(Path(fix_files["out"]).read_text())["table"]
         assert lines[1:] == [",".join(str(row[c]) for c in header) for row in rows]
         assert [line.split(",")[:3] for line in lines[1:]] == [
             ["exact", "0.75", "1"], ["qp-1", "0.75", "1"]]

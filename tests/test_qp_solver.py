@@ -12,7 +12,6 @@ from knnrobust import (
     build_knn_subproblem,
     kkt_check,
     recover_primal,
-    screen_variables,
     solve_dual_gca,
 )
 
@@ -139,47 +138,6 @@ class TestRecoverPrimal:
                           objective=0.0, iterations=0, status=SolveStatus.CONVERGED,
                           size=sp.m)
         np.testing.assert_array_equal(recover_primal(sp, empty), [0.0, 0.0])
-
-
-class TestScreenVariables:
-    def test_fix_b_nothing_screened(self, fix_b):
-        sp = _fix_b_sp(fix_b)
-        assert screen_variables(sp, 2.0).size == 0
-
-    def test_large_offset_row_screened(self):
-        sp = Subproblem(
-            rows=np.array([[1.0], [1.0]]), offsets=np.array([5.0, -1.0]),
-            target_ids=(0,), excluded_ids=(), query=np.zeros(1),
-        )
-        np.testing.assert_array_equal(screen_variables(sp, 2.0), [0])
-
-    def test_zero_bound_screens_positive_offsets(self):
-        sp = Subproblem(
-            rows=np.array([[1.0], [1.0]]), offsets=np.array([0.5, -0.5]),
-            target_ids=(0,), excluded_ids=(), query=np.zeros(1),
-        )
-        np.testing.assert_array_equal(screen_variables(sp, 0.0), [0])
-
-    def test_screened_rows_have_zero_oracle_multiplier(self):
-        rng = np.random.default_rng(23)
-        for _ in range(60):
-            ds, q, _ = random_grid_dataset(rng, max_n=10, max_d=3)
-            dist = np.linalg.norm(ds.points - q.z, axis=1)
-            for j in np.flatnonzero(ds.labels != q.true_label):
-                sp = build_1nn_subproblem(ds, q, int(j))
-                delta, sol = active_set_oracle(sp)
-                screened = screen_variables(sp, float(dist[j]))
-                lam = sol.dense()
-                assert np.all(lam[screened] == 0.0)
-                if screened.size and screened.size < sp.m:
-                    keep = np.setdiff1d(np.arange(sp.m), screened)
-                    reduced = Subproblem(
-                        rows=sp.rows[keep], offsets=sp.offsets[keep],
-                        target_ids=sp.target_ids, excluded_ids=sp.excluded_ids,
-                        query=sp.query,
-                    )
-                    delta2, _ = active_set_oracle(reduced)
-                    np.testing.assert_allclose(delta2, delta, atol=1e-8)
 
 
 class TestKktCheck:
