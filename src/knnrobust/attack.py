@@ -11,6 +11,7 @@ is validated against the classifier before being returned.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -301,18 +302,18 @@ def _subset_candidates(sorted_ids: np.ndarray, dists: np.ndarray, size: int):
 
 
 def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfig(), *,
-                  tie: TieRule = DEFAULT_TIE_RULE,
-                  subset_budget: int = _SUBSET_BUDGET) -> PerturbationCertificate:
+                  tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
     """Greedy K-NN attack: force a same-label target cluster nearest.
 
     Enumerates size-ceil((K+1)/2) same-label target subsets in ascending
-    order of summed distance to the query.  The first subset whose QP is
-    feasible, whose optimum lies within twice the farthest point's distance
-    (plus one) and whose solution actually flips the prediction wins; a second
-    solve then drops the constraints of up to floor((K-1)/2) same-class
-    points that carried nonzero multipliers, keeping the improvement when it
-    still validates.  ``cfg`` has no effect: every subset QP is solved whole,
-    and the parameter stays for callers that pass it by position.
+    order of summed distance to the query, the first ``_SUBSET_BUDGET`` of
+    them.  The first subset whose QP is feasible, whose optimum lies within
+    twice the farthest point's distance (plus one) and whose solution
+    actually flips the prediction wins; a second solve then drops the
+    constraints of up to floor((K-1)/2) same-class points that carried
+    nonzero multipliers, keeping the improvement when it still validates.
+    ``cfg`` has no effect: every subset QP is solved whole, and the
+    parameter stays for callers that pass it by position.
     """
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
@@ -326,32 +327,21 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
 
-    def heap_entry(sub, gen):
+    streams = []
+    for label in range(1, ds.class_count + 1):
+        if label != q.true_label:
+            ids = ds.class_indices(label)
+            ids = ids[np.argsort(dist_sq[ids], kind="stable")]
+            streams.append(_subset_candidates(ids, np.sqrt(dist_sq[ids]), k_minus))
+
+    def key(sub):
         # Tie-break equal distance sums by member indices so that K=1
         # enumerates targets exactly like the top-m pipeline does.
-        return (float(np.sqrt(dist_sq[sub]).sum()), tuple(int(i) for i in sub), sub, gen)
-
-    heap = []
-    for label in range(1, ds.class_count + 1):
-        if label == q.true_label:
-            continue
-        ids = ds.class_indices(label)
-        if ids.size < k_minus:
-            continue
-        ids = ids[np.argsort(dist_sq[ids], kind="stable")]
-        gen = _subset_candidates(ids, np.sqrt(dist_sq[ids]), k_minus)
-        sub = next(gen, None)
-        if sub is not None:
-            heapq.heappush(heap, heap_entry(sub, gen))
+        return float(np.sqrt(dist_sq[sub]).sum()), tuple(int(i) for i in sub)
 
     tried = 0
-    while heap and tried < subset_budget:
-        _, _, s_minus, gen = heapq.heappop(heap)
-        nxt = next(gen, None)
-        if nxt is not None:
-            heapq.heappush(heap, heap_entry(nxt, gen))
-        tried += 1
-
+    subsets = itertools.islice(heapq.merge(*streams, key=key), _SUBSET_BUDGET)
+    for tried, s_minus in enumerate(subsets, start=1):
         sp = build_knn_subproblem(ds, q, s_minus, dist_sq=dist_sq)
         stats.subproblems_built += 1
         try:
@@ -385,7 +375,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
         # The subset loop has accepted delta with is_adversarial, the test of _validated.
         return _certificate(delta, CertificateKind.UPPER_BOUND, "qp-greedy", stats)
     raise SolverError(
-        f"qp-greedy: no feasible target subset among {tried} candidates (budget {subset_budget})"
+        f"qp-greedy: no feasible target subset among {tried} candidates (budget {_SUBSET_BUDGET})"
     )
 
 

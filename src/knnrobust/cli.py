@@ -5,8 +5,8 @@ Four subcommands share one structured JSON report format:
 * ``exact``  -- exact minimum perturbation per query (1-NN; or the LP
   pipeline when ``--norm linf/l1``)
 * ``verify`` -- certified lower bound per query for any odd K
-* ``attack`` -- one upper-bound method (``qp``, ``qp-greedy``, ``naive``,
-  ``mean``)
+* ``attack`` -- one upper-bound method (``qp-<m>``, ``qp-greedy``,
+  ``naive-<t>`` or ``mean``, spelled as in ``bench --methods``)
 * ``bench``  -- several methods over the same query sample, emitted as a
   comparison table with a built-in bound-ordering self check
 
@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import attack as attack_mod
-from .attack import DEFAULT_N_SCR, CertificateKind, PerturbationCertificate
-from .data import Dataset, Query, TieRule, knn_predict, load_csv, load_queries
+from .attack import DEFAULT_N_SCR, AttackStats, CertificateKind, PerturbationCertificate
+from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict, load_csv, load_queries
 from .errors import CertificationError, DataFormatError, KnnRobustError, SolverError
 from .lp import exact_1nn_lp
 from .qp_solver import SolverConfig
@@ -35,10 +35,9 @@ from .verify import verify_knn
 SCHEMA_VERSION = 1
 _ORDER_TOL = 1e-7
 
-ATTACK_METHODS = ("qp", "qp-greedy", "naive", "mean")
 _BENCH_1NN = ("exact", "verifier", "qp-1", "qp-10", "qp-greedy", "naive-1", "naive-10", "mean")
 _BENCH_KNN = ("verifier", "qp-greedy", "naive-1", "mean")
-_NAMED_METHODS = ("exact", "verifier", "qp", "qp-greedy", "naive", "mean")
+_NAMED_METHODS = ("exact", "verifier", "qp-greedy", "mean")
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class RunConfig:
     k: int = 1
     norm: str = "l2"
     method: str = "qp-greedy"
-    m: int = 1
     n_scr: int = DEFAULT_N_SCR
     workers: int = 1               # validated and echoed; queries run in order
     seed: int = 0
@@ -64,7 +62,6 @@ class RunConfig:
     methods: tuple[str, ...] | None = None
     nscr_sweep: tuple[int, ...] | None = None
     table_csv: str | None = None
-    inflation: float = TieRule.inflation
 
     def __post_init__(self) -> None:
         if self.command not in ("exact", "verify", "attack", "bench"):
@@ -73,10 +70,10 @@ class RunConfig:
             raise ValueError(f"k must be odd and >= 1, got {self.k}")
         if self.norm not in ("l2", "linf", "l1"):
             raise ValueError(f"norm must be l2, linf or l1, got {self.norm!r}")
-        if self.command == "attack" and self.method not in ATTACK_METHODS:
-            raise ValueError(f"method must be one of {ATTACK_METHODS}, got {self.method!r}")
-        if self.m < 1 or self.n_scr < 1 or self.workers < 1 or self.repeats < 1:
-            raise ValueError("m, n_scr, workers and repeats must all be >= 1")
+        if self.command == "attack" and self.method in ("exact", "verifier"):
+            raise ValueError(f"attack takes an upper-bound method, got {self.method!r}")
+        if self.n_scr < 1 or self.workers < 1 or self.repeats < 1:
+            raise ValueError("n_scr, workers and repeats must all be >= 1")
         if self.sample < 1:
             raise ValueError("sample must be >= 1")
         if self.methods is not None and not (self.methods and all(self.methods)):
@@ -85,8 +82,8 @@ class RunConfig:
             prefix, _, count = name.partition("-")
             if name not in _NAMED_METHODS and not (
                     prefix in ("qp", "naive") and count.isdecimal() and int(count) >= 1):
-                raise ValueError(f"unknown method {name!r}; expected exact, verifier, qp, qp-<m>, "
-                                 "qp-greedy, naive, naive-<t> or mean, with m, t >= 1")
+                raise ValueError(f"unknown method {name!r}; expected exact, verifier, qp-<m>, "
+                                 "qp-greedy, naive-<t> or mean, with m, t >= 1")
             if self.k != 1 and prefix in ("exact", "qp") and name != "qp-greedy":
                 raise ValueError(f"{name} is defined for k=1 only")
         if self.nscr_sweep is not None and not (self.nscr_sweep and min(self.nscr_sweep) >= 1):
@@ -106,7 +103,7 @@ class RunConfig:
         return SolverConfig(screening_enabled=self.screening)
 
     def tie_rule(self) -> TieRule:
-        return TieRule(inflation=self.inflation)
+        return DEFAULT_TIE_RULE
 
 
 @dataclass
@@ -181,21 +178,19 @@ def _run_method(ds: Dataset, q: Query, method: str, cfg: RunConfig) -> Perturbat
         return exact_1nn_lp(ds, q, cfg.norm, cfg=solver, n_scr=cfg.n_scr,
                             sort_candidates=cfg.sorting, tie=tie)
     if method == "verifier":
+        started = time.perf_counter()
         res = verify_knn(ds, q, cfg.k, tie)
         return PerturbationCertificate(
             delta=None, epsilon=res.epsilon_lower, kind=CertificateKind.LOWER_BOUND,
             method="verifier", misclassified=res.misclassified,
+            stats=AttackStats(wall_time=time.perf_counter() - started),
         )
     if method.startswith("qp-") and method[3:].isdigit():
         return attack_mod.qp_top_m(ds, q, int(method[3:]), solver, n_scr=cfg.n_scr, tie=tie)
-    if method == "qp":
-        return attack_mod.qp_top_m(ds, q, cfg.m, solver, n_scr=cfg.n_scr, tie=tie)
     if method == "qp-greedy":
         return attack_mod.qp_greedy_knn(ds, q, cfg.k, solver, tie=tie)
     if method.startswith("naive-") and method[6:].isdigit():
         return attack_mod.naive_attack(ds, q, cfg.k, int(method[6:]), tie=tie)
-    if method == "naive":
-        return attack_mod.naive_attack(ds, q, cfg.k, cfg.m, tie=tie)
     if method == "mean":
         return attack_mod.mean_attack(ds, q, cfg.k, tie=tie)
     raise ValueError(f"unknown method {method!r}")
@@ -384,12 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("exact", "verify", "attack", "bench"):
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--data", "--data-path", dest="data_path", required=True)
         p.add_argument("--queries", "--query-path", dest="query_path", required=True)
         p.add_argument("--k", type=int)
         p.add_argument("--norm", choices=("l2", "linf", "l1"))
-        p.add_argument("--m", type=int, help="truncation count for qp, tries for naive")
         p.add_argument("--n-scr", dest="n_scr", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--seed", type=int)
@@ -401,9 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-screening", dest="screening", action="store_false")
         p.add_argument("--no-sorting", dest="sorting", action="store_false")
         p.add_argument("--has-header", action="store_true")
-        p.add_argument("--inflation", type=float)
         if name == "attack":
-            p.add_argument("--method", choices=ATTACK_METHODS, required=True)
+            p.add_argument("--method", required=True,
+                           help="qp-<m>, qp-greedy, naive-<t> or mean")
         if name == "bench":
             p.add_argument("--methods", help="comma list of table rows (default depends on k)")
             p.add_argument("--nscr-sweep", dest="nscr_sweep",

@@ -9,33 +9,26 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DataFormatError, InsufficientPointsError
-
-ATTACKER_FAVORABLE = "attacker-favorable"
 
 
 @dataclass(frozen=True)
 class TieRule:
     """Policy for distance ties at the decision boundary.
 
-    The only supported mode resolves ties in favour of misclassification,
-    which matches the non-strict inequality used by the perturbation
-    constraints: a perturbation of exactly the minimum radius already flips
-    the label.  ``inflation`` is the relative factor used to push a
-    perturbation strictly past a bisection when validating attacks.
+    Ties are resolved in favour of misclassification, which matches the
+    non-strict inequality used by the perturbation constraints: a
+    perturbation of exactly the minimum radius already flips the label.
+    ``inflation`` is the relative factor by which ``is_adversarial`` pushes
+    a perturbation strictly past a bisection; it is a constant, since a large
+    one accepts perturbations that do not flip the prediction at z + delta.
     """
 
-    mode: str = ATTACKER_FAVORABLE
-    inflation: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.mode != ATTACKER_FAVORABLE:
-            raise ValueError(f"unsupported tie mode: {self.mode!r}")
-        if not self.inflation > 0:
-            raise ValueError("inflation must be positive")
+    inflation: ClassVar[float] = 1e-9
 
 
 DEFAULT_TIE_RULE = TieRule()
@@ -119,7 +112,7 @@ def _read_labeled_rows(path, has_header: bool) -> tuple[list[int], list[list[flo
     labels: list[int] = []
     width = None
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")  # drops a byte-order mark
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     with handle:

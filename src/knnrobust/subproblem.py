@@ -73,25 +73,17 @@ def _build(ds: Dataset, z: np.ndarray, source_ids: np.ndarray, target_ids,
            excluded, dist_sq: np.ndarray | None) -> Subproblem:
     if dist_sq is None:
         dist_sq = ds.distances_sq(z)
-    blocks = []
-    offs = []
-    src = []
-    tgt = []
-    for j in target_ids:
-        a = ds.points[j] - ds.points[source_ids]
-        b = 0.5 * (dist_sq[source_ids] - dist_sq[j])
-        blocks.append(a)
-        offs.append(b)
-        src.append(source_ids)
-        tgt.append(np.full(source_ids.size, j, dtype=np.int64))
+    targets = np.asarray(target_ids, dtype=np.int64)
+    rows = ds.points[targets][:, None] - ds.points[source_ids][None]
+    offsets = 0.5 * (dist_sq[source_ids][None] - dist_sq[targets][:, None])
     return Subproblem(
-        rows=np.vstack(blocks),
-        offsets=np.concatenate(offs),
+        rows=rows.reshape(-1, ds.d),
+        offsets=offsets.ravel(),
         target_ids=tuple(int(j) for j in target_ids),
         excluded_ids=tuple(int(i) for i in excluded),
         query=z,
-        row_source_ids=np.concatenate(src),
-        row_target_ids=np.concatenate(tgt),
+        row_source_ids=np.tile(source_ids, targets.size),
+        row_target_ids=np.repeat(targets, source_ids.size),
     )
 
 

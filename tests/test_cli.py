@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -45,7 +47,7 @@ class TestRun:
     def test_attack_naive_fix_b(self, fix_files):
         report = run(RunConfig(command="attack", data_path=fix_files["fixB"],
                                query_path=fix_files["fixB_q"], k=1,
-                               method="naive", m=1))
+                               method="naive-1"))
         rec = report.queries[0]
         assert rec["epsilon"] == pytest.approx(1.0, abs=1e-6)
         assert rec["kind"] == "upper_bound"
@@ -87,6 +89,16 @@ class TestRun:
         serial.pop("config")
         threaded.pop("config")
         assert serial == threaded
+
+    def test_verifier_is_timed(self, fix_files):
+        report = run(RunConfig(command="verify", data_path=fix_files["fixC"],
+                               query_path=fix_files["fixC_q"], k=3))
+        times = [rec["stats"]["wall_time"] for rec in report.queries]
+        assert times and min(times) > 0.0
+        assert report.aggregates["total_wall_time"] == sum(times)
+        table = bench(RunConfig(command="bench", data_path=fix_files["fixC"],
+                                query_path=fix_files["fixC_q"], methods=("verifier",)))
+        assert table.queries[0]["stats"]["wall_time"] > 0.0
 
     def test_emit_deltas(self, fix_files):
         report = run(RunConfig(command="exact", data_path=fix_files["fixA"],
@@ -235,19 +247,19 @@ class TestMainFlags:
         table = str(d / "table.csv")
         code = main(["bench", "--data-path", str(d / "hdr.csv"),
                      "--query-path", str(d / "hdr_q.csv"),
-                     "--output-path", fix_files["out"], "--m", "2", "--n-scr", "3",
+                     "--output-path", fix_files["out"], "--n-scr", "3",
                      "--workers", "2", "--seed", "7",
                      "--sample", "5", "--repeats", "2", "--emit-deltas", "--omit-timing",
                      "--no-screening", "--no-sorting", "--has-header",
-                     "--inflation", "1e-8", "--methods", "exact, verifier",
+                     "--methods", "exact, verifier",
                      "--nscr-sweep", "1,8", "--table-csv", table])
         assert code == 0
         payload = json.loads(Path(fix_files["out"]).read_text())
         assert payload["config"] == _echo(
             command="bench", data_path=str(d / "hdr.csv"), query_path=str(d / "hdr_q.csv"),
-            output_path=fix_files["out"], m=2, n_scr=3, workers=2, seed=7,
+            output_path=fix_files["out"], n_scr=3, workers=2, seed=7,
             sample=5, repeats=2, emit_deltas=True, omit_timing=True, screening=False,
-            sorting=False, has_header=True, inflation=1e-8, methods=("exact", "verifier"),
+            sorting=False, has_header=True, methods=("exact", "verifier"),
             nscr_sweep=(1, 8), table_csv=table,
         )
         assert [row["method"] for row in payload["table"]] == ["exact", "verifier"]
@@ -263,6 +275,28 @@ class TestMainFlags:
         assert exc.value.code == 2
         assert "--tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["exact", "verify", "attack", "bench"])
+    def test_removed_flags_are_gone(self, fix_files, capsys, command):
+        # qp-<m> and naive-<t> carry their counts and the validation inflation
+        # is a constant; neither old flag is read as an abbreviation either.
+        method = ["--method", "mean"] if command == "attack" else []
+        for flag, value in (("--m", "3"), ("--inflation", "1e-8")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                      *method, flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_readme_lists_every_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        (subparsers,) = [action for action in cli._build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        options = {flag for p in subparsers.choices.values() for action in p._actions
+                   for flag in action.option_strings if flag not in ("-h", "--help")}
+        assert named == options
+
     def test_short_spellings_and_defaults(self, fix_files, capsys):
         code = main(["attack", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
                      "--output", fix_files["out"], "--method", "mean", "--k", "3"])
@@ -272,6 +306,27 @@ class TestMainFlags:
             command="attack", data_path=fix_files["fixC"], query_path=fix_files["fixC_q"],
             output_path=fix_files["out"], method="mean", k=3,
         )
+
+    def test_attack_takes_counted_names_as_bench_does(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        cells = rng.choice(121, size=30, replace=False)
+        pts = np.stack(np.unravel_index(cells, (11, 11)), axis=1) - 5
+        rows = ["%d,%d,%d" % (1 + i % 3, *pts[i]) for i in range(30)]
+        (tmp_path / "d.csv").write_text("\n".join(rows[:22]) + "\n")
+        (tmp_path / "q.csv").write_text("\n".join(rows[22:]) + "\n")
+        common = ["--data", str(tmp_path / "d.csv"), "--queries", str(tmp_path / "q.csv"),
+                  "--omit-timing", "--output", str(tmp_path / "out.json")]
+
+        def report(*flags):
+            assert main([*flags, *common]) == 0
+            return json.loads((tmp_path / "out.json").read_text())
+
+        attacks = [report("attack", "--method", name) for name in ("qp-3", "naive-2")]
+        table = report("bench", "--methods", "qp-3,naive-2")
+        assert attacks[0]["queries"] and attacks[1]["queries"]
+        assert table["queries"] == attacks[0]["queries"] + attacks[1]["queries"]
+        assert table["table"] == [{"method": name, **a["aggregates"]}
+                                  for name, a in zip(("qp-3", "naive-2"), attacks)]
 
     def test_norm_flag(self, fix_files, capsys):
         code = main(["exact", "--data", fix_files["fixB"], "--queries", fix_files["fixB_q"],

@@ -94,6 +94,16 @@ class TestLoadCsv:
         assert queries[0].true_label == 1
         np.testing.assert_array_equal(queries[1].z, [5.0])
 
+    def test_byte_order_mark(self, tmp_path):
+        # Spreadsheet exports often start a UTF-8 file with a byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1,-1\n2,3\n", encoding="utf-8")
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.labels, [1, 2])
+        queries = load_queries(path)
+        assert [q.true_label for q in queries] == [1, 2]
+        np.testing.assert_array_equal(queries[0].z, [-1.0])
+
 
 class TestGenerateSynthetic:
     def test_two_point_shape(self):
@@ -144,11 +154,14 @@ class TestKnnPredict:
         for i in range(ds.n):
             assert knn_predict(ds, ds.points[i], 1) == ds.labels[i]
 
-    def test_tie_rule_validation(self):
-        with pytest.raises(ValueError):
-            TieRule(inflation=0.0)
-        with pytest.raises(ValueError):
+    def test_tie_rule_has_no_settings(self):
+        # The validation inflation is a constant: a large one certified
+        # perturbations that do not flip the prediction at z + delta.
+        with pytest.raises(TypeError):
+            TieRule(inflation=0.5)
+        with pytest.raises(TypeError):
             TieRule(mode="nearest")
+        assert TieRule().inflation == 1e-9
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3]))
     @settings(max_examples=40, deadline=None)
