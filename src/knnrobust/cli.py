@@ -10,6 +10,9 @@ Four subcommands share one structured JSON report format:
 * ``bench``  -- several methods over the same query sample, emitted as a
   comparison table with a built-in bound-ordering self check
 
+Each subcommand takes only the flags that some path of it reads; any other
+flag is a usage error (exit 2) rather than a setting echoed and ignored.
+
 Exit codes: 0 ok, 2 bad configuration, 3 I/O or data format problem,
 4 solver failure, 5 internal certification violation.
 """
@@ -74,8 +77,8 @@ class RunConfig:
             raise ValueError(f"attack takes an upper-bound method, got {self.method!r}")
         if self.n_scr < 1 or self.workers < 1 or self.repeats < 1:
             raise ValueError("n_scr, workers and repeats must all be >= 1")
-        if self.sample < 1:
-            raise ValueError("sample must be >= 1")
+        if self.sample < 1 or self.seed < 0:
+            raise ValueError("sample must be >= 1 and seed must be >= 0")
         if self.methods is not None and not (self.methods and all(self.methods)):
             raise ValueError(f"methods must be non-empty names, got {self.methods}")
         for name in self.method_names():
@@ -232,13 +235,6 @@ def _aggregates(results) -> dict:
     }
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    echo["methods"] = list(cfg.methods) if cfg.methods else None
-    echo["nscr_sweep"] = list(cfg.nscr_sweep) if cfg.nscr_sweep else None
-    return echo
-
-
 def run(cfg: RunConfig) -> RobustnessReport:
     """Execute a non-bench command and assemble its report."""
     ds = load_csv(cfg.data_path, cfg.has_header)
@@ -246,7 +242,7 @@ def run(cfg: RunConfig) -> RobustnessReport:
     sample = _sample_queries(ds, queries, cfg)
     (method,) = cfg.method_names()
     results = _evaluate(ds, sample, method, cfg)
-    report = RobustnessReport(command=cfg.command, config=_config_echo(cfg))
+    report = RobustnessReport(command=cfg.command, config=asdict(cfg))
     for index, q, cert in results:
         report.queries.append(_certificate_record(index, q, cert, cfg))
     report.aggregates = _aggregates(results)
@@ -307,7 +303,7 @@ def bench(cfg: RunConfig) -> RobustnessReport:
     sample = _sample_queries(ds, queries, cfg)
     methods = cfg.method_names()
 
-    report = RobustnessReport(command="bench", config=_config_echo(cfg))
+    report = RobustnessReport(command="bench", config=asdict(cfg))
     per_method = {}
     for method in methods:
         runtimes = []
@@ -383,22 +379,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", "--data-path", dest="data_path", required=True)
         p.add_argument("--queries", "--query-path", dest="query_path", required=True)
         p.add_argument("--k", type=int)
-        p.add_argument("--norm", choices=("l2", "linf", "l1"))
-        p.add_argument("--n-scr", dest="n_scr", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--output", "--output-path", dest="output_path")
         p.add_argument("--sample", type=int)
-        p.add_argument("--repeats", type=int)
-        p.add_argument("--emit-deltas", action="store_true")
         p.add_argument("--omit-timing", action="store_true")
-        p.add_argument("--no-screening", dest="screening", action="store_false")
-        p.add_argument("--no-sorting", dest="sorting", action="store_false")
         p.add_argument("--has-header", action="store_true")
+        if name == "verify":
+            continue        # verify_knn reads no solver setting; a lower bound has no delta
+        p.add_argument("--n-scr", dest="n_scr", type=int)
+        p.add_argument("--no-screening", dest="screening", action="store_false")
+        p.add_argument("--emit-deltas", action="store_true")
+        if name != "attack":                # qp_top_m always sorts its targets
+            p.add_argument("--no-sorting", dest="sorting", action="store_false")
+        if name == "exact":
+            p.add_argument("--norm", choices=("l2", "linf", "l1"))
         if name == "attack":
             p.add_argument("--method", required=True,
                            help="qp-<m>, qp-greedy, naive-<t> or mean")
         if name == "bench":
+            p.add_argument("--repeats", type=int)
             p.add_argument("--methods", help="comma list of table rows (default depends on k)")
             p.add_argument("--nscr-sweep", dest="nscr_sweep",
                            help="comma list of n_scr values to sweep")

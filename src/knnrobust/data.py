@@ -178,7 +178,10 @@ def load_queries(path, has_header: bool = False) -> list[Query]:
     labels, rows = _read_labeled_rows(path, has_header)
     if not rows:
         raise DataFormatError(f"{path}: no query rows")
-    return [Query(np.asarray(r, dtype=np.float64), lab) for lab, r in zip(labels, rows)]
+    points = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(points)):
+        raise DataFormatError(f"{path}: query features contain NaN or Inf entries")
+    return [Query(z, lab) for lab, z in zip(labels, points)]
 
 
 def generate_synthetic(

@@ -25,9 +25,6 @@ class Subproblem:
 
     rows: np.ndarray            # (m, d) matrix A
     offsets: np.ndarray         # (m,) vector b
-    target_ids: tuple           # indices the attack drives toward
-    excluded_ids: tuple         # same-class indices whose constraints were dropped
-    query: np.ndarray           # the z this system was built from
     row_source_ids: np.ndarray = field(default_factory=lambda: _EMPTY)  # i per row
     row_target_ids: np.ndarray = field(default_factory=lambda: _EMPTY)  # j per row
     row_norms_sq: np.ndarray = field(default=None, repr=False)
@@ -48,7 +45,6 @@ class Subproblem:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "row_norms_sq", norms_sq)
-        object.__setattr__(self, "query", np.asarray(self.query, dtype=np.float64).ravel())
 
     @property
     def m(self) -> int:
@@ -70,7 +66,7 @@ class Subproblem:
 
 
 def _build(ds: Dataset, z: np.ndarray, source_ids: np.ndarray, target_ids,
-           excluded, dist_sq: np.ndarray | None) -> Subproblem:
+           dist_sq: np.ndarray | None) -> Subproblem:
     if dist_sq is None:
         dist_sq = ds.distances_sq(z)
     targets = np.asarray(target_ids, dtype=np.int64)
@@ -79,9 +75,6 @@ def _build(ds: Dataset, z: np.ndarray, source_ids: np.ndarray, target_ids,
     return Subproblem(
         rows=rows.reshape(-1, ds.d),
         offsets=offsets.ravel(),
-        target_ids=tuple(int(j) for j in target_ids),
-        excluded_ids=tuple(int(i) for i in excluded),
-        query=z,
         row_source_ids=np.tile(source_ids, targets.size),
         row_target_ids=np.repeat(targets, source_ids.size),
     )
@@ -100,7 +93,7 @@ def build_1nn_subproblem(ds: Dataset, q: Query, j: int, *,
     source_ids = ds.class_indices(q.true_label)
     if source_ids.size == 0:
         raise ValueError(f"no points with the query label {q.true_label}")
-    return _build(ds, q.z, source_ids, (int(j),), (), dist_sq)
+    return _build(ds, q.z, source_ids, (int(j),), dist_sq)
 
 
 def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=(), *,
@@ -124,7 +117,7 @@ def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=(), *,
     source_ids = np.setdiff1d(ds.class_indices(q.true_label), np.asarray(excluded, dtype=np.int64))
     if source_ids.size == 0:
         raise ValueError("all same-class points excluded; constraint set is empty")
-    return _build(ds, q.z, source_ids, s_minus, excluded, dist_sq)
+    return _build(ds, q.z, source_ids, s_minus, dist_sq)
 
 
 def pair_bound(ds: Dataset, z: np.ndarray, i: int, j: int) -> float:

@@ -115,7 +115,6 @@ def test_exact_vertex_at_degenerate_optimum(points, labels, z, label, expected):
 def _two_row_system():
     # Rows x >= 3 and y >= x - 1: the optimum is (3, 2), where both are tight.
     return Subproblem(rows=np.array([[1.0, 0.0], [-1.0, 1.0]]), offsets=np.array([-3.0, 1.0]),
-                      target_ids=(2,), excluded_ids=(), query=np.zeros(2),
                       row_source_ids=np.array([0, 1]), row_target_ids=np.array([2, 2]))
 
 

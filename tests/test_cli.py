@@ -212,6 +212,15 @@ class TestMainExitCodes:
                      "--queries", fix_files["fixA_q"]])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["exact", "verify"])
+    def test_nonfinite_query_exit_3(self, fix_files, capsys, command):
+        queries = fix_files["dir"] / "nan_q.csv"
+        queries.write_text("1,0,nan\n")
+        code = main([command, "--data", fix_files["fixB"], "--queries", str(queries)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith(f"I/O error: {queries}: ")
+
     def test_query_dimension_checked_before_prediction(self, fix_files, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "knn_predict", lambda *args, **kwargs: calls.append(args))
@@ -287,15 +296,43 @@ class TestMainFlags:
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("exact", "--repeats"),
+        ("verify", "--norm"), ("verify", "--n-scr"), ("verify", "--no-screening"),
+        ("verify", "--no-sorting"), ("verify", "--repeats"), ("verify", "--emit-deltas"),
+        ("attack", "--norm"), ("attack", "--repeats"), ("attack", "--no-sorting"),
+        ("bench", "--norm"),
+    ])
+    def test_unread_flags_are_usage_errors(self, fix_files, capsys, command, flag):
+        # Each subcommand takes only the flags some path of it reads.
+        value = {"--norm": ["l2"], "--n-scr": ["3"], "--repeats": ["2"]}.get(flag, [])
+        method = ["--method", "qp-1"] if command == "attack" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                  *method, flag, *value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_readme_lists_every_flag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
         (subparsers,) = [action for action in cli._build_parser()._actions
                          if isinstance(action, argparse._SubParsersAction)]
-        options = {flag for p in subparsers.choices.values() for action in p._actions
-                   for flag in action.option_strings if flag not in ("-h", "--help")}
-        assert named == options
+        takes = {name: {flag for action in p._actions for flag in action.option_strings
+                        if flag not in ("-h", "--help")}
+                 for name, p in subparsers.choices.items()}
+        assert named == set().union(*takes.values())
+        # The flag x subcommand table lists exactly the flags each subparser takes.
+        header, *rows = [line.strip("|").split("|") for line in section.splitlines()
+                         if line.startswith("| ")]
+        commands = [cell.strip(" `") for cell in header[1:]]
+        table = {name: set() for name in commands}
+        for cells in rows:
+            for name, cell in zip(commands, cells[1:]):
+                if cell.strip():
+                    table[name] |= set(re.findall(r"--[a-z-]+", cells[0]))
+        assert table == takes
 
     def test_short_spellings_and_defaults(self, fix_files, capsys):
         code = main(["attack", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
@@ -373,8 +410,8 @@ class TestMainFlags:
 
     def test_malformed_sweep_is_a_configuration_error(self, fix_files, capsys, monkeypatch):
         # Also empty lists, empty method names, sweep values below 1, unknown
-        # method names and zero counts: all are rejected before any data is
-        # loaded.
+        # method names, zero counts and a negative seed: all are rejected
+        # before any data is loaded.
         def no_loading(*args):
             raise AssertionError("data loaded before the configuration was checked")
 
@@ -382,7 +419,7 @@ class TestMainFlags:
         for flags in (["--nscr-sweep", "x"], ["--nscr-sweep", ""], ["--nscr-sweep", "0"],
                       ["--methods", ""], ["--methods", "exact,,verifier"],
                       ["--methods", "exact,bogus"], ["--methods", "qp-0"],
-                      ["--methods", "naive-0"]):
+                      ["--methods", "naive-0"], ["--seed", "-1"]):
             code = main(["bench", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
                          *flags])
             assert code == 2, flags

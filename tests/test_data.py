@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,14 @@ class TestLoadCsv:
         assert len(queries) == 2
         assert queries[0].true_label == 1
         np.testing.assert_array_equal(queries[1].z, [5.0])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_query_rejected(self, tmp_path, value):
+        path = tmp_path / "q.csv"
+        path.write_text(f"1,0,0\n2,1,{value}\n")
+        message = re.escape(f"{path}: query features contain NaN or Inf")
+        with pytest.raises(DataFormatError, match=message):
+            load_queries(path)
 
     def test_byte_order_mark(self, tmp_path):
         # Spreadsheet exports often start a UTF-8 file with a byte-order mark.

@@ -24,8 +24,7 @@ def _sp(fix):
 
 
 def _subproblem(rows, offsets):
-    rows = np.asarray(rows, dtype=np.float64)
-    return Subproblem(rows, offsets, (), (), np.zeros(rows.shape[1]))
+    return Subproblem(rows, offsets)
 
 
 class TestBuilders:

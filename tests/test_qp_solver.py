@@ -39,10 +39,7 @@ class TestDualActiveSet:
         assert sol.objective == pytest.approx(0.5, abs=1e-10)
 
     def test_all_nonnegative_offsets_converges_immediately(self):
-        sp = Subproblem(
-            rows=np.array([[1.0, 0.0], [0.0, 2.0]]), offsets=np.array([0.5, 0.0]),
-            target_ids=(0,), excluded_ids=(), query=np.zeros(2),
-        )
+        sp = Subproblem(rows=np.array([[1.0, 0.0], [0.0, 2.0]]), offsets=np.array([0.5, 0.0]))
         sol = solve_dual_gca(sp)
         assert sol.status is SolveStatus.CONVERGED
         assert sol.iterations == 0
@@ -59,10 +56,7 @@ class TestDualActiveSet:
         # 1-D: require being closer to -1 and to +1 than to 0; impossible.
         # The first row joins, the second lies in its span and no active
         # multiplier limits the move, so the dual is unbounded.
-        sp = Subproblem(
-            rows=np.array([[-2.0], [2.0]]), offsets=np.array([-0.5, -0.5]),
-            target_ids=(0, 1), excluded_ids=(), query=np.zeros(1),
-        )
+        sp = Subproblem(rows=np.array([[-2.0], [2.0]]), offsets=np.array([-0.5, -0.5]))
         sol = solve_dual_gca(sp)
         assert sol.status is SolveStatus.INFEASIBLE
         assert sol.iterations == 1
@@ -80,10 +74,7 @@ class TestDualActiveSet:
             N = U @ np.diag(np.logspace(0, -6, d)) @ V.T
             x0 = N.T @ rng.uniform(0.5, 1.5, size=d)
             a = -N.mean(axis=0)
-            sp = Subproblem(
-                rows=np.vstack([N, a]), offsets=np.append(-N @ x0, -a @ x0 - 1.0),
-                target_ids=(0,), excluded_ids=(), query=np.zeros(d),
-            )
+            sp = Subproblem(rows=np.vstack([N, a]), offsets=np.append(-N @ x0, -a @ x0 - 1.0))
             assert solve_dual_gca(sp).status is SolveStatus.INFEASIBLE
 
     def test_knn_systems_match_oracle_including_infeasible(self):
@@ -175,10 +166,7 @@ class TestKktCheck:
         assert kkt_check(sp, sol, 1e-8).passed
 
     def test_trivial_problem_passes_with_zero_gap(self):
-        sp = Subproblem(
-            rows=np.array([[1.0]]), offsets=np.array([2.0]),
-            target_ids=(0,), excluded_ids=(), query=np.zeros(1),
-        )
+        sp = Subproblem(rows=np.array([[1.0]]), offsets=np.array([2.0]))
         sol = solve_dual_gca(sp)
         report = kkt_check(sp, sol, 1e-6)
         assert report.passed and report.duality_gap == 0.0
@@ -198,20 +186,14 @@ class TestActiveSetOracle:
         np.testing.assert_allclose(delta, [0.5, -0.5], atol=1e-12)
 
     def test_all_nonnegative_offsets(self):
-        sp = Subproblem(
-            rows=np.array([[1.0, 0.0]]), offsets=np.array([3.0]),
-            target_ids=(0,), excluded_ids=(), query=np.zeros(2),
-        )
+        sp = Subproblem(rows=np.array([[1.0, 0.0]]), offsets=np.array([3.0]))
         delta, sol = active_set_oracle(sp)
         np.testing.assert_array_equal(delta, [0.0, 0.0])
         assert sol.objective == 0.0
 
     def test_size_guard(self):
         rng = np.random.default_rng(0)
-        sp = Subproblem(
-            rows=rng.normal(size=(20, 2)), offsets=rng.normal(size=20),
-            target_ids=(0,), excluded_ids=(), query=np.zeros(2),
-        )
+        sp = Subproblem(rows=rng.normal(size=(20, 2)), offsets=rng.normal(size=20))
         with pytest.raises(ValueError, match="guard"):
             active_set_oracle(sp)
 

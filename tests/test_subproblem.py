@@ -19,8 +19,8 @@ class TestBuild1nn:
         sp = build_1nn_subproblem(ds, q, 1)
         np.testing.assert_allclose(sp.rows, [[1.0, -1.0]])
         np.testing.assert_allclose(sp.offsets, [-1.0])
-        assert sp.target_ids == (1,)
-        assert sp.excluded_ids == ()
+        assert sp.row_target_ids.tolist() == [1]
+        assert sp.row_source_ids.tolist() == [0]
 
     def test_fix_a_row(self, fix_a):
         ds, q = fix_a
@@ -80,8 +80,8 @@ class TestBuildKnn:
         ds, q = fix_c
         sp = build_knn_subproblem(ds, q, [2, 3], excluded=[1])
         assert sp.m == 2
-        assert set(sp.row_source_ids) == {0}
-        assert sp.excluded_ids == (1,)
+        assert sp.row_source_ids.tolist() == [0, 0]
+        assert sp.row_target_ids.tolist() == [2, 3]
 
     def test_singleton_matches_1nn(self, fix_c):
         ds, q = fix_c
