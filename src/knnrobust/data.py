@@ -167,7 +167,10 @@ def load_csv(path, has_header: bool = False) -> Dataset:
         raise DataFormatError(
             f"{path}: labels must form a contiguous range 1..C, got {present.tolist()}"
         )
-    return Dataset(np.asarray(rows, dtype=np.float64), label_arr, int(present.size))
+    try:
+        return Dataset(np.asarray(rows, dtype=np.float64), label_arr, int(present.size))
+    except DataFormatError as err:     # e.g. a NaN or Inf feature
+        raise DataFormatError(f"{path}: {err}") from err
 
 
 def load_queries(path, has_header: bool = False) -> list[Query]:

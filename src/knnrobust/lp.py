@@ -8,10 +8,14 @@ homogenized form of Charnes and Cooper (Naval Res. Logist. Q. 9, 1962): with
 the max norm or ``sum(p + n) <= 1`` under the sum norm.  The optimum is
 ``mu = 1/epsilon`` at ``w = delta/epsilon``.  Every right-hand side is 0 or 1,
 so the slack basis is feasible at the origin and a single simplex phase
-with Bland's rule solves it.  Each constraint row and then ``mu``'s column
-are divided by powers of two, so the simplex sees the same numbers at every
-power-of-two data scale and its one tolerance is relative.  Problem sizes
-are at most m + d rows by O(m + d) columns, so no sparse machinery is needed.
+solves it.  Pricing follows Dantzig's rule (the most negative reduced cost)
+and turns to Bland's rule during long runs of degenerate pivots, where
+Dantzig's rule could cycle.  The final basis is solved once more against the
+original rows, so the returned values carry the rounding of one solve, not
+of every pivot.  Each constraint row and then ``mu``'s column are divided by
+powers of two, so the simplex sees the same numbers at every power-of-two
+data scale and its one tolerance is relative.  Problem sizes are at most
+m + d rows by O(m + d) columns, so no sparse machinery is needed.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from .qp_solver import SolverConfig
 from .subproblem import Subproblem, build_1nn_subproblem  # noqa: F401
 
 _PIVOT_EPS = 1e-10
-# Bland's rule cannot cycle, so this only stops a run that rounding has stalled.
+# Pricing turns from Dantzig's rule to Bland's after this many degenerate
+# pivots in a row, and back at the first pivot that is not degenerate.
+_DEGENERATE_RUN = 10
+# Each run of Dantzig pivots ends on a pivot that raises mu, or hands over to
+# Bland's rule, which cannot cycle; so this only stops a run that rounding has
+# stalled.
 _MAX_PIVOTS = 50_000
 
 
@@ -84,13 +93,22 @@ def _bland_leaving(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | No
 
 
 def solve_lp(lp: HomogenizedLp) -> tuple[np.ndarray, float, int]:
-    """Dense simplex from the slack basis with Bland's rule.
+    """Dense simplex from the slack basis.
+
+    The entering column has the most negative reduced cost (Dantzig's rule).
+    After ``_DEGENERATE_RUN`` degenerate pivots in a row (the pivot row's
+    right-hand side is within ``_PIVOT_EPS`` of 0) it is the first column
+    with a negative reduced cost (Bland's rule), until a pivot is not
+    degenerate.  The leaving row is always Bland's.  At the optimum the
+    final basis is solved once against ``lp.matrix`` and ``lp.rhs``, and
+    delta and epsilon come from that solution.
 
     Returns the perturbation delta, the optimum epsilon = scale / mu' (the
     norm that delta attains up to rounding) and the number of pivots.
     Raises ``SolverError`` when mu' is unbounded (no row has b < 0, so
     delta = 0 already meets every row), when its optimum is 0 (no delta
-    meets the rows), or when ``_MAX_PIVOTS`` pivots do not reach the optimum.
+    meets the rows; decided on the tableau's value, before the final solve),
+    or when ``_MAX_PIVOTS`` pivots do not reach the optimum.
     """
     r, cols = lp.matrix.shape
     # Columns: p, n, mu', then one slack per row; the last row holds the
@@ -101,17 +119,19 @@ def solve_lp(lp: HomogenizedLp) -> tuple[np.ndarray, float, int]:
     tableau[:-1, -1] = lp.rhs
     tableau[-1, cols - 1] = -1.0
     basis = np.arange(cols, cols + r)
-    pivots = 0
+    pivots = degenerate = 0
     while True:
-        entering = np.flatnonzero(tableau[-1, :-1] < -_PIVOT_EPS)
+        costs = tableau[-1, :-1]
+        entering = np.flatnonzero(costs < -_PIVOT_EPS)
         if not entering.size:
             break
         if pivots == _MAX_PIVOTS:
             raise SolverError(f"no optimum after {_MAX_PIVOTS} pivots")
-        col = int(entering[0])
+        col = int(entering[0]) if degenerate >= _DEGENERATE_RUN else int(np.argmin(costs))
         row = _bland_leaving(tableau, basis, col)
         if row is None:
             raise SolverError("mu is unbounded: delta = 0 meets every row")
+        degenerate = degenerate + 1 if tableau[row, -1] <= _PIVOT_EPS else 0
         tableau[row] /= tableau[row, col]
         factors = tableau[:, col].copy()
         factors[row] = 0.0
@@ -120,9 +140,12 @@ def solve_lp(lp: HomogenizedLp) -> tuple[np.ndarray, float, int]:
         pivots += 1
     y = np.zeros(cols + r)
     y[basis] = tableau[:-1, -1]
-    mu = y[cols - 1]
-    if not mu > 0.0:
+    if not y[cols - 1] > 0.0:
         raise SolverError("the optimum of mu is 0: no perturbation meets the rows")
+    # The tableau carries the rounding of every pivot; one solve of the final
+    # basis against the original rows starts afresh from the exact data.
+    y[basis] = np.linalg.solve(np.hstack([lp.matrix, np.eye(r)])[:, basis], lp.rhs)
+    mu = y[cols - 1]
     d = (cols - 1) // 2
     epsilon = lp.scale / mu
     return (y[:d] - y[d:2 * d]) * epsilon, epsilon, pivots

@@ -5,8 +5,9 @@ reference goes through active-set enumeration per target, the 1-D reference
 scans perturbation magnitudes densely, the K-NN verifier reference measures
 distances to bisecting hyperplanes and sorts, the vote reference sorts and
 counts, the line-search references recompute every distance at each probe
-or pair crossing, and the LP reference enumerates the vertices of the plain
-min-norm LP, not of the homogenized program that ``solve_lp`` runs.
+or pair crossing, and the LP references enumerate the vertices of the plain
+min-norm LP, not of the homogenized program that ``solve_lp`` runs, or run
+Bland's simplex on that program in exact rational arithmetic.
 """
 
 import itertools
@@ -416,3 +417,37 @@ def lp_vertex_minimum(lp: MinNormLp) -> float | None:
             if best is None or val < best:
                 best = val
     return best
+
+
+def lp_rational_optimum(program) -> Fraction | None:
+    """Exact optimum epsilon = scale / mu' of a ``HomogenizedLp``.
+
+    A single-phase simplex from the slack basis in ``Fraction`` arithmetic,
+    which holds every float entry exactly, with Bland's rule for both the
+    entering column and the leaving row, so it cannot cycle.  Returns 0 when
+    mu' is unbounded (delta = 0 meets every row) and None when its optimum
+    is 0 (no perturbation meets the rows).
+    """
+    r, cols = program.matrix.shape
+    tableau = [[Fraction(float(v)) for v in row]
+               for row in np.hstack([program.matrix, np.eye(r), program.rhs[:, None]])]
+    costs = [Fraction(0)] * (cols + r + 1)
+    costs[cols - 1] = Fraction(-1)         # minimize -mu'
+    basis = list(range(cols, cols + r))
+    while True:
+        col = next((k for k in range(cols + r) if costs[k] < 0), None)
+        if col is None:
+            break
+        candidates = [i for i in range(r) if tableau[i][col] > 0]
+        if not candidates:
+            return Fraction(0)
+        row = min(candidates, key=lambda i: (tableau[i][-1] / tableau[i][col], basis[i]))
+        pivot = tableau[row][col]
+        tableau[row] = [v / pivot for v in tableau[row]]
+        for other in tableau[:row] + tableau[row + 1:] + [costs]:
+            factor = other[col]
+            if factor:
+                other[:] = [v - factor * p for v, p in zip(other, tableau[row])]
+        basis[row] = col
+    mu = next((tableau[i][-1] for i in range(r) if basis[i] == cols - 1), Fraction(0))
+    return Fraction(float(program.scale)) / mu if mu else None

@@ -119,9 +119,12 @@ PINNED_PRUNING_COUNTS = {
     "qp-10": ((590, 590, 1123, 1013), lambda ds, q: qp_top_m(ds, q, 10)),
     # The same loop with one LP per target and pivots as its steps; without
     # the dual-norm pair prunes these were (1010, 1010, 704, 4015) and
-    # (995, 995, 719, 3493).
-    "exact-linf": ((613, 613, 1101, 2332), lambda ds, q: exact_1nn_lp(ds, q, "linf")),
-    "exact-l1": ((595, 595, 1119, 1970), lambda ds, q: exact_1nn_lp(ds, q, "l1")),
+    # (995, 995, 719, 3493), and with Bland's pricing and no final-basis solve
+    # (613, 613, 1101, 2332) and (595, 595, 1119, 1970).  The final-basis solve
+    # moves epsilons by an ulp; on 5 linf and 3 l1 instances a pair bound
+    # equals the exact incumbent, so that ulp decides whether its target is built.
+    "exact-linf": ((610, 610, 1104, 2133), lambda ds, q: exact_1nn_lp(ds, q, "linf")),
+    "exact-l1": ((596, 596, 1118, 1596), lambda ds, q: exact_1nn_lp(ds, q, "l1")),
 }
 
 

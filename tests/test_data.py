@@ -88,6 +88,14 @@ class TestLoadCsv:
         ds = load_csv(path, has_header=True)
         assert ds.n == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "db.csv"
+        path.write_text(f"1,0,0\n2,1,{value}\n")
+        message = re.escape(f"{path}: points contain NaN or Inf")
+        with pytest.raises(DataFormatError, match=message):
+            load_csv(path)
+
     def test_load_queries(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("1,0\n2,5\n")

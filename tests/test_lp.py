@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from knnrobust import (
     solve_lp,
 )
 
-from helpers import lp_vertex_minimum, min_norm_lp, random_grid_dataset
+from helpers import lp_rational_optimum, lp_vertex_minimum, min_norm_lp, random_grid_dataset
 
 BUILDERS = (("linf", build_linf_lp, np.inf), ("l1", build_l1_lp, 1))
 
@@ -118,6 +120,60 @@ class TestSolveLp:
                 assert np.linalg.norm(delta, ord=order) == pytest.approx(eps, rel=1e-12)
                 assert np.min(sp.residual(delta)) >= -1e-12 * sp.offset_scale
         assert 0 < infeasible < 400          # of 800 solves
+
+    def test_agrees_with_rational_simplex(self):
+        # Float-valued subproblems against an exact Fraction simplex of the
+        # same program: the final-basis solve leaves only its own rounding.
+        rng = np.random.default_rng(139)
+        solved = 0
+        for _ in range(64):
+            d, m = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            offsets = rng.standard_normal(m)
+            offsets[rng.integers(m)] = -abs(offsets[0]) - 0.125
+            sp = _subproblem(rng.standard_normal((m, d)), offsets)
+            for _, build, _ in BUILDERS:
+                program = build(sp)
+                exact = lp_rational_optimum(program)
+                if exact is None:
+                    with pytest.raises(SolverError):
+                        solve_lp(program)
+                    continue
+                _, eps, _ = solve_lp(program)
+                assert eps == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+                solved += 1
+        assert solved > 64                   # of 128 solves
+
+    def test_bland_fallback_after_degenerate_run(self, monkeypatch):
+        # Every constraint row starts with right-hand side 0, so pivots on them
+        # are degenerate; this max-norm program makes 12 of them in a row.
+        # Pricing is Dantzig's until 10 such pivots, then Bland's.
+        sp = _subproblem([[3.0, 0.0, 2.0], [-3.0, 0.0, -1.0], [-2.0, -1.0, 2.0],
+                          [2.0, -2.0, 3.0], [0.0, -2.0, -1.0], [3.0, 0.0, -2.0]],
+                         [-1.0, 2.0, -1.0, -2.0, -3.0, -4.0])
+        leaving = lp._bland_leaving
+        run = [0]
+        priced_by_bland = []
+
+        def checked(tableau, basis, col):
+            costs = tableau[-1, :-1]
+            if run[0] >= lp._DEGENERATE_RUN:
+                assert col == np.flatnonzero(costs < -lp._PIVOT_EPS)[0]
+                priced_by_bland.append(col)
+            else:
+                assert costs[col] == costs.min()
+            row = leaving(tableau, basis, col)
+            run[0] = run[0] + 1 if tableau[row, -1] <= lp._PIVOT_EPS else 0
+            return row
+
+        monkeypatch.setattr(lp, "_bland_leaving", checked)
+        program = build_linf_lp(sp)
+        delta, eps, _ = solve_lp(program)
+        assert priced_by_bland
+        assert lp_rational_optimum(program) == Fraction(37, 9)
+        assert eps == pytest.approx(37 / 9, rel=1e-14, abs=0.0)
+        assert eps == pytest.approx(lp_vertex_minimum(min_norm_lp(sp, "linf")), rel=1e-12)
+        assert np.max(np.abs(delta)) == pytest.approx(eps, rel=1e-14, abs=0.0)
+        assert np.min(sp.residual(delta)) >= -1e-12 * sp.offset_scale
 
 
 class TestExact1nnLp:
