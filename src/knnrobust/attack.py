@@ -18,8 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict
-from .errors import CertificationError, InfeasibleSubproblemError, SolverError
+from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq, knn_predict,
+                   knn_vote)
+from .errors import (CertificationError, InfeasibleSubproblemError, InsufficientPointsError,
+                     SolverError)
 from .qp_solver import DualSolution, SolveStatus, SolverConfig, recover_primal, solve_dual_gca
 from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem
 
@@ -82,15 +84,24 @@ def is_adversarial(ds: Dataset, q: Query, delta: np.ndarray, k: int,
     return knn_predict(ds, q.z + delta, k, tie, true_label=q.true_label) != q.true_label
 
 
-def _begin(ds: Dataset, q: Query, k: int, tie: TieRule, method: str
-           ) -> tuple[AttackStats, float, PerturbationCertificate | None]:
-    """Fresh stats, the start time, and the zero certificate if the query is misclassified."""
+def _begin(ds: Dataset, q: Query, k: int, method: str
+           ) -> tuple[AttackStats, float, np.ndarray, PerturbationCertificate | None]:
+    """Fresh stats, the start time, the squared distances from ``q.z``, and
+    the zero certificate if the query is misclassified.
+
+    This is each attack's one distance pass: the vote is ``knn_vote`` on it,
+    and the caller reuses it.  Raises ``InsufficientPointsError`` when K > n
+    and ``DataFormatError`` when a squared distance overflows.
+    """
     stats = AttackStats()
     start = time.perf_counter()
-    if knn_predict(ds, q.z, k, tie, true_label=q.true_label) == q.true_label:
-        return stats, start, None
+    if k > ds.n:
+        raise InsufficientPointsError(f"K={k} exceeds dataset size n={ds.n}")
+    dist_sq = finite_distances_sq(ds, q.z)
+    if knn_vote(ds, dist_sq, k, q.true_label) == q.true_label:
+        return stats, start, dist_sq, None
     stats.wall_time = time.perf_counter() - start
-    return stats, start, PerturbationCertificate(
+    return stats, start, dist_sq, PerturbationCertificate(
         delta=np.zeros(ds.d), epsilon=0.0, kind=CertificateKind.EXACT,
         method=method, stats=stats, misclassified=True,
     )
@@ -197,10 +208,9 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
     build, then on all its rows.
     """
     _check_n_scr(n_scr)
-    stats, start, zero = _begin(ds, q, 1, tie, method)
+    stats, start, dist_sq, zero = _begin(ds, q, 1, method)
     if zero is not None:
         return zero
-    dist_sq = ds.distances_sq(q.z)
     same = ds.class_indices(q.true_label)
     others = np.flatnonzero(ds.labels != q.true_label)
     if sort_candidates:
@@ -312,18 +322,19 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     actually flips the prediction wins; a second solve then drops the
     constraints of up to floor((K-1)/2) same-class points that carried
     nonzero multipliers, keeping the improvement when it still validates.
+    That refinement is the first subproblem without the dropped points'
+    rows (``Subproblem.without_sources``), so no row is built twice.
     ``cfg`` has no effect: every subset QP is solved whole, and the
     parameter stays for callers that pass it by position.
     """
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
-    stats, start, zero = _begin(ds, q, k, tie, "qp-greedy")
+    stats, start, dist_sq, zero = _begin(ds, q, k, "qp-greedy")
     if zero is not None:
         return zero
 
     k_minus = (k + 1) // 2
     k_plus = (k - 1) // 2
-    dist_sq = ds.distances_sq(q.z)
     # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
 
@@ -359,7 +370,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                 mass[i] = mass.get(i, 0.0) + float(lam)
             s_plus = sorted(mass, key=lambda i: -mass[i])[:k_plus]
             if s_plus:
-                sp2 = build_knn_subproblem(ds, q, s_minus, s_plus, dist_sq=dist_sq)
+                sp2 = sp.without_sources(s_plus)
                 stats.subproblems_built += 1
                 try:
                     delta2, _ = _solve_candidate(sp2, stats)
@@ -379,8 +390,11 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     )
 
 
-def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule):
-    """Squared distances from ``q.z`` and the baselines' ``flip(u, t_cap)``.
+def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule, dist_sq: np.ndarray):
+    """The baselines' ``flip(u, t_cap)`` from ``q.z``.
+
+    ``dist_sq`` holds the squared distances from ``q.z`` that ``_begin``
+    returned; only the differences ``z - x_i`` are computed here.
 
     ``flip`` returns the first t in (0, t_cap] at which the vote flips along
     z + t*u, or None.  There every squared distance is
@@ -403,7 +417,6 @@ def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule):
     otherwise the walk goes on.
     """
     diff = q.z - ds.points
-    dist_sq = np.einsum("ij,ij->i", diff, diff)
     n = ds.n
     labels = ds.labels.tolist()
     true = q.true_label
@@ -459,7 +472,7 @@ def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule):
                 return t
         raise SolverError(f"line search: no first flip within {_MAX_EVENTS} events")
 
-    return dist_sq, flip
+    return flip
 
 
 def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
@@ -476,11 +489,11 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
         raise ValueError("tries must be >= 1")
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
-    stats, start, zero = _begin(ds, q, k, tie, f"naive-{tries}")
+    stats, start, dist_sq, zero = _begin(ds, q, k, f"naive-{tries}")
     if zero is not None:
         return zero
 
-    dist_sq, flip = _line_search(ds, q, k, tie)
+    flip = _line_search(ds, q, k, tie, dist_sq)
     others = np.flatnonzero(ds.labels != q.true_label)
     others = others[np.argsort(dist_sq[others], kind="stable")]
     k_minus = (k + 1) // 2
@@ -528,7 +541,7 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     """
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
-    stats, start, zero = _begin(ds, q, k, tie, "mean")
+    stats, start, dist_sq, zero = _begin(ds, q, k, "mean")
     if zero is not None:
         return zero
 
@@ -537,7 +550,7 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     direction = means[int(np.argmin(gaps))] - q.z
     if not np.any(direction):
         raise SolverError("mean: query coincides with the target class mean")
-    _, flip = _line_search(ds, q, k, tie)
+    flip = _line_search(ds, q, k, tie, dist_sq)
     t_star = flip(direction, _RAY_EXTENSION_CAP)
     if t_star is None:
         raise SolverError("mean: no flip within the ray-length cap")

@@ -226,6 +226,18 @@ def k_nearest(ds: Dataset, z: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def finite_distances_sq(ds: Dataset, z: np.ndarray) -> np.ndarray:
+    """``ds.distances_sq(z)``, raising ``DataFormatError`` if one overflows.
+
+    Finite features far enough apart square past the float64 range; an Inf
+    distance would end as a NaN bound or a perturbation that does not flip.
+    """
+    dist_sq = ds.distances_sq(z)
+    if not np.isfinite(dist_sq).all():
+        raise DataFormatError("squared distances from the query overflow float64")
+    return dist_sq
+
+
 # Squared distances within this fraction of the K-th one count as tied, with
 # no absolute floor, so the vote is the same at every data scale.  Exact
 # equality would be the mathematical definition, but a perturbation landing

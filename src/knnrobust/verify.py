@@ -22,7 +22,8 @@ import numpy as np
 
 # knn_predict is not called here, but it stays bound as verify.knn_predict:
 # the benchmark's tracer rebinds that name.
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict, knn_vote  # noqa: F401
+from .data import knn_predict  # noqa: F401
+from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq, knn_vote
 from .errors import DegeneratePairError, InsufficientPointsError
 
 # Targets in the first block of the sorted walk; each later block is twice
@@ -109,7 +110,7 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
     if k % 2 == 0:
         raise ValueError(f"K must be odd, got {k}")
     order = (k + 1) // 2
-    dist_sq = ds.distances_sq(q.z)
+    dist_sq = finite_distances_sq(ds, q.z)
     # Both classes nearest first, ties by index: the walk and the row cut
     # read prefixes and searchsorted positions of these orders.
     by_dist = np.argsort(dist_sq, kind="stable")

@@ -5,8 +5,10 @@ from knnrobust import (
     DEFAULT_TIE_RULE,
     AttackStats,
     CertificateKind,
+    DataFormatError,
     Dataset,
     DualSolution,
+    InsufficientPointsError,
     Query,
     SolveStatus,
     SolverConfig,
@@ -14,6 +16,7 @@ from knnrobust import (
     Subproblem,
     build_knn_subproblem,
     exact_1nn,
+    exact_1nn_lp,
     generate_synthetic,
     is_adversarial,
     knn_predict,
@@ -23,6 +26,7 @@ from knnrobust import (
     qp_top_m,
     screen_subproblem,
     verify_1nn,
+    verify_knn,
 )
 
 from knnrobust import attack
@@ -108,7 +112,7 @@ def test_exact_vertex_at_degenerate_optimum(points, labels, z, label, expected):
     ds = Dataset(np.array(points, dtype=np.float64), np.array(labels))
     q = Query(np.array(z, dtype=np.float64), label)
     cert = exact_1nn(ds, q)
-    assert cert.epsilon == pytest.approx(expected, rel=1e-12)
+    assert cert.epsilon == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert cert.epsilon == pytest.approx(brute_force_exact_1nn(ds, q), rel=1e-12)
 
 
@@ -442,7 +446,7 @@ class TestLineSearchWalk:
 
     @staticmethod
     def _flip(ds, q, k, u, t_cap=2.0 ** 20):
-        _, flip = attack._line_search(ds, q, k, DEFAULT_TIE_RULE)
+        flip = attack._line_search(ds, q, k, DEFAULT_TIE_RULE, ds.distances_sq(q.z))
         return flip(np.asarray(u, dtype=np.float64), t_cap)
 
     def test_vote_tie_at_an_event_flips(self):
@@ -451,10 +455,10 @@ class TestLineSearchWalk:
         # to the attacker, so that event is the first flip.
         ds = Dataset(np.array([[-0.5], [-1.0], [1.5], [2.5]]), np.array([1, 1, 2, 3]), 3)
         q = Query(np.array([0.0]), 1)
-        assert self._flip(ds, q, 3, [1.0]) == pytest.approx(0.75, rel=1e-12)
+        assert self._flip(ds, q, 3, [1.0]) == pytest.approx(0.75, rel=1e-12, abs=0.0)
         assert ray_flip_reference(ds, q, 3, np.array([1.0]), 2.0 ** 20) == pytest.approx(0.75)
         # The nearest other-class mean is the class-2 point at 1.5.
-        assert mean_attack(ds, q, 3).epsilon == pytest.approx(0.75, rel=1e-12)
+        assert mean_attack(ds, q, 3).epsilon == pytest.approx(0.75, rel=1e-12, abs=0.0)
 
     def test_k_equal_to_n_never_flips(self):
         # Every point votes at K = n, so class 1 keeps its majority anywhere.
@@ -475,12 +479,12 @@ class TestLineSearchWalk:
                      np.array([1, 1, 2, 2]))
         q = Query(np.zeros(2), 1)
         u = np.array([1.0, 0.0])
-        assert self._flip(ds, q, 1, u) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert ray_flip_reference(ds, q, 1, u, 2.0 ** 20) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert self._flip(ds, q, 1, u) == pytest.approx(2.0 / 3.0, rel=1e-12, abs=0.0)
+        assert ray_flip_reference(ds, q, 1, u, 2.0 ** 20) == pytest.approx(2.0 / 3.0, rel=1e-12, abs=0.0)
         # At K=3, (2, 3) never crosses the pair it runs parallel to; it
         # overtakes (-1, 0) at t = 2, which leaves class 1 one vote.
-        assert self._flip(ds, q, 3, u) == pytest.approx(2.0, rel=1e-12)
-        assert ray_flip_reference(ds, q, 3, u, 2.0 ** 20) == pytest.approx(2.0, rel=1e-12)
+        assert self._flip(ds, q, 3, u) == pytest.approx(2.0, rel=1e-12, abs=0.0)
+        assert ray_flip_reference(ds, q, 3, u, 2.0 ** 20) == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     def test_first_flip_before_a_flip_back(self):
         # Toward x = 4 the nearest point is 1.2 (class 2) from x = 0.1 to 1.4,
@@ -489,8 +493,8 @@ class TestLineSearchWalk:
         ds = Dataset(np.array([[-1.0], [1.2], [1.6], [4.0]]), np.array([1, 2, 1, 2]))
         q = Query(np.array([0.0]), 1)
         u = np.array([4.0])
-        assert self._flip(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12)
-        assert ray_flip_reference(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12)
+        assert self._flip(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12, abs=0.0)
+        assert ray_flip_reference(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12, abs=0.0)
         assert line_flip_reference(ds, q, 1, u) == pytest.approx(0.7, abs=1e-8)
 
 
@@ -565,3 +569,52 @@ class TestBoundOrdering:
         assert exact_1nn(ds, q).epsilon == pytest.approx(0.6, abs=1e-9)
         assert mean.delta[0] < 0.0  # the flip lands on x=-4.2, rank 2 from z
         assert qp_top_m(ds, q, 1).epsilon > mean.epsilon
+
+
+# Every attack, as a function of (ds, q, K); the 1-NN searches run at K=1.
+_ATTACKS = {
+    "exact": lambda ds, q, k: exact_1nn(ds, q),
+    "qp-1": lambda ds, q, k: qp_top_m(ds, q, 1),
+    "exact-linf": lambda ds, q, k: exact_1nn_lp(ds, q, "linf"),
+    "exact-l1": lambda ds, q, k: exact_1nn_lp(ds, q, "l1"),
+    "qp-greedy": lambda ds, q, k: qp_greedy_knn(ds, q, k),
+    "naive": lambda ds, q, k: naive_attack(ds, q, k, 2),
+    "mean": lambda ds, q, k: mean_attack(ds, q, k),
+}
+
+
+class TestBegin:
+    """What every attack does before its search: check K against n, measure
+    the query's distances once, and reject distances beyond float64."""
+
+    @pytest.mark.parametrize("name", ["qp-greedy", "naive", "mean"])
+    def test_k_above_n_raises(self, fix_c, name):
+        ds, q = fix_c
+        with pytest.raises(InsufficientPointsError, match="exceeds dataset size"):
+            _ATTACKS[name](ds, q, 7)
+
+    @pytest.mark.parametrize("name", sorted(_ATTACKS))
+    def test_one_distance_pass_from_the_query(self, fix_c, name, monkeypatch):
+        ds, q = fix_c
+        from_query = []
+        measure = Dataset.distances_sq
+
+        def counted(self, z):
+            from_query.append(np.array_equal(z, q.z))
+            return measure(self, z)
+
+        monkeypatch.setattr(Dataset, "distances_sq", counted)
+        cert = _ATTACKS[name](ds, q, 3)
+        assert not cert.misclassified and cert.epsilon > 0.0
+        # The other passes validate at z + delta.
+        assert sum(from_query) == 1
+
+    @pytest.mark.parametrize("name", sorted(_ATTACKS) + ["verifier"])
+    def test_overflowing_distances_raise(self, name):
+        # (1e308)^2 is Inf: the bound would be NaN and the 1-NN
+        # perturbation would not flip.
+        ds = Dataset(np.array([[0.0, 0.0], [1e308, 1e308]]), np.array([1, 2]))
+        q = Query(np.zeros(2), 1)
+        search = _ATTACKS.get(name, lambda ds, q, k: verify_knn(ds, q, k))
+        with pytest.raises(DataFormatError, match="overflow"):
+            search(ds, q, 1)

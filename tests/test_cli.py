@@ -135,7 +135,7 @@ class TestBench:
                         methods=("exact", "verifier", "qp-1", "naive-1", "mean"))
         values = {row["method"]: row["mean_epsilon"] for row in bench(cfg).table}
         for value in values.values():
-            assert value == pytest.approx(1e-6, rel=1e-8)
+            assert value == pytest.approx(1e-6, rel=1e-8, abs=0.0)
 
     def test_ordering_slack_is_relative(self):
         # A lower bound 5% above the exact value is a violation at any scale.
@@ -220,6 +220,19 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.startswith(f"I/O error: {queries}: ")
+
+    @pytest.mark.parametrize("command", ["exact", "verify"])
+    def test_overflowing_distances_exit_3(self, fix_files, capsys, command):
+        # Finite features whose squared distance overflows float64 once gave
+        # "mean_epsilon": NaN from verify and exit 5 from exact.
+        data = fix_files["dir"] / "huge.csv"
+        data.write_text("1,0,0\n2,1e308,1e308\n")
+        code = main([command, "--data", str(data), "--queries", fix_files["fixB_q"],
+                     "--output", fix_files["out"]])
+        out, err = capsys.readouterr()
+        assert code == 3 and "nan" not in out.lower()
+        assert err == "I/O error: squared distances from the query overflow float64\n"
+        assert not Path(fix_files["out"]).exists()
 
     def test_query_dimension_checked_before_prediction(self, fix_files, monkeypatch):
         calls = []

@@ -116,8 +116,8 @@ class TestSolveLp:
                         solve_lp(build(sp))
                     continue
                 delta, eps, _ = solve_lp(build(sp))
-                assert eps == pytest.approx(reference, rel=1e-12)
-                assert np.linalg.norm(delta, ord=order) == pytest.approx(eps, rel=1e-12)
+                assert eps == pytest.approx(reference, rel=1e-12, abs=0.0)
+                assert np.linalg.norm(delta, ord=order) == pytest.approx(eps, rel=1e-12, abs=0.0)
                 assert np.min(sp.residual(delta)) >= -1e-12 * sp.offset_scale
         assert 0 < infeasible < 400          # of 800 solves
 
@@ -171,7 +171,7 @@ class TestSolveLp:
         assert priced_by_bland
         assert lp_rational_optimum(program) == Fraction(37, 9)
         assert eps == pytest.approx(37 / 9, rel=1e-14, abs=0.0)
-        assert eps == pytest.approx(lp_vertex_minimum(min_norm_lp(sp, "linf")), rel=1e-12)
+        assert eps == pytest.approx(lp_vertex_minimum(min_norm_lp(sp, "linf")), rel=1e-12, abs=0.0)
         assert np.max(np.abs(delta)) == pytest.approx(eps, rel=1e-14, abs=0.0)
         assert np.min(sp.residual(delta)) >= -1e-12 * sp.offset_scale
 

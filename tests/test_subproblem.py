@@ -103,6 +103,40 @@ class TestBuildKnn:
         with pytest.raises(ValueError):
             build_knn_subproblem(ds, q, [2], excluded=[3])
 
+    def test_without_sources_equals_rebuild(self):
+        # qp-greedy's refinement drops 1 to (K-1)/2 same-class sources from
+        # its first system; that must be the system built without them, bit
+        # for bit, down to the cached row norms.
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(300):
+            n, d = int(rng.integers(6, 40)), int(rng.integers(1, 25))
+            ds = Dataset(rng.normal(size=(n, d)), rng.integers(1, 4, size=n), 3)
+            q = Query(rng.normal(size=d), int(rng.integers(1, 4)))
+            k = int(rng.choice([3, 5, 7, 9]))
+            same = ds.class_indices(q.true_label)
+            target = ds.class_indices(q.true_label % 3 + 1)
+            if same.size < 2 or target.size < (k + 1) // 2:
+                continue
+            s_minus = rng.choice(target, size=(k + 1) // 2, replace=False)
+            size = int(rng.integers(1, min((k - 1) // 2, same.size - 1) + 1))
+            s_plus = rng.choice(same, size=size, replace=False).tolist()
+            carved = build_knn_subproblem(ds, q, s_minus).without_sources(s_plus)
+            built = build_knn_subproblem(ds, q, s_minus, s_plus)
+            for name in ("rows", "offsets", "row_source_ids", "row_target_ids", "row_norms_sq"):
+                a, b = getattr(carved, name), getattr(built, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            checked += 1
+        assert checked >= 100
+
+    def test_without_every_source_is_empty(self, fix_c):
+        ds, q = fix_c
+        sp = build_knn_subproblem(ds, q, [2, 3])
+        with pytest.raises(ValueError, match="constraint set is empty"):
+            sp.without_sources([0, 1])
+        with pytest.raises(ValueError, match="constraint set is empty"):
+            build_knn_subproblem(ds, q, [2, 3], excluded=[0, 1])
+
 
 @pytest.mark.parametrize("build", [
     lambda ds, q, **kw: build_1nn_subproblem(ds, q, 3, **kw),

@@ -143,7 +143,7 @@ class TestVerifyKnn:
                     continue
                 r = (k + 1) // 2
                 ref = knn_pair_bound_reference(ds, q, r, r)
-                assert res.epsilon_lower == pytest.approx(ref, rel=1e-12)
+                assert res.epsilon_lower == pytest.approx(ref, rel=1e-12, abs=0.0)
                 assert pair_bound(ds, q.z, *res.binding_pair) == pytest.approx(
                     res.epsilon_lower, rel=1e-12)
                 checked += 1
@@ -167,7 +167,7 @@ class TestVerifyKnn:
         # at x = 3, where (3,0) and a tie at distance 3 give class 2 two votes.
         for k, expected in ((1, 1.8), (3, 2.8)):
             bound = verify_knn(ds, q, k).epsilon_lower
-            assert bound == pytest.approx(expected, rel=1e-12)
+            assert bound == pytest.approx(expected, rel=1e-12, abs=0.0)
             z_batch = q.z + 0.999 * bound * directions
             assert preserved_fraction(ds, q.true_label, z_batch, k) == 1.0
             flipped = q.z + np.array([bound, 0.0])
@@ -220,7 +220,7 @@ class TestFarFromOrigin:
         ds = Dataset(np.array([[0.001], [0.004]]) + offset, np.array([1, 2]))
         q = Query(np.array([offset]), 1)
         bound = verify_knn(ds, q, 1).epsilon_lower
-        assert bound == pytest.approx(0.0025, rel=1e-6)
+        assert bound == pytest.approx(0.0025, rel=1e-6, abs=0.0)
         assert bound <= math.sqrt(knn_pair_bound_exact_sq(ds, q, 1, 1)) * (1.0 + 1e-12)
 
     def test_random_near_duplicates(self):
