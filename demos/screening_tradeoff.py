@@ -1,12 +1,12 @@
 """How candidate sorting and screening shrink the work per query.
 
-Every other-class point spawns one QP, but almost none get solved: targets
-are visited in distance order, a cheap single-coordinate dual value prunes
-candidates against the incumbent, and once the remaining distances prove
-no later target can win, the loop stops outright.  The sweep below varies
-``n_scr``, the number of rows used by the quick test; with sorting and the
-stop rule active even one row usually suffices, so the decisive ablation
-is sorting itself.
+Every other-class point spawns one QP, but almost none get solved: after
+the nearest target, the targets within reach of the incumbent are bounded
+at once by cheap single-coordinate dual values and visited best first, in
+ascending bound, and the first bound beyond the incumbent stops the loop
+outright.  The sweep below varies ``n_scr``, the number of rows in that
+bound; with sorting active even one row usually suffices, so the decisive
+ablation is sorting itself.
 """
 
 import time

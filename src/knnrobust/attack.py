@@ -1,11 +1,14 @@
 """Upper-bound pipelines: exact 1-NN minimum perturbation and attacks.
 
-The exact pipeline sorts the candidate targets by distance, discards most of
-them with cheap dual bounds before ever building their constraint systems,
-and solves the survivors to their exact optimal vertex with the dual
-active-set solver.  The greedy K-NN attack and the line-search baselines
-reuse the same certificate type; every certificate carrying a perturbation
-is validated against the classifier before being returned.
+The exact pipeline solves the nearest target first.  Against that incumbent
+it keeps the targets within reach, bounds each of them at once by the pair
+bounds of its ``n_scr`` nearest same-class rows, and visits them best first:
+in ascending bound, up to the first bound beyond the incumbent.  Each visited
+target is built and solved to its exact optimal vertex with the dual
+active-set solver, unless one of its rows alone already rules it out.  The
+greedy K-NN attack and the line-search baselines reuse the same certificate
+type; every certificate carrying a perturbation is validated against the
+classifier before being returned.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq, knn_predict,
-                   knn_vote)
+from .data import (_BLOCK_ELEMENTS, DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq,
+                   knn_predict, knn_vote)
 from .errors import (CertificationError, InfeasibleSubproblemError, InsufficientPointsError,
                      SolverError)
 from .qp_solver import DualSolution, SolveStatus, SolverConfig, recover_primal, solve_dual_gca
@@ -153,21 +156,53 @@ def _check_n_scr(n_scr: int) -> None:
         raise ValueError("n_scr must be >= 1")
 
 
+def _screening_rows(same: np.ndarray, dist_sq: np.ndarray, n_scr: int) -> np.ndarray:
+    """The ``n_scr`` points of ``same`` nearest the query, ties by index."""
+    return same[np.argsort(dist_sq[same], kind="stable")[:n_scr]]
+
+
+def _screen_bounds_sq(ds: Dataset, dist_sq: np.ndarray, scr_ids: np.ndarray,
+                      targets: np.ndarray, norm: str) -> np.ndarray:
+    """Each target's squared pair bound over the rows ``scr_ids``, in the dual norm.
+
+    For target j this is the largest ``max(0.5 (d_j^2 - d_i^2), 0)^2 /
+    ||x_j - x_i||_*^2`` over i in ``scr_ids`` (``dist_sq`` holds the d^2), the
+    numbers ``_pair_prune`` compares, so ``incumbent_sq < bound`` is its
+    verdict on those rows.  A target that coincides with one of them gets 0:
+    ``_pair_prune`` proves nothing from a zero row.  The differences are
+    formed in blocks of about ``_BLOCK_ELEMENTS`` elements.
+    """
+    x_scr = ds.points[scr_ids]
+    scr_sq = dist_sq[scr_ids]
+    bounds = np.empty(targets.size)
+    step = max(1, _BLOCK_ELEMENTS // x_scr.size)
+    for lo in range(0, targets.size, step):
+        block = targets[lo:lo + step]
+        a = (ds.points[block][:, None, :] - x_scr).reshape(-1, ds.d)
+        norms_sq = _dual_norms_sq(a, norm).reshape(block.size, -1)
+        neg_b = 0.5 * (dist_sq[block][:, None] - scr_sq)
+        zero = norms_sq == 0.0
+        norms_sq[zero] = 1.0
+        ratios = np.square(np.maximum(neg_b, 0.0)) / norms_sq
+        bounds[lo:lo + step] = np.where(zero.any(axis=1), 0.0, ratios.max(axis=1))
+    return bounds
+
+
 def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
                       n_scr: int = DEFAULT_N_SCR) -> bool:
     """Cheap test discarding target j without building its full subproblem.
 
-    Evaluates the single-coordinate dual value for the ``n_scr`` same-class
-    points nearest the query; if any of them already certifies a radius
-    beyond the incumbent attack, the subproblem cannot improve it.
+    True iff the single-coordinate dual value of one of the ``n_scr``
+    same-class points nearest the query already certifies a radius beyond
+    the incumbent attack (``incumbent_sq`` is its square), so that target j's
+    subproblem cannot improve it.  It is the block bound of ``_one_nn`` for
+    the one target j.
     """
     _check_n_scr(n_scr)
     dist_sq = ds.distances_sq(q.z)
-    same = ds.class_indices(q.true_label)
-    nearest = same[np.argsort(dist_sq[same], kind="stable")[:n_scr]]
-    a = ds.points[j] - ds.points[nearest]
-    return _pair_prune(0.5 * (dist_sq[j] - dist_sq[nearest]),
-                       np.einsum("ij,ij->i", a, a), incumbent_sq)
+    scr_ids = _screening_rows(ds.class_indices(q.true_label), dist_sq, n_scr)
+    bound = _screen_bounds_sq(ds, dist_sq, scr_ids, np.array([j]), "l2")[0]
+    return bool(incumbent_sq < bound)
 
 
 def _solve_candidate(sp: Subproblem, stats: AttackStats) -> tuple[np.ndarray, DualSolution]:
@@ -198,63 +233,88 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
             candidate_limit: int | None, tie: TieRule) -> PerturbationCertificate:
     """The 1-NN candidate loop behind ``exact_1nn``, ``qp_top_m`` and ``exact_1nn_lp``.
 
-    Targets are the other-class points, nearest first when ``sort_candidates``,
-    cut to ``candidate_limit``.  ``solve(sp, stats)`` counts its solves and
-    returns target ``sp``'s least perturbation.  The loop keeps the
-    perturbation of least ``norm`` and validates the winner.  Once it has an
-    incumbent, it skips targets too far out to win (the rest of the list when
-    sorted), and when ``cfg.screening_enabled`` ``_pair_prune`` in the dual
-    norm drops a target on its ``n_scr`` nearest same-class rows before the
-    build, then on all its rows.
+    Targets are the other-class points, nearest first when ``sort_candidates``
+    (else in index order), cut to ``candidate_limit``.  ``solve(sp, stats)``
+    counts its solves and returns target ``sp``'s least perturbation.  The
+    loop keeps the perturbation of least ``norm`` and validates the winner.
+
+    The first target is solved unscreened.  Every later target is screened by
+    three rules, each against the incumbent at the time:
+    - the reach window: no target j certifies below (d_j - d_1)/2 in l2 or
+      l1, or that over sqrt(d) in the max norm;
+    - when ``cfg.screening_enabled``, the block bound: ``_screen_bounds_sq``
+      on its ``n_scr`` nearest same-class rows, computed for every target in
+      the first window at once;
+    - when ``cfg.screening_enabled``, ``_pair_prune`` on all its rows, after
+      the build.
+    Sorted with screening, the window is visited in ascending bound (ties in
+    distance order) and the first bound beyond the incumbent ends the loop.
+    Sorted without screening, it is visited in distance order and the first
+    target out of reach ends it.  Unsorted, each target that fails a rule is
+    skipped.  Every candidate not solved counts as screened.
     """
     _check_n_scr(n_scr)
     stats, start, dist_sq, zero = _begin(ds, q, 1, method)
     if zero is not None:
         return zero
-    same = ds.class_indices(q.true_label)
-    others = np.flatnonzero(ds.labels != q.true_label)
-    if sort_candidates:
+    own = ds.labels == q.true_label
+    same, others = np.flatnonzero(own), np.flatnonzero(~own)
+    # Only a cut needs the whole distance order; the loop below finds the
+    # nearest target and sorts its window itself.
+    if sort_candidates and candidate_limit is not None:
         others = others[np.argsort(dist_sq[others], kind="stable")]
-    if candidate_limit is not None:
-        others = others[:candidate_limit]
-
+    others = others[:candidate_limit]
     norm_ord = {"l2": 2, "linf": np.inf, "l1": 1}[norm]
-    d1 = float(np.sqrt(np.min(dist_sq[same])))
-    shrink = 2.0 * np.sqrt(ds.d) if norm == "linf" else 2.0
-    scr_ids = same[np.argsort(dist_sq[same], kind="stable")[:n_scr]]
-    x_scr = ds.points[scr_ids]
-    dz2_scr = dist_sq[scr_ids]
-
     eps_best = np.inf
     delta_best: np.ndarray | None = None
-    for pos, j in enumerate(others):
-        dj = float(np.sqrt(dist_sq[j]))
-        # No target farther out can certify below (dj - d1)/2 in l2 or l1, or
-        # that over sqrt(d) in the max norm (||.||_1 >= ||.||_2 >= sqrt(d) ||.||_inf),
-        # so once the incumbent beats that, sorted iteration can stop altogether.
-        if np.isfinite(eps_best) and (dj - d1) / shrink > eps_best:
-            if sort_candidates:
-                stats.subproblems_screened += len(others) - pos
-                break
-            stats.subproblems_screened += 1
-            continue
-        screening = cfg.screening_enabled and np.isfinite(eps_best)
-        if screening and _pair_prune(0.5 * (dist_sq[j] - dz2_scr),
-                                     _dual_norms_sq(ds.points[j] - x_scr, norm),
-                                     eps_best * eps_best):
-            stats.subproblems_screened += 1
-            continue
+
+    def visit(j) -> None:
+        nonlocal eps_best, delta_best
         sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
-        # The same test over every row.
-        norms_sq = sp.row_norms_sq if norm == "l2" else _dual_norms_sq(sp.rows, norm)
-        if screening and _pair_prune(-sp.offsets, norms_sq, eps_best * eps_best):
-            stats.subproblems_screened += 1
-            continue
+        if cfg.screening_enabled and np.isfinite(eps_best):
+            norms_sq = sp.row_norms_sq if norm == "l2" else _dual_norms_sq(sp.rows, norm)
+            if _pair_prune(-sp.offsets, norms_sq, eps_best * eps_best):
+                stats.subproblems_screened += 1
+                return
         delta = solve(sp, stats)
         eps_j = float(np.linalg.norm(delta, ord=norm_ord))
         if eps_j < eps_best:
             eps_best, delta_best = eps_j, delta
+
+    # np.argmin takes the first of tied minima, as a stable sort does.
+    first = int(np.argmin(dist_sq[others])) if sort_candidates else 0
+    visit(others[first])
+    d1 = float(np.sqrt(np.min(dist_sq[same])))
+    # ||.||_1 >= ||.||_2 >= sqrt(d) ||.||_inf, hence the max norm's sqrt(d).
+    shrink = 2.0 * np.sqrt(ds.d) if norm == "linf" else 2.0
+    reach = (np.sqrt(dist_sq[others]) - d1) / shrink
+    inside = reach <= eps_best
+    inside[first] = False
+    window, reach = others[inside], reach[inside]
+    stats.subproblems_screened += others.size - 1 - window.size
+    if sort_candidates:
+        order = np.argsort(dist_sq[window], kind="stable")
+        window, reach = window[order], reach[order]
+    bounds = None
+    if cfg.screening_enabled and window.size:
+        bounds = _screen_bounds_sq(ds, dist_sq, _screening_rows(same, dist_sq, n_scr), window,
+                                   norm)
+        if sort_candidates:
+            order = np.argsort(bounds, kind="stable")
+            window, reach, bounds = window[order], reach[order], bounds[order]
+    for pos, j in enumerate(window):
+        if bounds is not None and eps_best * eps_best < bounds[pos]:
+            ends = sort_candidates                  # the bounds ascend from here
+        elif reach[pos] > eps_best:
+            ends = sort_candidates and bounds is None   # so do the distances
+        else:
+            visit(j)
+            continue
+        if ends:
+            stats.subproblems_screened += window.size - pos
+            break
+        stats.subproblems_screened += 1
     if delta_best is None:
         raise SolverError(f"{method}: no candidate subproblem produced a perturbation")
     stats.wall_time = time.perf_counter() - start
@@ -266,10 +326,12 @@ def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
               tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
     """Exact minimum adversarial perturbation of the 1-NN classifier.
 
-    Sorts candidate targets by distance, screens those whose cheap dual
-    bound already exceeds the incumbent, solves the survivors, and stops as
-    soon as the remaining sorted candidates provably cannot win.  Queries the
-    model already misclassifies get a zero certificate immediately.
+    Solves the nearest target, then visits the targets within its reach best
+    first, in ascending ``n_scr``-row pair bound, and stops at the first bound
+    beyond the incumbent: no target left can win.  Without ``sort_candidates``
+    the targets are visited in index order and each one that cannot win is
+    skipped.  Queries the model already misclassifies get a zero certificate
+    immediately.
     """
     return _one_nn(ds, q, "exact-1nn", CertificateKind.EXACT, "l2", _solve_delta, cfg,
                    n_scr, sort_candidates, None, tie)
@@ -335,6 +397,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
 
     k_minus = (k + 1) // 2
     k_plus = (k - 1) // 2
+    n_same = int(np.count_nonzero(ds.labels == q.true_label))
     # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
 
@@ -369,7 +432,8 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                 i = int(sp.row_source_ids[row])
                 mass[i] = mass.get(i, 0.0) + float(lam)
             s_plus = sorted(mass, key=lambda i: -mass[i])[:k_plus]
-            if s_plus:
+            # Dropping every same-class point would leave no row to refine.
+            if len(s_plus) < n_same:
                 sp2 = sp.without_sources(s_plus)
                 stats.subproblems_built += 1
                 try:

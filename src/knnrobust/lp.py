@@ -158,11 +158,12 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
     """Exact minimum perturbation of 1-NN under the max or sum norm.
 
     The candidate loop of ``exact_1nn`` with one LP per target.  Its pair
-    prunes carry over through Hölder's inequality: a row forces
+    bounds carry over through Hölder's inequality: a row forces
     ``||delta|| >= max(-b, 0)/||a||_*`` in the dual norm (the sum norm under
-    the max norm, the max norm under the sum norm).  The sorted stop is the
+    the max norm, the max norm under the sum norm), so the targets are
+    ordered and pruned by their bounds in that norm.  The reach window is the
     l2 one, divided by sqrt(d) under the max norm.  ``cfg.screening_enabled``
-    turns the pair prunes on and off.
+    turns the pair bounds on and off.
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")

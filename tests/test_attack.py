@@ -78,6 +78,16 @@ class TestExact1nn:
             cert = exact_1nn(ds, q)
             assert cert.epsilon == pytest.approx(brute_force_exact_1nn(ds, q), abs=1e-8)
 
+    @pytest.mark.parametrize("kwargs", [{"sort_candidates": False},
+                                        {"cfg": SolverConfig(screening_enabled=False)}],
+                             ids=["unsorted", "unscreened"])
+    def test_ablations_match_the_oracle(self, kwargs):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            ds, q, _ = random_grid_dataset(rng)
+            cert = exact_1nn(ds, q, **kwargs)
+            assert cert.epsilon == pytest.approx(brute_force_exact_1nn(ds, q), abs=1e-8)
+
     def test_screening_neutrality(self):
         rng = np.random.default_rng(43)
         on = SolverConfig(screening_enabled=True)
@@ -175,6 +185,66 @@ class TestScreenSubproblem:
         ds = Dataset(np.array([[5.0], [0.5]]), np.array([1, 2]))
         q = Query(np.array([0.0]), 1)
         assert screen_subproblem(ds, q, 1, incumbent_sq=1e-12) is False
+
+
+_ONE_NN_CALLS = {
+    "exact": lambda ds, q: exact_1nn(ds, q),
+    "exact n_scr=1": lambda ds, q: exact_1nn(ds, q, n_scr=1),
+    "exact unsorted": lambda ds, q: exact_1nn(ds, q, sort_candidates=False),
+    "exact unscreened": lambda ds, q: exact_1nn(ds, q, SolverConfig(screening_enabled=False)),
+    "qp-3": lambda ds, q: qp_top_m(ds, q, 3),
+    "exact-linf": lambda ds, q: exact_1nn_lp(ds, q, "linf"),
+    "exact-l1 unsorted": lambda ds, q: exact_1nn_lp(ds, q, "l1", sort_candidates=False),
+}
+
+
+class TestBestFirstLoop:
+    @pytest.mark.parametrize("norm", ["l2", "linf", "l1"])
+    def test_block_bound_is_the_per_target_pair_bound(self, corpus, norm):
+        # One block over every target gives, per target, the n_scr-row numbers
+        # that _pair_prune compares, bit for bit, and screen_subproblem's
+        # threshold sits exactly at the l2 bound.
+        for ds, q, _ in corpus:
+            dist_sq = ds.distances_sq(q.z)
+            scr = attack._screening_rows(ds.class_indices(q.true_label), dist_sq,
+                                         attack.DEFAULT_N_SCR)
+            targets = np.flatnonzero(ds.labels != q.true_label)
+            bounds = attack._screen_bounds_sq(ds, dist_sq, scr, targets, norm)
+            for j, bound in zip(targets, bounds):
+                norms_sq = attack._dual_norms_sq(ds.points[j] - ds.points[scr], norm)
+                neg_b = 0.5 * (dist_sq[j] - dist_sq[scr])
+                if norms_sq.min() == 0.0:
+                    assert bound == 0.0
+                    continue
+                assert bound == np.max(np.square(np.maximum(neg_b, 0.0)) / norms_sq)
+                if norm == "l2":
+                    assert screen_subproblem(ds, q, j, bound) is False
+                    if bound > 0.0:
+                        assert screen_subproblem(ds, q, j, np.nextafter(bound, 0.0)) is True
+
+    @pytest.mark.parametrize("name", _ONE_NN_CALLS)
+    def test_every_candidate_is_solved_or_screened(self, corpus, name):
+        for ds, q, _ in corpus:
+            cert = _ONE_NN_CALLS[name](ds, q)
+            if cert.misclassified:
+                continue
+            candidates = int(np.count_nonzero(ds.labels != q.true_label))
+            if name == "qp-3":
+                candidates = min(candidates, 3)
+            s = cert.stats
+            assert s.subproblems_solved + s.subproblems_screened == candidates
+
+    @pytest.mark.parametrize("name", ["exact", "exact unsorted", "exact-linf"])
+    def test_one_target_blocks_give_the_same_certificates(self, corpus, monkeypatch, name):
+        call = _ONE_NN_CALLS[name]
+        default = [call(ds, q) for ds, q, _ in corpus[:200]]
+        monkeypatch.setattr(attack, "_BLOCK_ELEMENTS", 1)
+        for (ds, q, _), ref in zip(corpus[:200], default):
+            cert = call(ds, q)
+            assert cert.epsilon == ref.epsilon
+            np.testing.assert_array_equal(cert.delta, ref.delta)
+            assert (cert.stats.subproblems_built, cert.stats.subproblems_solved) == (
+                ref.stats.subproblems_built, ref.stats.subproblems_solved)
 
 
 @pytest.mark.parametrize("n_scr", [0, -1])
@@ -282,6 +352,19 @@ class TestQpGreedy:
         assert cert.epsilon == pytest.approx(np.linalg.norm(delta_ref), rel=1e-12)
         assert cert.epsilon < unrefined - 0.5
         assert is_adversarial(ds, q, cert.delta, 3)
+
+    def test_refinement_skipped_when_it_would_drop_every_same_class_point(self):
+        # Both class-1 points carry multipliers and K=5 drops up to two: the
+        # refinement would have no row left, and once raised ValueError.
+        ds = Dataset(np.array([[1, 0, 2], [-2, -3, 0], [-1, -2, -1], [-2, 0, 0], [1, -3, -2],
+                               [-1, 0, 2], [3, -3, -3], [2, -1, 3], [-1, 2, -1], [-3, 3, -2]],
+                              dtype=np.float64), np.array([1, 1, 4, 4, 4, 3, 3, 2, 2, 4]))
+        q = Query(np.array([0.0, -2.0, 3.0]), 1)
+        delta_ref, _ = active_set_oracle(build_knn_subproblem(ds, q, [2, 3, 4]))
+        cert = qp_greedy_knn(ds, q, 5)
+        assert cert.stats.subproblems_built == 1
+        assert cert.epsilon == pytest.approx(np.linalg.norm(delta_ref), rel=1e-12, abs=0.0)
+        assert is_adversarial(ds, q, cert.delta, 5)
 
     def test_upper_bounds_true_minimum_random(self):
         from knnrobust import SolverError

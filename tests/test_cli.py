@@ -234,6 +234,20 @@ class TestMainExitCodes:
         assert err == "I/O error: squared distances from the query overflow float64\n"
         assert not Path(fix_files["out"]).exists()
 
+    def test_greedy_with_every_same_class_point_dropped_exit_0(self, fix_files, capsys):
+        # The refinement would drop both class-1 points; this once exited 2
+        # with "all same-class points excluded".
+        data = fix_files["dir"] / "greedy.csv"
+        data.write_text("1,1,0,2\n1,-2,-3,0\n4,-1,-2,-1\n4,-2,0,0\n4,1,-3,-2\n"
+                        "3,-1,0,2\n3,3,-3,-3\n2,2,-1,3\n2,-1,2,-1\n4,-3,3,-2\n")
+        queries = fix_files["dir"] / "greedy_q.csv"
+        queries.write_text("1,0,-2,3\n")
+        code = main(["attack", "--data", str(data), "--queries", str(queries),
+                     "--method", "qp-greedy", "--k", "5", "--output", fix_files["out"]])
+        assert code == 0
+        record = json.loads(Path(fix_files["out"]).read_text())["queries"][0]
+        assert record["kind"] == "upper_bound" and record["epsilon"] > 0.0
+
     def test_query_dimension_checked_before_prediction(self, fix_files, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "knn_predict", lambda *args, **kwargs: calls.append(args))
