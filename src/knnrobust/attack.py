@@ -21,14 +21,17 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (_BLOCK_ELEMENTS, DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq,
-                   knn_predict, knn_vote)
+from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq, knn_predict,
+                   knn_vote)
 from .errors import (CertificationError, InfeasibleSubproblemError, InsufficientPointsError,
                      SolverError)
 from .qp_solver import DualSolution, SolveStatus, SolverConfig, recover_primal, solve_dual_gca
 from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem
 
 DEFAULT_N_SCR = 8
+# Elements of one temporary block of target-row differences, about 2 MB: at
+# d=784 the window can hold thousands of targets.
+_BLOCK_ELEMENTS = 2 ** 18
 _SUBSET_BUDGET = 50
 _RAY_EXTENSION_CAP = 2.0 ** 20
 # Backstop on the line search's events; it ends after at most (K + 1) times
@@ -170,7 +173,11 @@ def _screen_bounds_sq(ds: Dataset, dist_sq: np.ndarray, scr_ids: np.ndarray,
     numbers ``_pair_prune`` compares, so ``incumbent_sq < bound`` is its
     verdict on those rows.  A target that coincides with one of them gets 0:
     ``_pair_prune`` proves nothing from a zero row.  The differences are
-    formed in blocks of about ``_BLOCK_ELEMENTS`` elements.
+    formed in blocks of about ``_BLOCK_ELEMENTS`` elements.  The numbers are
+    bit for bit those of one target's own rows, except under l2 with a single
+    row beyond d = 8192: numpy's einsum sums a lone row of more than 8192
+    entries in another order than a row of a larger block, so a bound may
+    then differ in its last place.
     """
     x_scr = ds.points[scr_ids]
     scr_sq = dist_sq[scr_ids]
@@ -259,9 +266,7 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
         return zero
     own = ds.labels == q.true_label
     same, others = np.flatnonzero(own), np.flatnonzero(~own)
-    # Only a cut needs the whole distance order; the loop below finds the
-    # nearest target and sorts its window itself.
-    if sort_candidates and candidate_limit is not None:
+    if sort_candidates:
         others = others[np.argsort(dist_sq[others], kind="stable")]
     others = others[:candidate_limit]
     norm_ord = {"l2": 2, "linf": np.inf, "l1": 1}[norm]
@@ -282,20 +287,15 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
         if eps_j < eps_best:
             eps_best, delta_best = eps_j, delta
 
-    # np.argmin takes the first of tied minima, as a stable sort does.
-    first = int(np.argmin(dist_sq[others])) if sort_candidates else 0
-    visit(others[first])
+    visit(others[0])
+    rest = others[1:]
     d1 = float(np.sqrt(np.min(dist_sq[same])))
     # ||.||_1 >= ||.||_2 >= sqrt(d) ||.||_inf, hence the max norm's sqrt(d).
     shrink = 2.0 * np.sqrt(ds.d) if norm == "linf" else 2.0
-    reach = (np.sqrt(dist_sq[others]) - d1) / shrink
+    reach = (np.sqrt(dist_sq[rest]) - d1) / shrink
     inside = reach <= eps_best
-    inside[first] = False
-    window, reach = others[inside], reach[inside]
-    stats.subproblems_screened += others.size - 1 - window.size
-    if sort_candidates:
-        order = np.argsort(dist_sq[window], kind="stable")
-        window, reach = window[order], reach[order]
+    window, reach = rest[inside], reach[inside]
+    stats.subproblems_screened += rest.size - window.size
     bounds = None
     if cfg.screening_enabled and window.size:
         bounds = _screen_bounds_sq(ds, dist_sq, _screening_rows(same, dist_sq, n_scr), window,

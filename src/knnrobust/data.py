@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import DataFormatError, InsufficientPointsError
 
-# Elements of one temporary block of differences (rows x d), about 2 MB:
-# the whole n x d difference matrix is never allocated at once.
-_BLOCK_ELEMENTS = 2 ** 18
-
 
 @dataclass(frozen=True)
 class TieRule:
@@ -89,26 +85,13 @@ class Dataset:
         """Squared Euclidean distances from ``z`` to every point.
 
         Computed from the differences directly rather than by expanding the
-        inner products, which keeps cancellation error small near ties.  The
-        differences are formed in row blocks of about ``_BLOCK_ELEMENTS``, in
-        one pass when they fit in one block; each row's sum is the one a
-        single pass makes, bit for bit.  No block has a single row, which
-        numpy's einsum sums in another order beyond 8192 entries.
+        inner products, which keeps cancellation error small near ties.
         """
         z = np.asarray(z, dtype=np.float64).ravel()
         if z.shape != (self.d,):
             raise ValueError(f"query has dimension {z.size}, dataset has d={self.d}")
-        if self.points.size <= _BLOCK_ELEMENTS:
-            diff = self.points - z
-            return np.einsum("ij,ij->i", diff, diff)
-        n, d = self.points.shape
-        rows = max(2, _BLOCK_ELEMENTS // d)
-        out = np.empty(n)
-        for lo in range(0, n - 1, rows):
-            hi = lo + rows if lo + rows < n - 1 else n
-            diff = self.points[lo:hi] - z
-            np.einsum("ij,ij->i", diff, diff, out=out[lo:hi])
-        return out
+        diff = self.points - z
+        return np.einsum("ij,ij->i", diff, diff)
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,27 @@ class TestBestFirstLoop:
                     if bound > 0.0:
                         assert screen_subproblem(ds, q, j, np.nextafter(bound, 0.0)) is True
 
+    @pytest.mark.parametrize("n_scr", [1, 2])
+    def test_block_bound_beyond_8192_entries(self, n_scr):
+        # numpy's einsum sums a lone row of more than 8192 entries in another
+        # order than a row of a larger block: with two rows per target every
+        # bound is still exact, with one only the last places may differ.
+        rng = np.random.default_rng(53)
+        ds = Dataset(rng.standard_normal((12, 9000)), np.arange(12) % 2 + 1)
+        dist_sq = ds.distances_sq(rng.standard_normal(9000))
+        scr = attack._screening_rows(ds.class_indices(1), dist_sq, n_scr)
+        targets = ds.class_indices(2)
+        bounds = attack._screen_bounds_sq(ds, dist_sq, scr, targets, "l2")
+        own = []
+        for j in targets:
+            a = ds.points[j] - ds.points[scr]
+            ratios = np.square(np.maximum(0.5 * (dist_sq[j] - dist_sq[scr]), 0.0))
+            own.append(np.max(ratios / np.einsum("ij,ij->i", a, a)))
+        if n_scr == 2:
+            np.testing.assert_array_equal(bounds, own)
+        else:
+            np.testing.assert_allclose(bounds, own, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("name", _ONE_NN_CALLS)
     def test_every_candidate_is_solved_or_screened(self, corpus, name):
         for ds, q, _ in corpus:

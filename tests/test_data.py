@@ -19,8 +19,6 @@ from knnrobust import (
     load_queries,
 )
 
-from knnrobust import data
-
 from helpers import knn_predict_reference
 
 
@@ -44,21 +42,6 @@ class TestDatasetInvariants:
     def test_query_dimension(self, fix_a):
         ds, q = fix_a
         assert q.z.shape == (ds.d,)
-
-
-class TestDistancesSq:
-    # Several row blocks at d=20 and at d=9000, where numpy's einsum sums a
-    # single row of more than 8192 entries in another order (n=59 ends on a
-    # two-row tail, not a one-row block); and 5 blocks under a tiny block size.
-    @pytest.mark.parametrize("n, d, block", [(30000, 20, None), (59, 9000, None), (10, 3, 6)])
-    def test_blocks_match_one_pass(self, monkeypatch, n, d, block):
-        if block is not None:
-            monkeypatch.setattr(data, "_BLOCK_ELEMENTS", block)
-        rng = np.random.default_rng(71)
-        ds = Dataset(rng.standard_normal((n, d)) * 10.0, np.arange(n) % 2 + 1)
-        z = rng.standard_normal(d)
-        diff = ds.points - z
-        np.testing.assert_array_equal(ds.distances_sq(z), np.einsum("ij,ij->i", diff, diff))
 
 
 class TestLoadCsv:
