@@ -10,6 +10,13 @@ identity Hessian: starting from ``delta = 0`` it adds the most violated row
 and drops an active row whose multiplier would turn negative, so every step
 keeps the multipliers dual feasible and ends on the exact optimal vertex.
 Only the Gram matrix of the active rows (at most d of them) is ever formed.
+
+The active set lives in buffers allocated once per solve: the active rows,
+their row ids and their multipliers, in join order.  A join writes the next
+slot and a drop shifts the tail down one slot, so the order is kept and no
+step gathers rows or resizes an array.  The final multipliers are solved
+from the active rows in that join order and only then ordered by row id;
+solving them in row-id order would change their last bits.
 """
 
 from __future__ import annotations
@@ -91,68 +98,80 @@ def solve_dual_gca(sp: Subproblem) -> DualSolution:
     zero first, that row is dropped and the move continues.  The exit bound
     has no unit, so scaling the data by s scales the solution by s.  If ``a_p`` lies in the span of the
     active rows and no active multiplier limits the move, the dual is
-    unbounded and the status is ``INFEASIBLE``.  The multipliers are finally
-    recomputed from the equality system of the active rows, which makes the
-    returned vertex exact up to rounding.
+    unbounded and the status is ``INFEASIBLE``.
+
+    The active rows, their row ids and their multipliers live in buffers
+    preallocated for at most ``min(m, d)`` rows, in join order: a join
+    writes the next slot and a drop shifts the tail down one slot.  The
+    multipliers are finally recomputed from the equality system of the
+    active rows, solved in join order, which makes the returned vertex
+    exact up to rounding; only then are they ordered by row id.
     """
     A = sp.rows
     b = sp.offsets
     exit_residual = -_EXIT_TOL * sp.offset_scale
     delta = np.zeros(sp.d)
-    active: list[int] = []
-    u = np.zeros(0)          # multipliers of the active rows
+    size = min(sp.m, sp.d)
+    rows = np.empty((size, sp.d))    # active rows, in join order
+    ids = np.empty(size, dtype=np.intp)
+    u = np.empty(size)               # multipliers of the active rows
+    q = 0                            # number of active rows
+    s = np.empty(sp.m)               # residual A delta + b
     steps = 0
     status = SolveStatus.CONVERGED
     while status is SolveStatus.CONVERGED:
-        s = A @ delta + b
-        s[active] = np.inf
-        p = int(np.argmin(s))
+        np.matmul(A, delta, out=s)
+        s += b
+        s[ids[:q]] = np.inf
+        p = int(s.argmin())
         if s[p] >= exit_residual:
             break
+        a_p = A[p]
         u_p = 0.0
         while True:
             if steps == _MAX_STEPS:
                 raise SolverError(f"dual active-set solver did not finish within {steps} steps")
-            if active:
-                N = A[active]
-                r = _gram_solve(N, N @ A[p])  # multiplier change per unit step
-                z = A[p] - N.T @ r            # primal direction
+            uq = u[:q]
+            if q:
+                N = rows[:q]
+                r = _gram_solve(N, N @ a_p)  # multiplier change per unit step
+                z = a_p - N.T @ r            # primal direction
             else:
-                r, z = u, A[p]
+                r, z = uq, a_p
             zz = float(z @ z)
-            blocking = np.flatnonzero(r > 0.0)
-            ratios = u[blocking] / r[blocking]
+            blocking = r > 0.0
             # d independent active rows span the space, whatever rounding left in z.
-            if len(active) == sp.d or zz <= _DEPENDENT_ROW * sp.row_norms_sq[p]:
-                if not blocking.size:
+            if q == sp.d or zz <= _DEPENDENT_ROW * sp.row_norms_sq[p]:
+                if not blocking.any():
                     status = SolveStatus.INFEASIBLE
                     break
                 t_full = np.inf
             else:
-                t_full = -float(A[p] @ delta + b[p]) / zz
+                t_full = -float(a_p @ delta + b[p]) / zz
             steps += 1
-            k = int(np.argmin(ratios)) if blocking.size else -1
+            ratios = np.divide(uq, r, out=np.full(q, np.inf), where=blocking)
+            k = int(ratios.argmin()) if q else -1
             t = t_full if k < 0 or t_full <= ratios[k] else float(ratios[k])
             delta += t * z
-            if not np.all(np.isfinite(delta)):
+            if not np.isfinite(delta).all():
                 raise SolverError("non-finite step in the dual active-set solver")
-            u = np.maximum(u - t * r, 0.0)
+            uq -= t * r
+            np.maximum(uq, 0.0, out=uq)
             u_p += t
             if t == t_full:
-                active.append(p)
-                u = np.append(u, u_p)
+                rows[q], ids[q], u[q] = a_p, p, u_p
+                q += 1
                 break
-            drop = int(blocking[k])
-            del active[drop]
-            u = np.delete(u, drop)
+            rows[k:q - 1], ids[k:q - 1], u[k:q - 1] = rows[k + 1:q], ids[k + 1:q], u[k + 1:q]
+            q -= 1
 
-    lam = np.zeros(sp.m)
-    if active:
-        lam[active] = _gram_solve(A[active], -b[active])
+    lam = _gram_solve(rows[:q], -b[ids[:q]]) if q else u[:0]
     if not np.all(np.isfinite(lam)):
         raise SolverError("non-finite multipliers in the dual active-set solver")
-    idx = np.flatnonzero(lam > 0.0)
-    vals = lam[idx]
+    order = np.argsort(ids[:q])
+    idx, lam = ids[order], lam[order]
+    keep = lam > 0.0
+    idx, vals = idx[keep], lam[keep]
     delta = A[idx].T @ vals
     return DualSolution(
         indices=idx, values=vals,

@@ -186,6 +186,12 @@ class TestScreenSubproblem:
         q = Query(np.array([0.0]), 1)
         assert screen_subproblem(ds, q, 1, incumbent_sq=1e-12) is False
 
+    def test_screening_rows_break_ties_at_the_cut_by_index(self):
+        dist_sq = np.array([9.0, 2.0, 4.0, 2.0, 4.0, 1.0, 4.0])
+        same = np.array([0, 2, 3, 4, 6])
+        np.testing.assert_array_equal(attack._screening_rows(same, dist_sq, 2), [3, 2])
+        np.testing.assert_array_equal(attack._screening_rows(same, dist_sq, 3), [3, 2, 4])
+
 
 _ONE_NN_CALLS = {
     "exact": lambda ds, q: exact_1nn(ds, q),

@@ -108,6 +108,86 @@ class TestDualActiveSet:
         assert infeasible >= 5 and feasible >= 50
 
 
+# Integer-grid K-NN systems: (points, labels, query, query label, targets,
+# excluded same-class points).  The rows and offsets are exact in float64.
+_GOLDEN_SYSTEMS = {
+    # 3 targets in d=4, m=18: 12 steps, 4 of them drops.
+    "knn_with_drops": (
+        [[-2, 1, 0, 1], [-4, 5, 5, -4], [5, -5, 1, 4], [5, 0, 2, -5], [-2, 4, 5, -2],
+         [-5, 2, 4, -2], [1, 2, 1, -5], [-4, -3, -3, 3], [-1, 4, 1, -4], [-3, 0, 3, -3]],
+        [3, 2, 3, 3, 1, 2, 2, 3, 3, 3], [0, 2, 4, 3], 3, [1, 5, 6], []),
+    # m=27, d=4: 16 steps; 4 of them start from d active rows (t_full = inf).
+    "full_active_set": (
+        [[5, -5, -3, -4], [-4, 1, 5, 2], [1, -1, -4, -4], [-3, -4, -1, -4], [4, 1, -1, 4],
+         [5, -1, 4, 0], [4, 5, 1, -5], [3, -5, 3, -2], [0, -2, 5, 4], [5, 0, -5, -4],
+         [-3, -3, 5, -3], [0, -2, 2, 2], [1, -3, 5, 3]],
+        [2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 2, 2, 1], [1, 2, 4, 5], 1, [0, 6, 10], []),
+    # m=24, d=4: infeasible after 14 steps, 5 of them drops.
+    "infeasible": (
+        [[-3, 2, 2, 1], [2, -3, 4, -3], [4, -4, 1, -3], [4, 3, 0, -5], [-3, -2, 1, 2],
+         [-5, 2, 1, 0], [4, 1, -1, 4], [0, -4, -4, 1], [3, 0, -1, -2], [3, -1, 5, -1],
+         [-3, 5, -1, 1], [4, 3, -5, 1], [-5, 3, 4, 0], [2, 0, -4, 4]],
+        [1, 2, 1, 2, 2, 2, 1, 2, 2, 3, 2, 1, 3, 2], [-2, 0, -5, 1], 2, [0, 2, 6], []),
+    # A K=5 system (3 targets, 2 same-class points excluded): 3 rows end
+    # active and one final multiplier is not positive, so it is dropped.
+    "degenerate_k5": (
+        [[-1, -1, -1, 5], [5, -5, 5, -1], [0, 5, -3, -4], [-4, 5, -4, 3], [-3, -2, 4, -1],
+         [-5, 5, -4, 4], [-2, -5, -4, 1], [2, 4, -1, -1], [-2, 0, 3, -4]],
+        [1, 3, 3, 3, 2, 1, 1, 1, 3], [-3, 3, 1, 0], 3, [0, 5, 6], [1, 2]),
+    # m=3 < d=4, with 2 drops.
+    "fewer_rows_than_d": (
+        [[2, 0, -4, 4], [-3, 4, 3, 1], [-4, 1, 0, -1], [-5, 1, -2, -2]],
+        [1, 1, 1, 2], [0, 2, 1, 4], 1, [3], []),
+}
+
+# Every DualSolution field (indices, values and objective as float.hex,
+# iterations, status, size), recorded from the list-based solver that the
+# preallocated buffers replaced.
+_GOLDEN_SOLUTIONS = {
+    "knn_with_drops": (
+        [8, 11, 16, 17],
+        ["0x1.a000000000012p+0", "0x1.02aaaaaaaaab1p+3", "0x1.740000000000bp+3",
+         "0x1.7555555555562p+1"],
+        "0x1.e600000000000p+4", 12, SolveStatus.CONVERGED, 18),
+    "full_active_set": (
+        [1, 2, 5, 23],
+        ["0x1.790dc4bee8105p+2", "0x1.97594ff600904p+2", "0x1.ac0d8811c136bp+1",
+         "0x1.a77a6896d43dbp+3"],
+        "0x1.9c34d3efb5e0dp+7", 16, SolveStatus.CONVERGED, 27),
+    "infeasible": (
+        [0, 10, 13, 15],
+        ["0x1.677f000058d46p+16", "0x1.9c53000065e20p+15", "0x1.5006800053079p+16",
+         "0x1.3de000004e8b8p+11"],
+        "0x1.c5881ffffff59p+18", 14, SolveStatus.INFEASIBLE, 24),
+    "degenerate_k5": (
+        [2, 4], ["0x1.9c28f5c28f5c3p+1", "0x1.70a3d70a3d70bp-2"],
+        "0x1.975c28f5c28f5p+3", 5, SolveStatus.CONVERGED, 6),
+    "fewer_rows_than_d": (
+        [2], ["0x1.2aaaaaaaaaaabp+1"], "0x1.0555555555556p+4", 5, SolveStatus.CONVERGED, 3),
+    "nonnegative_offsets": ([], [], "-0x0.0p+0", 0, SolveStatus.CONVERGED, 2),
+}
+
+
+def _golden_subproblem(name):
+    if name == "nonnegative_offsets":
+        return Subproblem(rows=np.array([[1.0, 0.0], [0.0, 2.0]]), offsets=np.array([0.5, 0.0]))
+    points, labels, z, label, targets, excluded = _GOLDEN_SYSTEMS[name]
+    ds = Dataset(np.array(points, dtype=np.float64), np.array(labels), max(labels))
+    return build_knn_subproblem(ds, Query(np.array(z, dtype=np.float64), label), targets,
+                                excluded)
+
+
+class TestGoldenSolutions:
+    @pytest.mark.parametrize("name", _GOLDEN_SOLUTIONS)
+    def test_every_field_bit_for_bit(self, name):
+        sol = solve_dual_gca(_golden_subproblem(name))
+        indices, values, objective, iterations, status, size = _GOLDEN_SOLUTIONS[name]
+        assert sol.indices.tolist() == indices
+        assert [float(v).hex() for v in sol.values] == values
+        assert float(sol.objective).hex() == objective
+        assert (sol.iterations, sol.status, sol.size) == (iterations, status, size)
+
+
 class TestRecoverPrimal:
     def test_fix_b(self, fix_b):
         sp = _fix_b_sp(fix_b)
