@@ -15,7 +15,13 @@ runs, and per end-to-end metric the median and quartiles,
 ``change_over_parent`` (the ratio of the medians) and the pairs won by the
 change.  ``runs[W]`` lists every run's metrics, ``attempted`` and order.  A
 metric's better direction is read from the change's ``BENCHMARK.json``.  An
-existing ``--out`` file keeps its other workloads.  Standard library only.
+existing ``--out`` file keeps its other workloads.
+
+A run that exits non-zero ends the script: ``--out`` then holds the runs
+completed before it in ``runs[W]`` and, in ``failures[W]``, the failed run's
+pair, side, exit code and last 20 lines of stderr, with no ``workloads[W]``
+summary.  The failure record is printed and the script exits 1.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -28,10 +34,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STDERR_LINES = 20  # of a failed run, kept in --out
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One perfbench run; returns the JSON object on its last output line."""
+    """One perfbench run; returns the JSON object on its last output line.
+
+    A run that exits non-zero raises ``subprocess.CalledProcessError``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
@@ -96,25 +105,41 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: [] for side in SIDES}
     records = []
+    failure = None
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for position, side in enumerate(order):
-            result = run_once(checkouts[side], args.workload, args.seed)
+            try:
+                result = run_once(checkouts[side], args.workload, args.seed)
+            except subprocess.CalledProcessError as err:
+                failure = {"pair": pair, "side": side, "exit code": err.returncode,
+                           "stderr": err.stderr.splitlines()[-STDERR_LINES:]}
+                break
             runs[side].append(result)
             records.append({"pair": pair, "side": side, "first": position == 0,
                             "attempted": result["attempted"], "failed": result["failed"],
                             "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
             print(f"pair {pair} {side}: attempted={result['attempted']} "
                   f"correct={result['correct']}", file=sys.stderr)
+        if failure:
+            break
 
     out = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     out.setdefault("description", (
         "perfbench end-to-end metrics (python3 perfbench/run.py --trace 0), parent and "
         "change run alternately on one machine; medians with quartiles over the runs"))
-    out.setdefault("workloads", {})[args.workload] = {
-        "seed": args.seed, **summarise(runs, _better(checkouts["change"]))}
     out.setdefault("runs", {})[args.workload] = records
+    if failure:
+        out.setdefault("workloads", {}).pop(args.workload, None)
+        out.setdefault("failures", {})[args.workload] = failure
+    else:
+        out.setdefault("workloads", {})[args.workload] = {
+            "seed": args.seed, **summarise(runs, _better(checkouts["change"]))}
+        out.get("failures", {}).pop(args.workload, None)
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    if failure:
+        print("run failed: " + json.dumps(failure, indent=1), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -479,37 +479,50 @@ def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule, dist_sq: np.ndarra
     or where other lines tie the pair's crossing so that the tie rule may
     choose another set, t is returned if ``is_adversarial`` holds at t*u;
     otherwise the walk goes on.
+
+    Only that crossing pass runs in numpy, into one buffer of crossing times
+    per direction.  The K member lines are Python floats (intercepts and
+    slopes) with their point ids, and the label counts Python ints, so the
+    rises, the tie window and the tie count are taken one member at a time.
+    A copy of the slopes holds +inf at the members, which keeps them out of
+    the pass by its ``rate > 0`` test alone.  The start set, the K nearest
+    points at t = 0, and its label counts are found once and copied into
+    each ``flip`` call.
     """
     diff = q.z - ds.points
-    n = ds.n
-    labels = ds.labels.tolist()
     true = q.true_label
     rivals = [c for c in range(ds.class_count + 1) if c != true]
+    start = np.argpartition(dist_sq, k - 1)[:k]
+    start_ids, start_levels = start.tolist(), dist_sq[start].tolist()
+    start_counts = np.bincount(ds.labels[start], minlength=ds.class_count + 1).tolist()
 
     def flip(u: np.ndarray, t_cap: float) -> float | None:
         slope, uu = 2.0 * (diff @ u), float(u @ u)
-        members = np.argpartition(dist_sq, k - 1)[:k]
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        counts = np.bincount(ds.labels[members], minlength=ds.class_count + 1).tolist()
-        a_in, s_in = dist_sq[members], slope[members]
-        top = int(np.argmax(a_in))
+        outer = slope.copy()
+        outer[start] = np.inf
+        times = np.empty(ds.n)
+        ids, levels, slopes = list(start_ids), list(start_levels), slope[start].tolist()
+        counts = list(start_counts)
+        top = max(range(k), key=levels.__getitem__)
         t = 0.0
         for _ in range(_MAX_EVENTS):
-            h = int(members[top])
-            a_h, s_h = a_in[top], s_in[top]
-            rate = s_h - slope
-            times = np.divide(dist_sq - a_h, rate, out=np.full(n, np.inf),
-                              where=(rate > 0.0) & outside)
+            h, a_h, s_h = ids[top], levels[top], slopes[top]
+            rate = s_h - outer
+            times.fill(np.inf)
+            np.divide(dist_sq - a_h, rate, out=times, where=rate > 0.0)
             o = int(np.argmin(times))
-            t_out = times[o]
-            if k > 1:
-                rate = s_in - s_h
-                rise = np.divide(a_h - a_in, rate, out=np.full(k, np.inf), where=rate > 0.0)
-                r = int(np.argmin(rise))
-                if rise[r] <= t_out and rise[r] < np.inf:
-                    top, t = r, max(t, float(rise[r]))
-                    continue
+            t_out = float(times[o])
+            # The first member line to rise above the top, the first index on a tie.
+            r, t_rise = top, np.inf
+            for i in range(k):
+                climb = slopes[i] - s_h
+                if climb > 0.0:
+                    rise = (a_h - levels[i]) / climb
+                    if rise < t_rise:
+                        r, t_rise = i, rise
+            if t_rise <= t_out and t_rise < np.inf:
+                top, t = r, max(t, t_rise)
+                continue
             if t_out == np.inf:
                 return None
             gap = ds.points[h] - ds.points[o]
@@ -517,19 +530,18 @@ def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule, dist_sq: np.ndarra
             if rate_exact > 0.0:
                 t = max(t, float(gap @ (diff[h] + diff[o])) / rate_exact)
             else:
-                t = max(t, float(t_out))
+                t = max(t, t_out)
             if t > t_cap:
                 return None
             # Other lines at the pair's crossing: a second outside line, or a
             # member level with the top there.
-            level = a_in + t * s_in
-            window = _EVENT_TIE_TOL * (abs(a_h) + t * abs(s_h) + t * t * uu)
+            floor = (a_h + t * s_h) - _EVENT_TIE_TOL * (abs(a_h) + t * abs(s_h) + t * t * uu)
             tied = (np.count_nonzero(times <= t_out * (1.0 + _EVENT_TIE_TOL)) > 1
-                    or np.count_nonzero(level >= level[top] - window) > 1)
-            members[top], a_in[top], s_in[top] = o, dist_sq[o], slope[o]
-            outside[h], outside[o] = True, False
-            counts[labels[h]] -= 1
-            counts[labels[o]] += 1
+                    or sum(levels[i] + t * slopes[i] >= floor for i in range(k)) > 1)
+            ids[top], levels[top], slopes[top] = o, float(dist_sq[o]), float(slope[o])
+            outer[h], outer[o] = slope[h], np.inf
+            counts[int(ds.labels[h])] -= 1
+            counts[int(ds.labels[o])] += 1
             own = counts[true] if 0 <= true < len(counts) else 0
             flips = max(counts[c] for c in rivals) >= own
             if (flips or tied) and t > 0.0 and is_adversarial(ds, q, t * u, k, tie):

@@ -10,6 +10,7 @@ cancellation error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,10 +58,11 @@ class Subproblem:
     def d(self) -> int:
         return self.rows.shape[1]
 
-    @property
+    @cached_property
     def offset_scale(self) -> float:
         """``||b||_inf``, the unit of every residual tolerance: like the
-        residuals, it scales by s^2 when the data and the query scale by s."""
+        residuals, it scales by s^2 when the data and the query scale by s.
+        Computed on first read; a carved system computes its own."""
         return float(np.max(np.abs(self.offsets)))
 
     def residual(self, delta: np.ndarray) -> np.ndarray:

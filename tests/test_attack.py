@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from knnrobust import (
     Dataset,
     DualSolution,
     InsufficientPointsError,
+    KnnRobustError,
     Query,
     SolveStatus,
     SolverConfig,
@@ -606,6 +610,96 @@ class TestLineSearchWalk:
         assert self._flip(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12, abs=0.0)
         assert ray_flip_reference(ds, q, 1, u, 1.0) == pytest.approx(0.025, rel=1e-12, abs=0.0)
         assert line_flip_reference(ds, q, 1, u) == pytest.approx(0.7, abs=1e-8)
+
+
+# The first flips and baseline epsilons pinned by the golden walk test, as
+# float.hex strings, None (no flip within the cap) or a raised error's type
+# name.  Recorded from the walk that kept the K member lines in numpy arrays;
+# a walk that reads the same float64 values must reproduce every one.
+_GOLDEN_WALKS = Path(__file__).with_name("golden_walks.json")
+
+
+def _golden_value(t):
+    return None if t is None else float(t).hex()
+
+
+def _golden_epsilon(search):
+    try:
+        return float(search().epsilon).hex()
+    except KnnRobustError as err:
+        return type(err).__name__
+
+
+def _walk_sequence(ds, q, k, directions):
+    """Walk ``(u, t_cap)`` pairs through one ``flip`` closure, in order.  The
+    first direction is walked again capped at half its flip, which must end in
+    None."""
+    flip = attack._line_search(ds, q, k, DEFAULT_TIE_RULE, ds.distances_sq(q.z))
+    walked = [flip(u, t_cap) for u, t_cap in directions]
+    if walked[0] is not None:
+        walked.append(flip(directions[0][0], 0.5 * walked[0]))
+    return [_golden_value(t) for t in walked]
+
+
+def _gaussian_walk_set():
+    """Two classes of 100 points in d=20, means 2.5 apart, and eight queries."""
+    rng = np.random.default_rng(2021)
+    labels = np.repeat([1, 2], 100)
+    centres = np.zeros((2, 20))
+    centres[1, 0] = 2.5
+    ds = Dataset(centres[labels - 1] + rng.standard_normal((200, 20)), labels)
+    queries = [Query(centres[c - 1] + rng.standard_normal(20), c)
+               for c in rng.integers(1, 3, size=8)]
+    return ds, queries
+
+
+def golden_walks(corpus):
+    """Every value the golden walk test pins, keyed by instance and K.
+
+    Corpus instances walk at every K they allow: the mean direction with the
+    ray-length cap, then the naive-3 directions capped at 1.  They walk again
+    scaled by 0.3, where the grid's exact ties become near ties, which only
+    the tie windows and the first-index rule decide.  Queries of the
+    Gaussian set walk at K = 1, 5 and 9 through one closure: the mean
+    direction, the ten naive-10 directions capped at 1, then three random
+    directions with the ray-length cap.  Each instance also pins
+    ``mean_attack`` and ``naive_attack(tries=10)``.
+    """
+    cap = attack._RAY_EXTENSION_CAP
+    instances = [(f"corpus/{i}", ds, q, ks, 3) for i, (ds, q, ks) in enumerate(corpus)]
+    instances += [(f"corpus*0.3/{i}", Dataset(0.3 * ds.points, ds.labels, ds.class_count),
+                   Query(0.3 * q.z, q.true_label), ks, 3) for i, (ds, q, ks) in enumerate(corpus)]
+    ds, queries = _gaussian_walk_set()
+    instances += [(f"gauss/{i}", ds, q, (1, 5, 9), 10) for i, q in enumerate(queries)]
+    out = {}
+    for name, ds, q, ks, tries in instances:
+        for k in ks:
+            if knn_predict(ds, q.z, k, true_label=q.true_label) != q.true_label:
+                continue
+            directions = [(_mean_direction(ds, q), cap)]
+            directions += [(u, 1.0) for u in _naive_directions(ds, q, k, tries)]
+            if tries == 10:
+                rng = np.random.default_rng(k)
+                directions += [(rng.standard_normal(ds.d), cap) for _ in range(3)]
+            out[f"{name}/k{k}"] = {
+                "walks": _walk_sequence(ds, q, k, directions),
+                "mean": _golden_epsilon(lambda: mean_attack(ds, q, k)),
+                "naive10": _golden_epsilon(lambda: naive_attack(ds, q, k, 10)),
+            }
+    return out
+
+
+def test_golden_walks(corpus):
+    expected = json.loads(_GOLDEN_WALKS.read_text(encoding="utf-8"))
+    got = golden_walks(corpus)
+    assert sorted(got) == sorted(expected)
+    mismatched = [key for key in expected if got[key] != expected[key]]
+    assert not mismatched, (f"{len(mismatched)} of {len(expected)} instances differ, first "
+                            f"{mismatched[0]}: {got[mismatched[0]]} != {expected[mismatched[0]]}")
+    # Among the pinned walks, caps end in None; the recording walk also took
+    # 12,443 rises above the top and 257 swaps that other lines tied.
+    walks = [t for entry in expected.values() for t in entry["walks"]]
+    assert walks.count(None) > 2000 and len(walks) > 7800
 
 
 class TestIsAdversarial:

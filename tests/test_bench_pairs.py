@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,38 @@ def test_summary_reports_an_incorrect_run_and_rejects_unpaired_sides():
     assert block["pairs won by change"]["table.refs_per_query"] == 0
     with pytest.raises(ValueError):
         bench_pairs.summarise({"parent": runs["parent"], "change": []}, _BETTER)
+
+
+_OK_RUN = """import json
+print(json.dumps({"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {"table.refs_per_query": {"value": 2.0, "unit": "ref"}}}))
+"""
+_FAILING_RUN = """import sys
+for i in range(30):
+    print(f"line {i}", file=sys.stderr)
+sys.exit(3)
+"""
+
+
+def _checkout(root, script):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(script, encoding="utf-8")
+    return root
+
+
+def test_failed_run_keeps_the_completed_runs(tmp_path, capsys):
+    # Pair 1 runs the parent first, then the change, whose run exits 3.
+    parent = _checkout(tmp_path / "parent", _OK_RUN)
+    change = _checkout(tmp_path / "change", _FAILING_RUN)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "3",
+                             "--out", str(out)])
+    assert code == 1
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert [(r["pair"], r["side"]) for r in written["runs"]["w"]] == [(1, "parent")]
+    assert written["runs"]["w"][0]["metrics"] == {"table.refs_per_query": 2.0}
+    failure = {"pair": 1, "side": "change", "exit code": 3,
+               "stderr": [f"line {i}" for i in range(10, 30)]}
+    assert written["failures"]["w"] == failure
+    assert "w" not in written["workloads"]
+    assert '"exit code": 3' in capsys.readouterr().err

@@ -7,6 +7,7 @@ from knnrobust import (
     Dataset,
     DegeneratePairError,
     Query,
+    Subproblem,
     build_1nn_subproblem,
     build_knn_subproblem,
     pair_bound,
@@ -136,6 +137,23 @@ class TestBuildKnn:
             sp.without_sources([0, 1])
         with pytest.raises(ValueError, match="constraint set is empty"):
             build_knn_subproblem(ds, q, [2, 3], excluded=[0, 1])
+
+    def test_offset_scale_is_the_largest_offset(self, fix_c):
+        # Offsets (d_i^2 - d_j^2)/2 with d^2 = 0.25, 1 (sources) and 4, 9
+        # (targets): the largest |b| is 4.375, on source 0 and target 3.
+        ds, q = fix_c
+        built = build_knn_subproblem(ds, q, [2, 3])
+        assert built.offset_scale == 4.375
+        assert vars(built)["offset_scale"] == 4.375  # kept after the first read
+        carved = built.without_sources([0])
+        assert carved.offset_scale == 4.0 == float(np.max(np.abs(carved.offsets)))
+        assert built.offset_scale == 4.375
+        hand = Subproblem(np.array([[1.0], [2.0]]), np.array([0.5, -3.0]))
+        assert hand.offset_scale == 3.0
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            sp = Subproblem(rng.normal(size=(7, 3)), rng.normal(size=7))
+            assert sp.offset_scale == float(np.max(np.abs(sp.offsets)))
 
 
 @pytest.mark.parametrize("build", [
