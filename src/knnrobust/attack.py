@@ -21,10 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq, knn_predict,
-                   knn_vote)
-from .errors import (CertificationError, InfeasibleSubproblemError, InsufficientPointsError,
-                     SolverError)
+from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, check_k, finite_distances_sq,
+                   knn_predict, knn_vote, stable_order)
+from .errors import CertificationError, InfeasibleSubproblemError, SolverError
 from .qp_solver import DualSolution, SolveStatus, SolverConfig, recover_primal, solve_dual_gca
 from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem
 
@@ -96,13 +95,13 @@ def _begin(ds: Dataset, q: Query, k: int, method: str
     the zero certificate if the query is misclassified.
 
     This is each attack's one distance pass: the vote is ``knn_vote`` on it,
-    and the caller reuses it.  Raises ``InsufficientPointsError`` when K > n
-    and ``DataFormatError`` when a squared distance overflows.
+    and the caller reuses it.  Raises ``ValueError`` unless K is an odd
+    integer >= 1, ``InsufficientPointsError`` when K > n and
+    ``DataFormatError`` when a squared distance overflows.
     """
     stats = AttackStats()
     start = time.perf_counter()
-    if k > ds.n:
-        raise InsufficientPointsError(f"K={k} exceeds dataset size n={ds.n}")
+    check_k(ds, k)
     dist_sq = finite_distances_sq(ds, q.z)
     if knn_vote(ds, dist_sq, k, q.true_label) == q.true_label:
         return stats, start, dist_sq, None
@@ -161,7 +160,7 @@ def _check_n_scr(n_scr: int) -> None:
 
 def _screening_rows(same: np.ndarray, dist_sq: np.ndarray, n_scr: int) -> np.ndarray:
     """The ``n_scr`` points of ``same`` nearest the query, ties by index."""
-    return same[np.argsort(dist_sq[same], kind="stable")[:n_scr]]
+    return same[stable_order(dist_sq[same])[:n_scr]]
 
 
 def _screen_bounds_sq(ds: Dataset, dist_sq: np.ndarray, scr_ids: np.ndarray,
@@ -264,10 +263,9 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
     stats, start, dist_sq, zero = _begin(ds, q, 1, method)
     if zero is not None:
         return zero
-    own = ds.labels == q.true_label
-    same, others = np.flatnonzero(own), np.flatnonzero(~own)
+    same, others = ds.split(q.true_label)
     if sort_candidates:
-        others = others[np.argsort(dist_sq[others], kind="stable")]
+        others = others[stable_order(dist_sq[others])]
     others = others[:candidate_limit]
     norm_ord = {"l2": 2, "linf": np.inf, "l1": 1}[norm]
     eps_best = np.inf
@@ -301,7 +299,7 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
         bounds = _screen_bounds_sq(ds, dist_sq, _screening_rows(same, dist_sq, n_scr), window,
                                    norm)
         if sort_candidates:
-            order = np.argsort(bounds, kind="stable")
+            order = stable_order(bounds)
             window, reach, bounds = window[order], reach[order], bounds[order]
     for pos, j in enumerate(window):
         if bounds is not None and eps_best * eps_best < bounds[pos]:
@@ -389,15 +387,13 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     ``cfg`` has no effect: every subset QP is solved whole, and the
     parameter stays for callers that pass it by position.
     """
-    if k % 2 == 0:
-        raise ValueError(f"K must be odd, got {k}")
     stats, start, dist_sq, zero = _begin(ds, q, k, "qp-greedy")
     if zero is not None:
         return zero
 
     k_minus = (k + 1) // 2
     k_plus = (k - 1) // 2
-    n_same = int(np.count_nonzero(ds.labels == q.true_label))
+    n_same = ds.class_indices(q.true_label).size
     # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
 
@@ -405,7 +401,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     for label in range(1, ds.class_count + 1):
         if label != q.true_label:
             ids = ds.class_indices(label)
-            ids = ids[np.argsort(dist_sq[ids], kind="stable")]
+            ids = ids[stable_order(dist_sq[ids])]
             streams.append(_subset_candidates(ids, np.sqrt(dist_sq[ids]), k_minus))
 
     def key(sub):
@@ -563,15 +559,13 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
-    if k % 2 == 0:
-        raise ValueError(f"K must be odd, got {k}")
     stats, start, dist_sq, zero = _begin(ds, q, k, f"naive-{tries}")
     if zero is not None:
         return zero
 
     flip = _line_search(ds, q, k, tie, dist_sq)
-    others = np.flatnonzero(ds.labels != q.true_label)
-    others = others[np.argsort(dist_sq[others], kind="stable")]
+    others = ds.split(q.true_label)[1]
+    others = others[stable_order(dist_sq[others])]
     k_minus = (k + 1) // 2
 
     best_delta = None
@@ -585,7 +579,7 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
                 continue
             spread = ds.points[mates] - ds.points[seed]
             gaps = np.einsum("ij,ij->i", spread, spread)
-            cluster = mates[np.argsort(gaps, kind="stable")[:k_minus]]
+            cluster = mates[stable_order(gaps)[:k_minus]]
             target = ds.points[cluster].mean(axis=0)
         direction = target - q.z
         if not np.any(direction):
@@ -615,8 +609,6 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     target than the nearest other-class point, so it bounds ``exact_1nn``
     but is not ordered against ``qp_top_m``.
     """
-    if k % 2 == 0:
-        raise ValueError(f"K must be odd, got {k}")
     stats, start, dist_sq, zero = _begin(ds, q, k, "mean")
     if zero is not None:
         return zero

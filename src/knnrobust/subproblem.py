@@ -135,10 +135,9 @@ def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=(), *,
     for i in excluded:
         if int(ds.labels[i]) != q.true_label:
             raise ValueError(f"excluded index {i} is not a same-class point")
-    keep = ds.labels == q.true_label
+    source_ids = ds.class_indices(q.true_label)
     if excluded:
-        keep[list(excluded)] = False
-    source_ids = np.flatnonzero(keep)
+        source_ids = np.setdiff1d(source_ids, excluded)
     if source_ids.size == 0:
         raise ValueError("all same-class points excluded; constraint set is empty")
     return _build(ds, q.z, source_ids, s_minus, dist_sq)

@@ -23,7 +23,8 @@ import numpy as np
 # knn_predict is not called here, but it stays bound as verify.knn_predict:
 # the benchmark's tracer rebinds that name.
 from .data import knn_predict  # noqa: F401
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, finite_distances_sq, knn_vote
+from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, check_k, finite_distances_sq,
+                   knn_vote, stable_order)
 from .errors import DegeneratePairError, InsufficientPointsError
 
 # Targets in the first block of the sorted walk; each later block is twice
@@ -62,11 +63,17 @@ def _pair_bound_block(ds: Dataset, z: np.ndarray, rows: np.ndarray, rows_sq: np.
     A pair with ``d_i >= d_j`` has bound 0 whatever its distance, so only
     pairs with ``d_i < d_j`` are evaluated, and a zero distance there raises
     ``DegeneratePairError``.
+
+    The squared norms are read from ``ds.norms_sq``, one einsum over all the
+    points, which sums each row as an einsum over these rows alone would,
+    except beyond d = 8192 for a block of one row or one target: numpy's
+    einsum sums a lone row of that length in another order, so such a bound
+    may then differ in its last bit.
     """
     xs = ds.points[rows]
     xb = ds.points[block]
-    rows_norm = np.einsum("ij,ij->i", xs, xs)
-    block_norm = np.einsum("ij,ij->i", xb, xb)
+    rows_norm = ds.norms_sq[rows]
+    block_norm = ds.norms_sq[block]
     cross = rows_norm[:, None] + block_norm[None, :] - 2.0 * (xs @ xb.T)
     numer = np.maximum(block_sq[None, :] - rows_sq[:, None], 0.0)
     # The block-wide test is cheap and almost always clears every pair; a
@@ -107,15 +114,12 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
     ``0.delta + 0 >= 0`` and pair bound 0, which keeps the bound sound; with
     ``d_i = d_j`` that pair is never evaluated.
     """
-    if k % 2 == 0:
-        raise ValueError(f"K must be odd, got {k}")
+    check_k(ds, k)
     order = (k + 1) // 2
     dist_sq = finite_distances_sq(ds, q.z)
     # Both classes nearest first, ties by index: the walk and the row cut
     # read prefixes and searchsorted positions of these orders.
-    by_dist = np.argsort(dist_sq, kind="stable")
-    own = ds.labels[by_dist] == q.true_label
-    same, others = by_dist[own], by_dist[~own]
+    same, others = (ids[stable_order(dist_sq[ids])] for ids in ds.split(q.true_label))
     if same.size < order:
         raise InsufficientPointsError(
             f"need at least {order} points of class {q.true_label}, have {same.size}"
@@ -130,7 +134,7 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
     same_sq = dist_sq[same]
     others_sq = dist_sq[others]
     d_vals = np.empty(others.size)
-    kth_i = np.empty(others.size, dtype=np.int64)
+    blocks = []     # (first target, rows, pair bounds) of each block
     done = pairs = 0
     size = _FIRST_BLOCK
     end = min(size, others.size)
@@ -142,9 +146,8 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
         rows = same[:near]
         c = _pair_bound_block(ds, q.z, rows, same_sq[:near], block, others_sq[done:end])
         pairs += c.size
-        part = np.argpartition(c, rows.size - order, axis=0)[rows.size - order]
-        d_vals[done:end] = c[part, np.arange(block.size)]
-        kth_i[done:end] = rows[part]
+        d_vals[done:end] = np.partition(c, rows.size - order, axis=0)[rows.size - order]
+        blocks.append((done, rows, c))
         done = end
         size *= 2
         end = min(done + size, others.size)
@@ -159,7 +162,12 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
 
     j_pos = int(np.argpartition(d_vals[:done], order - 1)[order - 1])
     epsilon = float(d_vals[j_pos])
-    binding = (int(kth_i[j_pos]), int(others[j_pos]))
+    # The binding row is the order statistic's position in the binding
+    # target's column, the one argpartition along axis 0 would have taken.
+    first, rows, c = next(b for b in reversed(blocks) if b[0] <= j_pos)
+    column = c[:, j_pos - first]
+    i_pos = int(np.argpartition(column, rows.size - order)[rows.size - order])
+    binding = (int(rows[i_pos]), int(others[j_pos]))
     return VerificationResult(epsilon, binding, order, pair_bounds=pairs)
 
 

@@ -17,7 +17,12 @@ from knnrobust import (
     knn_predict,
     load_csv,
     load_queries,
+    mean_attack,
+    naive_attack,
+    qp_greedy_knn,
+    verify_knn,
 )
+from knnrobust.data import stable_order
 
 from helpers import knn_predict_reference
 
@@ -251,6 +256,69 @@ class TestKNearest:
     def test_equal_distance_index_tiebreak(self):
         ds = Dataset(np.array([[1.0], [-1.0], [2.0]]), np.array([1, 2, 1]))
         np.testing.assert_array_equal(k_nearest(ds, np.array([0.0]), 2), [0, 1])
+
+
+def _tied_arrays(rng, size):
+    """Arrays of ``size`` values with exact ties, signed zeros, infinities,
+    NaN, and near ties of 1 plus or minus a few ulps."""
+    ulps = np.nextafter(1.0, 2.0) - 1.0
+    pools = [
+        rng.integers(0, max(1, size // 3), size).astype(np.float64),
+        rng.choice([0.0, -0.0, 1.0, -1.0], size),
+        rng.choice([np.inf, -np.inf, 0.5, 2.0], size),
+        rng.choice([np.nan, 0.5, 2.0], size),
+        1.0 + ulps * rng.integers(-4, 5, size),
+        1.0 + ulps * (rng.permutation(size) - size // 2),
+        np.where(rng.random(size) < 0.5, rng.standard_normal(size), 1.0),
+        rng.standard_normal(size),
+    ]
+    return pools + [p[::-1].copy() for p in pools]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 199, 200, 201, 2000])
+def test_stable_order_matches_stable_argsort(size):
+    rng = np.random.default_rng(size)
+    for values in _tied_arrays(rng, size):
+        np.testing.assert_array_equal(stable_order(values),
+                                      np.argsort(values, kind="stable"))
+
+
+class TestDatasetCaches:
+    def test_split_and_norms(self, fix_c):
+        ds, _ = fix_c
+        same, others = ds.split(1)
+        np.testing.assert_array_equal(same, [0, 1])
+        np.testing.assert_array_equal(others, [2, 3, 4])
+        assert ds.split(1)[0] is same and ds.class_indices(1) is same
+        np.testing.assert_array_equal(ds.norms_sq, [0.25, 1.0, 4.0, 9.0, 16.0])
+        for a in (same, others, ds.norms_sq):
+            with pytest.raises(ValueError):
+                a[0] = 7
+
+    def test_filled_on_first_use_only(self):
+        ds = Dataset(np.array([[0.0], [1.0], [3.0]]), np.array([1, 2, 2]))
+        assert "_splits" not in vars(ds) and "norms_sq" not in vars(ds)
+        knn_predict(ds, np.array([0.2]), 1)
+        assert "_splits" not in vars(ds) and "norms_sq" not in vars(ds)
+        verify_knn(ds, Query(np.array([0.2]), 1), 1)
+        assert "_splits" in vars(ds) and "norms_sq" in vars(ds)
+
+
+_K_ENTRY_POINTS = {
+    "knn_predict": lambda ds, q, k: knn_predict(ds, q.z, k),
+    "verify_knn": lambda ds, q, k: verify_knn(ds, q, k),
+    "qp_greedy_knn": lambda ds, q, k: qp_greedy_knn(ds, q, k),
+    "naive_attack": lambda ds, q, k: naive_attack(ds, q, k),
+    "mean_attack": lambda ds, q, k: mean_attack(ds, q, k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_K_ENTRY_POINTS))
+@pytest.mark.parametrize("k", [-3, -1, 0, 2, 1.0])
+def test_k_must_be_an_odd_integer_at_least_one(fix_c, name, k):
+    ds, q = fix_c
+    with pytest.raises(ValueError, match="K must be an odd integer >= 1"):
+        _K_ENTRY_POINTS[name](ds, q, k)
 
 
 class TestClassMeans:

@@ -151,6 +151,23 @@ class TestVerifyKnn:
         assert checked >= 20
         assert stopped > 0.8 * checked
 
+    def test_one_row_blocks_beyond_d_8192(self):
+        # One same-class row per block, d = 9000: the row norm comes from
+        # Dataset.norms_sq, summed with every other row, which beyond
+        # d = 8192 may differ in its last bit from a lone row's einsum
+        # (see _pair_bound_block).  The bound stays the reference's.
+        rng = np.random.default_rng(9000)
+        labels = np.array([1, 2, 2, 2, 2])
+        ds = Dataset(rng.standard_normal((5, 9000)) + 0.05 * labels[:, None], labels)
+        q = Query(ds.points[0] + 0.3 * rng.standard_normal(9000), 1)
+        np.testing.assert_array_equal(ds.norms_sq, np.einsum("ij,ij->i", ds.points, ds.points))
+        res = verify_knn(ds, q, 1)
+        assert not res.misclassified and res.binding_pair[0] == 0
+        ref = knn_pair_bound_reference(ds, q, 1, 1)
+        assert res.epsilon_lower == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert pair_bound(ds, q.z, *res.binding_pair) == pytest.approx(
+            res.epsilon_lower, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("extra", [[], [[9.0, 0.0]]], ids=["last-target", "mid-block"])
     def test_cross_class_duplicate_has_zero_pair_bound(self, extra):
         # Points 2 and 4 coincide across classes.  Their row 0.delta + 0 >= 0
