@@ -16,10 +16,11 @@ K that the input allows, and the exact ablations at K=1 (unsorted, with
 
 Per call the record holds the epsilon as ``float.hex``, the SHA-1 of the
 perturbation's bytes, the stats counts (built, solved, screened, solver
-steps), the verifier's binding pair and pair count, or the type of the error
-raised.  The script prints, per method, the calls compared and those that
-differ, then the first differences, and exits 1 on any difference.  BLAS
-runs on one thread, as in perfbench.  Standard library and numpy only.
+steps), the verifier's binding pair and pair count, or the type of the
+library error raised.  The script prints, per method, the calls compared and
+those that differ, then the first differences, and exits 1 on any
+difference, 2 when a recording subprocess fails.  BLAS runs on one thread,
+as in perfbench.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ def _certificate_record(cert) -> dict:
 
 
 def _run(method: str, ds, q, k: int) -> dict:
-    """One call's record; an exception is recorded by its type name."""
-    from knnrobust import (SolverConfig, exact_1nn, exact_1nn_lp, mean_attack, naive_attack,
-                           qp_greedy_knn, qp_top_m, verify_knn)
+    """One call's record; a library error is recorded by its type name.
+
+    Any other exception ends the recording subprocess with its traceback."""
+    from knnrobust import (KnnRobustError, SolverConfig, exact_1nn, exact_1nn_lp, mean_attack,
+                           naive_attack, qp_greedy_knn, qp_top_m, verify_knn)
     try:
         if method == "verifier":
             res = verify_knn(ds, q, k)
@@ -78,7 +81,7 @@ def _run(method: str, ds, q, k: int) -> dict:
             cert = mean_attack(ds, q, k)
         else:
             raise ValueError(f"unknown method {method!r}")
-    except Exception as err:   # noqa: BLE001 - a raise is an outcome to compare
+    except KnnRobustError as err:
         return {"error": type(err).__name__}
     return _certificate_record(cert)
 
@@ -158,14 +161,13 @@ def main(argv=None) -> int:
     if args.parent is None or args.change is None:
         parser.error("PARENT and CHANGE are required")
 
-    sides = [_record_in_subprocess(p.resolve()) for p in (args.parent, args.change)]
-    records = []
-    for path, proc in zip((args.parent, args.change), sides):
-        stdout, _ = proc.communicate()
+    procs = [_record_in_subprocess(p.resolve()) for p in (args.parent, args.change)]
+    outputs = [proc.communicate()[0] for proc in procs]
+    for path, proc in zip((args.parent, args.change), procs):
         if proc.returncode:
             print(f"recording {path} failed with exit code {proc.returncode}", file=sys.stderr)
             return 2
-        records.append(json.loads(stdout))
+    records = [json.loads(out) for out in outputs]
     counts, lines = compare(*records)
     width = max(map(len, counts))
     for method, (compared, differing) in sorted(counts.items()):

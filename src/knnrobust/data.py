@@ -248,7 +248,7 @@ _CHECKED_SORT_MIN = 200
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")`` for a 1-D array, bit for bit.
+    """``np.argsort(values, kind="stable")`` for a 1-D ndarray, bit for bit.
 
     Numpy's default sort is faster than its stable one on random data, and
     the two orders agree unless equal values meet.  So from
@@ -257,7 +257,6 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     values, +0.0 against -0.0, infinities or NaN).  Below that size the
     stable sort runs directly.
     """
-    values = np.asarray(values)
     if values.size < _CHECKED_SORT_MIN:
         return np.argsort(values, kind="stable")
     order = np.argsort(values)
