@@ -14,8 +14,9 @@ whether every run was correct, the failed and attempted checks summed over the
 runs, and per end-to-end metric the median and quartiles,
 ``change_over_parent`` (the ratio of the medians) and the pairs won by the
 change.  ``runs[W]`` lists every run's metrics, ``attempted`` and order.  A
-metric's better direction is read from the change's ``BENCHMARK.json``.  An
-existing ``--out`` file keeps its other workloads.
+metric's better direction is read from the change's ``BENCHMARK.json``
+before the first run; a change checkout without that file ends the script at
+once (exit 2).  An existing ``--out`` file keeps its other workloads.
 
 A run that exits non-zero ends the script: ``--out`` then holds the runs
 completed before it in ``runs[W]`` and, in ``failures[W]``, the failed run's
@@ -103,6 +104,9 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if not (checkouts["change"] / "BENCHMARK.json").is_file():
+        parser.error(f"{checkouts['change']} has no BENCHMARK.json")
+    better = _better(checkouts["change"])
     runs = {side: [] for side in SIDES}
     records = []
     failure = None
@@ -134,7 +138,7 @@ def main(argv=None) -> int:
         out.setdefault("failures", {})[args.workload] = failure
     else:
         out.setdefault("workloads", {})[args.workload] = {
-            "seed": args.seed, **summarise(runs, _better(checkouts["change"]))}
+            "seed": args.seed, **summarise(runs, better)}
         out.get("failures", {}).pop(args.workload, None)
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     if failure:

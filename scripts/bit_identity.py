@@ -8,17 +8,21 @@ Each checkout runs in its own subprocess (this script with ``--record``),
 which imports ``knnrobust`` from the checkout's ``src``, the acceptance
 corpus from its ``tests/helpers.py`` and the workloads from its
 ``perfbench/workloads.py``.  The inputs are the corpus, the corpus scaled by
-0.3 (where exact distance ties become near ties), and the first 40 queries
-of every dataset of both perfbench workloads at seeds 0 and 1, generated in
-memory.  Each input runs every method of the perfbench method table at every
-K that the input allows, and the exact ablations at K=1 (unsorted, with
-``n_scr=1`` and without screening).
+0.3 (where exact distance ties become near ties), tie-heavy integer grids
+of 450 to 800 points (each class large enough that ``data.stable_order``
+checks its sorts for ties, and most distances shared), and the first 40
+queries of every dataset of both perfbench workloads at seeds 0 and 1,
+generated in memory.  Each input runs every method of the perfbench method
+table at every K that the input allows, and the exact ablations at K=1
+(unsorted, with ``n_scr=1`` and without screening).
 
 Per call the record holds the epsilon as ``float.hex``, the SHA-1 of the
 perturbation's bytes, the stats counts (built, solved, screened, solver
 steps), the verifier's binding pair and pair count, or the type of the
-library error raised.  The script prints, per method, the calls compared and
-those that differ, then the first differences, and exits 1 on any
+library error raised.  The script prints, per method, the calls compared,
+those that differ, the largest relative difference of an epsilon recorded
+on both sides, and the calls whose raised error changed (an error on one
+side only, or another type); then the first differences.  It exits 1 on any
 difference, 2 when a recording subprocess fails.  BLAS runs on one thread,
 as in perfbench.  Standard library and numpy only.
 """
@@ -35,6 +39,9 @@ from pathlib import Path
 
 SEEDS = (0, 1)
 QUERIES_PER_DATASET = 40
+TIE_GRIDS = 40
+TIE_GRID_SEED = 11
+TIE_GRID_KS = (1, 3, 5)
 ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen")
 SHOWN = 10  # differences printed
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -86,6 +93,29 @@ def _run(method: str, ds, q, k: int) -> dict:
     return _certificate_record(cert)
 
 
+def _tie_grid(rng):
+    """A dataset on a coarse integer grid, with an integer query.
+
+    Almost every distance from the query is shared by several points, and
+    each of the two classes has 200 points or more, so the distance orders
+    of every method are sorts that ``data.stable_order`` checks for ties.
+    The query carries its 1-NN label.
+    """
+    import numpy as np
+    from knnrobust import Dataset, Query, knn_predict
+    while True:
+        d = int(rng.integers(2, 4))
+        side = {2: 41, 3: 13}[d]
+        n = int(rng.integers(450, 801))
+        flat = rng.choice(side ** d, size=n + 1, replace=False)
+        coords = (np.stack(np.unravel_index(flat, (side,) * d), axis=1) - side // 2).astype(float)
+        labels = rng.integers(1, 3, size=n)
+        if np.bincount(labels)[1:].min() < 200:
+            continue
+        ds = Dataset(coords[:n], labels, 2)
+        return ds, Query(coords[n], knn_predict(ds, coords[n], 1))
+
+
 def _inputs():
     """``(name, dataset, query, ks, entries)`` for every input of the sweep."""
     import numpy as np
@@ -100,6 +130,9 @@ def _inputs():
         yield f"corpus/{i}", ds, q, ks, corpus_table
         yield (f"corpus*0.3/{i}", Dataset(0.3 * ds.points, ds.labels, ds.class_count),
                Query(0.3 * q.z, q.true_label), ks, corpus_table)
+    rng = np.random.default_rng(TIE_GRID_SEED)
+    for i in range(TIE_GRIDS):
+        yield (f"tie-grid/{i}", *_tie_grid(rng), TIE_GRID_KS, corpus_table)
     for w in WORKLOADS.values():
         for seed in SEEDS:
             for b in range(w.datasets):
@@ -143,6 +176,28 @@ def compare(parent: dict, change: dict) -> tuple[dict, list[str]]:
     return counts, lines
 
 
+def sizes(parent: dict, change: dict) -> dict:
+    """Per method ``[largest relative epsilon difference, errors changed]``.
+
+    The first is over the calls with an epsilon on both sides (0 when none
+    differs, inf when a zero epsilon became nonzero); the second counts the
+    calls on both sides where either raised and the two records' errors
+    differ: an error on one side only, or another type.
+    """
+    out: dict = {}
+    for key in parent.keys() & change.keys():
+        size = out.setdefault(key.split("/")[-2], [0.0, 0])
+        old, new = parent[key], change[key]
+        if "error" in old or "error" in new:
+            size[1] += old.get("error") != new.get("error")
+            continue
+        eps_old, eps_new = float.fromhex(old["eps"]), float.fromhex(new["eps"])
+        if eps_old != eps_new:
+            rel = abs(eps_new - eps_old) / abs(eps_old) if eps_old else float("inf")
+            size[0] = max(size[0], rel)
+    return out
+
+
 def _record_in_subprocess(checkout: Path) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--record",
                              str(checkout)], stdout=subprocess.PIPE, text=True,
@@ -169,9 +224,12 @@ def main(argv=None) -> int:
             return 2
     records = [json.loads(out) for out in outputs]
     counts, lines = compare(*records)
+    largest = sizes(*records)
     width = max(map(len, counts))
     for method, (compared, differing) in sorted(counts.items()):
-        print(f"{method:<{width}}  {compared:6d} compared  {differing:6d} differ")
+        rel, errors = largest.get(method, (0.0, 0))
+        print(f"{method:<{width}}  {compared:6d} compared  {differing:6d} differ  "
+              f"max rel eps diff {rel:.2e}  {errors} errors changed")
     print(f"total: {sum(c for c, _ in counts.values())} compared, {len(lines)} differ")
     for line in lines[:SHOWN]:
         print(line)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import SolverError
 from .subproblem import Subproblem
@@ -81,12 +82,22 @@ class DualSolution:
         return lam
 
 
+def _singular(err: str, flag: int) -> None:
+    raise SolverError("singular active set in the dual active-set solver")
+
+
 def _gram_solve(N: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``N N^T x = rhs`` for the active rows N."""
-    try:
-        return np.linalg.solve(N @ N.T, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular active set in the dual active-set solver") from exc
+    """Solve ``N N^T x = rhs`` for the active rows N.
+
+    This is ``np.linalg.solve`` for one float64 right-hand side without its
+    argument checks: the same LAPACK solve under the same error state, so
+    the same bits, and an exactly singular Gram matrix raises.  The checks
+    cost more than the solve of a system this small.
+    """
+    gram = N @ N.T
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.solve1(gram, rhs, signature="dd->d")
 
 
 def solve_dual_gca(sp: Subproblem) -> DualSolution:
@@ -149,14 +160,18 @@ def solve_dual_gca(sp: Subproblem) -> DualSolution:
             else:
                 t_full = -float(a_p @ delta + b[p]) / zz
             steps += 1
-            ratios = np.divide(uq, r, out=np.full(q, np.inf), where=blocking)
-            k = int(ratios.argmin()) if q else -1
-            t = t_full if k < 0 or t_full <= ratios[k] else float(ratios[k])
+            k, t = -1, t_full
+            if q:                            # active multipliers may block the step
+                ratios = np.divide(uq, r, out=np.full(q, np.inf), where=blocking)
+                k = int(ratios.argmin())
+                if not t_full <= ratios[k]:
+                    t = float(ratios[k])
             delta += t * z
             if not np.isfinite(delta).all():
                 raise SolverError("non-finite step in the dual active-set solver")
-            uq -= t * r
-            np.maximum(uq, 0.0, out=uq)
+            if q:
+                uq -= t * r
+                np.maximum(uq, 0.0, out=uq)
             u_p += t
             if t == t_full:
                 rows[q], ids[q], u[q] = a_p, p, u_p

@@ -55,9 +55,14 @@ sys.exit(3)
 """
 
 
-def _checkout(root, script):
+_SPEC = {"end_to_end": [{"name": "table.refs_per_query", "better": "lower"}]}
+
+
+def _checkout(root, script, spec=True):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(script, encoding="utf-8")
+    if spec:
+        (root / "BENCHMARK.json").write_text(json.dumps(_SPEC), encoding="utf-8")
     return root
 
 
@@ -77,3 +82,24 @@ def test_failed_run_keeps_the_completed_runs(tmp_path, capsys):
     assert written["failures"]["w"] == failure
     assert "w" not in written["workloads"]
     assert '"exit code": 3' in capsys.readouterr().err
+
+
+def test_change_without_benchmark_json_stops_before_any_run(tmp_path):
+    parent = _checkout(tmp_path / "parent", _OK_RUN)
+    change = _checkout(tmp_path / "change", _FAILING_RUN, spec=False)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(parent), str(change), "--workload", "w", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+def test_completed_pairs_are_summarised(tmp_path):
+    parent = _checkout(tmp_path / "parent", _OK_RUN)
+    change = _checkout(tmp_path / "change", _OK_RUN)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    block = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
+    assert block["runs"] == {"parent": 2, "change": 2}
+    assert block["pairs won by change"] == {"table.refs_per_query": 0}

@@ -42,3 +42,16 @@ def test_equal_epsilon_with_another_delta_differs():
     change["corpus/0/exact/k1"]["delta"] = "ab13"
     counts, lines = bit_identity.compare(_records(), change)
     assert counts["exact"] == [1, 1] and len(lines) == 1
+
+
+def test_sizes_report_the_largest_epsilon_move_and_changed_errors():
+    change = _records()
+    change["corpus/0/exact/k1"]["eps"] = "0x1.8000000000001p+0"   # one ulp up
+    change["corpus*0.3/0/verifier/k3"] = {"error": "SolverError"}        # another type
+    change["binary-knn:s0:d1:q2/qp-10/k1"] = {"error": "SolverError"}    # now raises
+    sizes = bit_identity.sizes(_records(), change)
+    assert sizes["exact"] == [2 ** -52 / 1.5, 0]
+    assert sizes["verifier"] == [0.0, 1]
+    assert sizes["qp-10"] == [0.0, 1]
+    assert bit_identity.sizes(_records(), _records()) == {
+        "exact": [0.0, 0], "verifier": [0.0, 0], "qp-10": [0.0, 0]}

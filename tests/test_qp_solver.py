@@ -7,6 +7,7 @@ from knnrobust import (
     InfeasibleSubproblemError,
     Query,
     SolveStatus,
+    SolverError,
     Subproblem,
     build_1nn_subproblem,
     build_knn_subproblem,
@@ -14,6 +15,7 @@ from knnrobust import (
     recover_primal,
     solve_dual_gca,
 )
+from knnrobust.qp_solver import _gram_solve
 
 from helpers import active_set_oracle, random_grid_dataset
 
@@ -186,6 +188,19 @@ class TestGoldenSolutions:
         assert [float(v).hex() for v in sol.values] == values
         assert float(sol.objective).hex() == objective
         assert (sol.iterations, sol.status, sol.size) == (iterations, status, size)
+
+
+class TestGramSolve:
+    def test_same_bits_as_numpy_solve(self):
+        rng = np.random.default_rng(3)
+        for q in (1, 2, 7, 20):
+            N, rhs = rng.standard_normal((q, 20)), rng.standard_normal(q)
+            assert _gram_solve(N, rhs).tobytes() == np.linalg.solve(N @ N.T, rhs).tobytes()
+
+    def test_singular_gram_raises_solver_error(self):
+        N = np.array([[1.0, 2.0], [1.0, 2.0]])
+        with pytest.raises(SolverError, match="singular active set"):
+            _gram_solve(N, np.ones(2))
 
 
 class TestRecoverPrimal:
