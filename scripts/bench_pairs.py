@@ -13,7 +13,11 @@ JSON object whose ``workloads[W]`` block holds, per side: the run count,
 whether every run was correct, the failed and attempted checks summed over the
 runs, and per end-to-end metric the median and quartiles,
 ``change_over_parent`` (the ratio of the medians) and the pairs won by the
-change.  ``runs[W]`` lists every run's metrics, ``attempted`` and order.  A
+change.  The same summary, lower being better, is made in ``median_ms`` of
+the ``median_ms`` column that run.py prints per method table entry ("method
+K=k"), so that entries which no end-to-end metric names alone (such as
+``exact-linf``) can be compared too.  ``runs[W]`` lists every run's metrics,
+printed medians, ``attempted`` and order.  A
 metric's better direction is read from the change's ``BENCHMARK.json``
 before the first run; a change checkout without that file ends the script at
 once (exit 2).  An existing ``--out`` file keeps its other workloads.
@@ -38,15 +42,38 @@ SIDES = ("parent", "change")
 STDERR_LINES = 20  # of a failed run, kept in --out
 
 
+def printed_medians(stdout: str) -> dict:
+    """The ``median_ms`` column of run.py's printed method table, keyed by entry.
+
+    The table starts at the header line ``method n median_ms ...`` and ends
+    at the ``checks:`` line; each row ends in five columns (n, median_ms,
+    mean_ms, the high percentile, max_ms) after the entry's name.  Output
+    without the table gives an empty dict."""
+    medians = {}
+    rows = False
+    for line in stdout.splitlines():
+        fields = line.split()
+        if fields[:3] == ["method", "n", "median_ms"]:
+            rows = True
+        elif line.startswith("checks:"):
+            rows = False
+        elif rows and len(fields) > 5:
+            medians[" ".join(fields[:-5])] = float(fields[-4])
+    return medians
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One perfbench run; returns the JSON object on its last output line.
+    """One perfbench run: the JSON object on its last output line, with the
+    printed per-entry medians added as ``median_ms``.
 
     A run that exits non-zero raises ``subprocess.CalledProcessError``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["median_ms"] = printed_medians(done.stdout)
+    return result
 
 
 def quartiles(values: list[float]) -> dict:
@@ -56,12 +83,26 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(values: dict, better: str) -> tuple[dict, int]:
+    """Median and quartiles per side, ``change_over_parent`` (the ratio of
+    the medians), and the pairs won by the change, from ``values`` mapping
+    each side to its per-pair values; ``better`` is "lower" or "higher"."""
+    stats = {side: quartiles(values[side]) for side in SIDES}
+    parent_median = stats["parent"]["median"]
+    stats["change_over_parent"] = (stats["change"]["median"] / parent_median
+                                   if parent_median else None)
+    sign = -1.0 if better == "higher" else 1.0
+    won = sum(sign * c < sign * p for p, c in zip(values["parent"], values["change"]))
+    return stats, won
+
+
 def summarise(runs: dict, better: dict) -> dict:
     """The ``workloads`` block of one workload from each side's run records.
 
     ``runs`` maps "parent" and "change" to equally long lists of run.py
     results, pair i being the i-th of each; ``better`` maps a metric name to
-    "lower" or "higher".
+    "lower" or "higher".  ``median_ms`` summarises the entries printed by
+    every run of both sides (``median_ms`` of each result, if any).
     """
     if len(runs["parent"]) != len(runs["change"]) or not runs["parent"]:
         raise ValueError("each side needs the same, nonzero number of runs")
@@ -72,17 +113,18 @@ def summarise(runs: dict, better: dict) -> dict:
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
         "metrics": {},
         "pairs won by change": {},
+        "median_ms": {},
     }
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        stats = {side: quartiles(values[side]) for side in SIDES}
-        parent_median = stats["parent"]["median"]
-        stats["change_over_parent"] = (stats["change"]["median"] / parent_median
-                                       if parent_median else None)
-        block["metrics"][name] = stats
-        sign = -1.0 if better[name] == "higher" else 1.0
-        block["pairs won by change"][name] = sum(
-            sign * c < sign * p for p, c in zip(values["parent"], values["change"]))
+        block["metrics"][name], block["pairs won by change"][name] = compare(
+            values, better[name])
+    every = runs["parent"] + runs["change"]
+    for entry in every[0].get("median_ms", {}):
+        if all(entry in r.get("median_ms", {}) for r in every):
+            values = {side: [r["median_ms"][entry] for r in runs[side]] for side in SIDES}
+            stats, won = compare(values, "lower")
+            block["median_ms"][entry] = {**stats, "pairs won by change": won}
     return block
 
 
@@ -122,7 +164,8 @@ def main(argv=None) -> int:
             runs[side].append(result)
             records.append({"pair": pair, "side": side, "first": position == 0,
                             "attempted": result["attempted"], "failed": result["failed"],
-                            "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                            "median_ms": result["median_ms"]})
             print(f"pair {pair} {side}: attempted={result['attempted']} "
                   f"correct={result['correct']}", file=sys.stderr)
         if failure:

@@ -6,8 +6,9 @@ scans perturbation magnitudes densely, the K-NN verifier reference measures
 distances to bisecting hyperplanes and sorts, the vote reference sorts and
 counts, the line-search references recompute every distance at each probe
 or pair crossing, and the LP references enumerate the vertices of the plain
-min-norm LP, not of the homogenized program that ``solve_lp`` runs, or run
-Bland's simplex on that program in exact rational arithmetic.
+min-norm LP, or run a simplex on its primal homogenized form, not on the dual
+program that ``solve_lp`` runs: in exact rational arithmetic, or in floats
+for programs too large for that.
 """
 
 import itertools
@@ -417,6 +418,73 @@ def lp_vertex_minimum(lp: MinNormLp) -> float | None:
             if best is None or val < best:
                 best = val
     return best
+
+
+@dataclass(frozen=True)
+class HomogenizedLp:
+    """maximize mu' over y = (p, n, mu') >= 0 subject to matrix @ y <= rhs.
+
+    The Charnes-Cooper form of ``min ||delta|| s.t. A delta + b >= 0``
+    (Naval Res. Logist. Q. 9, 1962), with ``w = p - n``: the first rows are
+    ``-A' w - mu' b'' <= 0`` for the scaled rows, the rest the norm rows
+    (``p_k + n_k <= 1`` per coordinate under the max norm, ``sum(p + n) <= 1``
+    under the sum norm).  ``mu'`` is ``mu`` times ``scale``, so the
+    perturbation is ``(p - n) * scale / mu'`` and its norm ``scale / mu'``.
+    """
+
+    matrix: np.ndarray      # (m + norm rows, 2d + 1)
+    rhs: np.ndarray         # 0 for the constraint rows, 1 for the norm rows
+    scale: float            # 2^c, the divisor of mu's column
+
+
+def homogenized_lp(sp: Subproblem, norm: str) -> HomogenizedLp:
+    """Row i divided by 2^floor(log2 max|a_i|), then mu's column by
+    2^c = 2^floor(log2 max|b'|), as ``solve_lp``'s programs are scaled."""
+    d = sp.d
+    if norm == "linf":
+        norm_rows = np.hstack([np.eye(d), np.eye(d), np.zeros((d, 1))])
+    else:
+        norm_rows = np.append(np.ones(2 * d), 0.0)[None, :]
+    _, row_exp = np.frexp(np.max(np.abs(sp.rows), axis=1))
+    rows = np.ldexp(sp.rows, 1 - row_exp[:, None])
+    offsets = np.ldexp(sp.offsets, 1 - row_exp)
+    c = int(np.frexp(np.max(np.abs(offsets)))[1]) - 1
+    mu_column = -np.ldexp(offsets, -c)
+    matrix = np.vstack([np.hstack([-rows, rows, mu_column[:, None]]), norm_rows])
+    rhs = np.concatenate([np.zeros(sp.m), np.ones(norm_rows.shape[0])])
+    return HomogenizedLp(matrix, rhs, float(np.ldexp(1.0, c)))
+
+
+def homogenized_epsilon(program: HomogenizedLp) -> float:
+    """Optimum epsilon = scale / mu' of a ``HomogenizedLp`` in floats.
+
+    A single-phase simplex from the slack basis, with the most negative
+    reduced cost entering and the lowest basic index among the minimum
+    ratios leaving; the final basis is then solved once against the original
+    rows.  For feasible, bounded programs that do not cycle, such as those
+    of Gaussian data.
+    """
+    r, cols = program.matrix.shape
+    tableau = np.zeros((r + 1, cols + r + 1))
+    tableau[:-1, :cols] = program.matrix
+    tableau[:-1, cols:-1] = np.eye(r)
+    tableau[:-1, -1] = program.rhs
+    tableau[-1, cols - 1] = -1.0            # minimize -mu'
+    basis = np.arange(cols, cols + r)
+    while tableau[-1, :-1].min() < -1e-10:
+        col = int(np.argmin(tableau[-1, :-1]))
+        rows = np.flatnonzero(tableau[:-1, col] > 1e-10)
+        ratios = tableau[rows, -1] / tableau[rows, col]
+        ties = rows[ratios - ratios.min() <= 1e-10]
+        row = int(ties[np.argmin(basis[ties])])
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row])
+        basis[row] = col
+    y = np.zeros(cols + r)
+    y[basis] = np.linalg.solve(np.hstack([program.matrix, np.eye(r)])[:, basis], program.rhs)
+    return program.scale / y[cols - 1]
 
 
 def lp_rational_optimum(program) -> Fraction | None:

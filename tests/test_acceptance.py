@@ -121,12 +121,17 @@ PINNED_PRUNING_COUNTS = {
     "qp-10": ((588, 588, 1125, 1011), lambda ds, q: qp_top_m(ds, q, 10)),
     # The same loop with one LP per target and pivots as its steps; without
     # the dual-norm pair prunes these were (1010, 1010, 704, 4015) and
-    # (995, 995, 719, 3493), and with Bland's pricing and no final-basis solve
-    # (613, 613, 1101, 2332) and (595, 595, 1119, 1970).  The final-basis solve
-    # moves epsilons by an ulp; on 5 linf and 3 l1 instances a pair bound
-    # equals the exact incumbent, so that ulp decides whether its target is built.
-    "exact-linf": ((604, 604, 1110, 2108), lambda ds, q: exact_1nn_lp(ds, q, "linf")),
-    "exact-l1": ((592, 592, 1122, 1585), lambda ds, q: exact_1nn_lp(ds, q, "l1")),
+    # (995, 995, 719, 3493), with Bland's pricing and no final-basis solve
+    # (613, 613, 1101, 2332) and (595, 595, 1119, 1970), and with the primal
+    # homogenized program from its slack basis (604, 604, 1110, 2108) and
+    # (592, 592, 1122, 1585).  The dual starts at the best single-row bound,
+    # so most LPs need no pivot.  Epsilons move by an ulp between forms; on
+    # instances 249, 299, 356 and 489 under linf and 299 and 356 under l1 a
+    # later target's pair bound equals the exact incumbent, which the
+    # homogenized form returned one ulp low, so the tied target was pruned
+    # there and is built and solved here.
+    "exact-linf": ((608, 608, 1106, 114), lambda ds, q: exact_1nn_lp(ds, q, "linf")),
+    "exact-l1": ((594, 594, 1120, 116), lambda ds, q: exact_1nn_lp(ds, q, "l1")),
 }
 
 

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,41 @@ def test_completed_pairs_are_summarised(tmp_path):
     block = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
     assert block["runs"] == {"parent": 2, "change": 2}
     assert block["pairs won by change"] == {"table.refs_per_query": 0}
+
+
+def _table_run(linf_ms):
+    """A run.py stand-in that prints a method table in run.py's layout."""
+    return f"""import json
+print("perfbench workload=w seed=0 seconds=40.0 trace=0")
+print(f"{{'method':>15}} {{'n':>5}} {{'median_ms':>10}} {{'mean_ms':>10}} {{'high pct':>16}} {{'max_ms':>10}}")
+print(f"{{'exact K=1':>15}} {{20:>5}} {{0.66:>10.2f}} {{0.71:>10.2f}} {{'p95=1.58':>16}} {{13.77:>10.2f}}")
+print(f"{{'exact-linf K=1':>15}} {{2:>5}} {{{linf_ms}:>10.2f}} {{3.0:>10.2f}} {{'-':>16}} {{4.0:>10.2f}}")
+print("checks: attempted=5 failed=0 failed_ratio=0 (1) failed checks={{}} raised={{}}")
+print("table.refs_per_query = 2 ref")
+print(json.dumps({{"correct": True, "attempted": 5, "failed": 0,
+                  "metrics": {{"table.refs_per_query": {{"value": 2.0, "unit": "ref"}}}}}}))
+"""
+
+
+def test_printed_medians_reads_run_py_table():
+    out = subprocess.run([sys.executable, "-c", _table_run(2.47)], capture_output=True,
+                         text=True, check=True).stdout
+    assert bench_pairs.printed_medians(out) == {"exact K=1": 0.66, "exact-linf K=1": 2.47}
+    assert bench_pairs.printed_medians('{"correct": true}') == {}
+
+
+def test_printed_medians_are_summarised_per_side(tmp_path):
+    parent = _checkout(tmp_path / "parent", _table_run(2.5))
+    change = _checkout(tmp_path / "change", _table_run(1.25))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert [r["median_ms"] for r in written["runs"]["w"]] == [
+        {"exact K=1": 0.66, "exact-linf K=1": v} for v in (2.5, 1.25, 1.25, 2.5)]
+    medians = written["workloads"]["w"]["median_ms"]
+    assert medians["exact-linf K=1"] == {
+        "parent": {"median": 2.5, "q1": 2.5, "q3": 2.5},
+        "change": {"median": 1.25, "q1": 1.25, "q3": 1.25},
+        "change_over_parent": 0.5, "pairs won by change": 2}
+    assert medians["exact K=1"]["pairs won by change"] == 0

@@ -21,7 +21,10 @@ def fix_files(tmp_path):
     (tmp_path / "fixB_query.csv").write_text("1,0,0\n")
     (tmp_path / "fixC.csv").write_text("1,-0.5\n1,-1\n2,2\n2,3\n2,4\n")
     (tmp_path / "fixC_query.csv").write_text("1,0\n")
-    for name in ("fixA", "fixB", "fixC"):
+    # fixB with the mirror point (1, -1) in the query's class.
+    (tmp_path / "fixD.csv").write_text("1,1,1\n1,1,-1\n2,2,0\n")
+    (tmp_path / "fixD_query.csv").write_text("1,0,0\n")
+    for name in ("fixA", "fixB", "fixC", "fixD"):
         files[name] = str(tmp_path / f"{name}.csv")
         files[name + "_q"] = str(tmp_path / f"{name}_query.csv")
     files["out"] = str(tmp_path / "report.json")
@@ -53,9 +56,11 @@ class TestRun:
         assert rec["kind"] == "upper_bound"
 
     def test_exact_linf_norm(self, fix_files):
-        report = run(RunConfig(command="exact", data_path=fix_files["fixB"],
-                               query_path=fix_files["fixB_q"], norm="linf"))
-        assert report.queries[0]["epsilon"] == pytest.approx(0.5, abs=1e-9)
+        # The target's two rows, (1, 1) and (1, -1) with b = -1, each bound the
+        # max norm by 1/2 alone, where the LP starts; together they force 1.
+        report = run(RunConfig(command="exact", data_path=fix_files["fixD"],
+                               query_path=fix_files["fixD_q"], norm="linf"))
+        assert report.queries[0]["epsilon"] == pytest.approx(1.0, abs=1e-9)
         assert report.queries[0]["stats"]["solver_iterations"] > 0     # the LP's pivots
 
     def test_round_trip(self, fix_files):
