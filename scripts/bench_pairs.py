@@ -16,8 +16,11 @@ runs, and per end-to-end metric the median and quartiles,
 change.  The same summary, lower being better, is made in ``median_ms`` of
 the ``median_ms`` column that run.py prints per method table entry ("method
 K=k"), so that entries which no end-to-end metric names alone (such as
-``exact-linf``) can be compared too.  ``runs[W]`` lists every run's metrics,
-printed medians, ``attempted`` and order.  A
+``exact-linf``) can be compared too.  Raw milliseconds drift between
+checkouts and runs, so ``median_refs`` summarises the same entries divided
+by the run's printed ``reference.ms`` (the reference kernel's median call,
+the unit of run.py's ``refs_per_query`` metrics).  ``runs[W]`` lists every
+run's metrics, printed medians in both units, ``attempted`` and order.  A
 metric's better direction is read from the change's ``BENCHMARK.json``
 before the first run; a change checkout without that file ends the script at
 once (exit 2).  An existing ``--out`` file keeps its other workloads.
@@ -62,9 +65,19 @@ def printed_medians(stdout: str) -> dict:
     return medians
 
 
+def printed_reference_ms(stdout: str) -> float | None:
+    """The value of run.py's printed ``reference.ms = <value> ms`` line, or None."""
+    for line in stdout.splitlines():
+        fields = line.split()
+        if fields[:2] == ["reference.ms", "="]:
+            return float(fields[2])
+    return None
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run: the JSON object on its last output line, with the
-    printed per-entry medians added as ``median_ms``.
+    printed per-entry medians added as ``median_ms`` and, divided by the
+    printed ``reference.ms``, as ``median_refs`` (empty without that line).
 
     A run that exits non-zero raises ``subprocess.CalledProcessError``."""
     done = subprocess.run(
@@ -73,6 +86,9 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     result["median_ms"] = printed_medians(done.stdout)
+    ref = printed_reference_ms(done.stdout)
+    result["median_refs"] = ({entry: ms / ref for entry, ms in result["median_ms"].items()}
+                             if ref else {})
     return result
 
 
@@ -101,8 +117,8 @@ def summarise(runs: dict, better: dict) -> dict:
 
     ``runs`` maps "parent" and "change" to equally long lists of run.py
     results, pair i being the i-th of each; ``better`` maps a metric name to
-    "lower" or "higher".  ``median_ms`` summarises the entries printed by
-    every run of both sides (``median_ms`` of each result, if any).
+    "lower" or "higher".  ``median_ms`` and ``median_refs`` each summarise
+    the entries that every run of both sides holds in that key of its result.
     """
     if len(runs["parent"]) != len(runs["change"]) or not runs["parent"]:
         raise ValueError("each side needs the same, nonzero number of runs")
@@ -114,17 +130,19 @@ def summarise(runs: dict, better: dict) -> dict:
         "metrics": {},
         "pairs won by change": {},
         "median_ms": {},
+        "median_refs": {},
     }
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         block["metrics"][name], block["pairs won by change"][name] = compare(
             values, better[name])
     every = runs["parent"] + runs["change"]
-    for entry in every[0].get("median_ms", {}):
-        if all(entry in r.get("median_ms", {}) for r in every):
-            values = {side: [r["median_ms"][entry] for r in runs[side]] for side in SIDES}
-            stats, won = compare(values, "lower")
-            block["median_ms"][entry] = {**stats, "pairs won by change": won}
+    for column in ("median_ms", "median_refs"):
+        for entry in every[0].get(column, {}):
+            if all(entry in r.get(column, {}) for r in every):
+                values = {side: [r[column][entry] for r in runs[side]] for side in SIDES}
+                stats, won = compare(values, "lower")
+                block[column][entry] = {**stats, "pairs won by change": won}
     return block
 
 
@@ -165,7 +183,8 @@ def main(argv=None) -> int:
             records.append({"pair": pair, "side": side, "first": position == 0,
                             "attempted": result["attempted"], "failed": result["failed"],
                             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-                            "median_ms": result["median_ms"]})
+                            "median_ms": result["median_ms"],
+                            "median_refs": result["median_refs"]})
             print(f"pair {pair} {side}: attempted={result['attempted']} "
                   f"correct={result['correct']}", file=sys.stderr)
         if failure:

@@ -19,12 +19,16 @@ table at every K that the input allows, and the exact ablations at K=1
 Per call the record holds the epsilon as ``float.hex``, the SHA-1 of the
 perturbation's bytes, the stats counts (built, solved, screened, solver
 steps), the verifier's binding pair and pair count, or the type of the
-library error raised.  The script prints, per method, the calls compared,
-those that differ, the largest relative difference of an epsilon recorded
-on both sides, and the calls whose raised error changed (an error on one
-side only, or another type); then the first differences.  It exits 1 on any
-difference, 2 when a recording subprocess fails.  BLAS runs on one thread,
-as in perfbench.  Standard library and numpy only.
+library error raised.  The script prints, per method, the calls compared;
+those whose outcome differs (the epsilon, perturbation, binding pair or
+error, or a call recorded on one side only); those that differ only in
+their counts (the stats counts or the verifier's pair count); the largest
+relative difference of an epsilon recorded on both sides; and the calls
+whose raised error changed (an error on one side only, or another type).
+Then it prints the first differences, outcome differences first.  It exits
+1 on any difference, counts included, and 2 when a recording subprocess
+fails.  BLAS runs on one thread, as in perfbench.  Standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ TIE_GRID_SEED = 11
 TIE_GRID_KS = (1, 3, 5)
 ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen")
 SHOWN = 10  # differences printed
+# Record fields that state a call's outcome; "stats" and "pairs" count its work.
+OUTCOME_FIELDS = ("eps", "delta", "binding", "error")
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                       "MKL_NUM_THREADS")}
 
@@ -158,22 +164,29 @@ def record(checkout: Path) -> dict:
     return out
 
 
-def compare(parent: dict, change: dict) -> tuple[dict, list[str]]:
-    """Per method ``[compared, differing]``, and one line per difference.
+def _outcome(entry: dict | None) -> dict | None:
+    return None if entry is None else {f: entry[f] for f in OUTCOME_FIELDS if f in entry}
 
-    A key on one side only counts as a difference of its method.
+
+def compare(parent: dict, change: dict) -> tuple[dict, list[str]]:
+    """Per method ``[compared, outcome differs, counts only differ]``, and one
+    line per difference, the outcome differences first.
+
+    A key on one side only counts as an outcome difference of its method.
     """
     counts: dict = {}
-    lines = []
+    outcome_lines, count_lines = [], []
     for key in sorted(parent.keys() | change.keys()):
         method = key.split("/")[-2]
-        tally = counts.setdefault(method, [0, 0])
+        tally = counts.setdefault(method, [0, 0, 0])
         tally[0] += 1
         old, new = parent.get(key), change.get(key)
-        if old != new:
-            tally[1] += 1
-            lines.append(f"{key}: parent {old} change {new}")
-    return counts, lines
+        if old == new:
+            continue
+        moved = _outcome(old) != _outcome(new)
+        tally[1 if moved else 2] += 1
+        (outcome_lines if moved else count_lines).append(f"{key}: parent {old} change {new}")
+    return counts, outcome_lines + count_lines
 
 
 def sizes(parent: dict, change: dict) -> dict:
@@ -226,11 +239,14 @@ def main(argv=None) -> int:
     counts, lines = compare(*records)
     largest = sizes(*records)
     width = max(map(len, counts))
-    for method, (compared, differing) in sorted(counts.items()):
+    for method, (compared, moved, counts_only) in sorted(counts.items()):
         rel, errors = largest.get(method, (0.0, 0))
-        print(f"{method:<{width}}  {compared:6d} compared  {differing:6d} differ  "
-              f"max rel eps diff {rel:.2e}  {errors} errors changed")
-    print(f"total: {sum(c for c, _ in counts.values())} compared, {len(lines)} differ")
+        print(f"{method:<{width}}  {compared:6d} compared  {moved:6d} outcome differ  "
+              f"{counts_only:6d} counts only  max rel eps diff {rel:.2e}  "
+              f"{errors} errors changed")
+    totals = [sum(column) for column in zip(*counts.values())]
+    print(f"total: {totals[0]} compared, {totals[1]} outcome differ, "
+          f"{totals[2]} counts only")
     for line in lines[:SHOWN]:
         print(line)
     return 1 if lines else 0

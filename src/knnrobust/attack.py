@@ -5,10 +5,9 @@ it keeps the targets within reach, bounds each of them at once by the pair
 bounds of its ``n_scr`` nearest same-class rows, and visits them best first:
 in ascending bound, up to the first bound beyond the incumbent.  Each visited
 target is built and solved to its exact optimal vertex with the dual
-active-set solver, unless one of its rows alone already rules it out.  The
-greedy K-NN attack and the line-search baselines reuse the same certificate
-type; every certificate carrying a perturbation is validated against the
-classifier before being returned.
+active-set solver.  The greedy K-NN attack and the line-search baselines
+reuse the same certificate type; every certificate carrying a perturbation
+is validated against the classifier before being returned.
 """
 
 from __future__ import annotations
@@ -131,23 +130,8 @@ def _certificate(delta: np.ndarray, kind: CertificateKind, method: str,
     )
 
 
-def _pair_prune(neg_b: np.ndarray, norms_sq: np.ndarray, incumbent_sq: float) -> bool:
-    """True iff one constraint row alone certifies a radius beyond the incumbent.
-
-    Row ``a.delta + b >= 0`` forces ``||delta|| >= max(-b, 0)/||a||_*`` in
-    any norm, with ``||.||_*`` its dual norm (Hölder's inequality; the dual
-    of l2 is l2, of the max norm the sum norm and of the sum norm the max
-    norm).  ``norms_sq`` holds the squared dual norms of the rows, and the
-    comparison is made in squared form.  A zero row is a degenerate pair
-    that proves nothing; the builder raises on it.
-    """
-    if norms_sq.min() == 0.0:
-        return False
-    return bool(np.any(incumbent_sq < np.square(np.maximum(neg_b, 0.0)) / norms_sq))
-
-
 def _dual_norms_sq(a: np.ndarray, norm: str) -> np.ndarray:
-    """Squared dual norms of the rows of ``a``, for ``_pair_prune`` under ``norm``."""
+    """Squared dual norms of the rows of ``a`` under ``norm``, for the pair bounds."""
     if norm == "l2":
         return np.einsum("ij,ij->i", a, a)
     return np.square(np.linalg.norm(a, ord={"linf": 1, "l1": np.inf}[norm], axis=1))
@@ -167,12 +151,15 @@ def _screen_bounds_sq(ds: Dataset, dist_sq: np.ndarray, scr_ids: np.ndarray,
                       targets: np.ndarray, norm: str) -> np.ndarray:
     """Each target's squared pair bound over the rows ``scr_ids``, in the dual norm.
 
-    For target j this is the largest ``max(0.5 (d_j^2 - d_i^2), 0)^2 /
-    ||x_j - x_i||_*^2`` over i in ``scr_ids`` (``dist_sq`` holds the d^2), the
-    numbers ``_pair_prune`` compares, so ``incumbent_sq < bound`` is its
-    verdict on those rows.  A target that coincides with one of them gets 0:
-    ``_pair_prune`` proves nothing from a zero row.  The differences are
-    formed in blocks of about ``_BLOCK_ELEMENTS`` elements.  The numbers are
+    Row ``a.delta + b >= 0`` forces ``||delta|| >= max(-b, 0)/||a||_*`` in
+    any norm, with ``||.||_*`` its dual norm (Hölder's inequality; the dual
+    of l2 is l2, of the max norm the sum norm and of the sum norm the max
+    norm).  For target j this is the largest ``max(0.5 (d_j^2 - d_i^2), 0)^2 /
+    ||x_j - x_i||_*^2`` over i in ``scr_ids`` (``dist_sq`` holds the d^2), so
+    ``incumbent_sq < bound`` proves that target j cannot beat the incumbent.
+    A target that coincides with one of them gets 0: a zero row is a
+    degenerate pair that proves nothing.  The differences are formed in
+    blocks of about ``_BLOCK_ELEMENTS`` elements.  The numbers are
     bit for bit those of one target's own rows, except under l2 with a single
     row beyond d = 8192: numpy's einsum sums a lone row of more than 8192
     entries in another order than a row of a larger block, so a bound may
@@ -245,18 +232,17 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
     loop keeps the perturbation of least ``norm`` and validates the winner.
 
     The first target is solved unscreened.  Every later target is screened by
-    three rules, each against the incumbent at the time:
+    two rules, each against the incumbent at the time:
     - the reach window: no target j certifies below (d_j - d_1)/2 in l2 or
       l1, or that over sqrt(d) in the max norm;
     - when ``cfg.screening_enabled``, the block bound: ``_screen_bounds_sq``
       on its ``n_scr`` nearest same-class rows, computed for every target in
-      the first window at once;
-    - when ``cfg.screening_enabled``, ``_pair_prune`` on all its rows, after
-      the build.
-    Sorted with screening, the window is visited in ascending bound (ties in
-    distance order) and the first bound beyond the incumbent ends the loop.
-    Sorted without screening, it is visited in distance order and the first
-    target out of reach ends it.  Unsorted, each target that fails a rule is
+      the first window at once.
+    Every target that passes both is built and solved.  Sorted with
+    screening, the window is visited in ascending bound (ties in distance
+    order) and the first bound beyond the incumbent ends the loop.  Sorted
+    without screening, it is visited in distance order and the first target
+    out of reach ends it.  Unsorted, each target that fails a rule is
     skipped.  Every candidate not solved counts as screened.
     """
     _check_n_scr(n_scr)
@@ -275,11 +261,6 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
         nonlocal eps_best, delta_best
         sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
-        if cfg.screening_enabled and np.isfinite(eps_best):
-            norms_sq = sp.row_norms_sq if norm == "l2" else _dual_norms_sq(sp.rows, norm)
-            if _pair_prune(-sp.offsets, norms_sq, eps_best * eps_best):
-                stats.subproblems_screened += 1
-                return
         delta = solve(sp, stats)
         eps_j = float(np.linalg.norm(delta, ord=norm_ord))
         if eps_j < eps_best:

@@ -13,7 +13,7 @@ the cost ``sum(p + n)``; under the sum norm with v, the 2d rows
 2d + 1 rows whatever the number m of constraint rows.
 
 The start basis puts all weight on the single row with the largest Hölder
-bound ``max(-b, 0)/||a||_*`` (the number ``attack._pair_prune`` compares),
+bound ``max(-b, 0)/||a||_*`` (the pair bound of ``attack._screen_bounds_sq``),
 with one p or n column or slack per coordinate, so it is feasible and its
 value is that bound.  Pricing follows Dantzig's rule (the most negative
 reduced cost) and turns to Bland's rule during long runs of degenerate
@@ -262,9 +262,9 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
     bounds carry over through Hölder's inequality: a row forces
     ``||delta|| >= max(-b, 0)/||a||_*`` in the dual norm (the sum norm under
     the max norm, the max norm under the sum norm), so the targets are
-    ordered and pruned by their bounds in that norm.  The reach window is the
-    l2 one, divided by sqrt(d) under the max norm.  ``cfg.screening_enabled``
-    turns the pair bounds on and off.
+    ordered and pruned by their ``n_scr``-row block bounds in that norm.  The
+    reach window is the l2 one, divided by sqrt(d) under the max norm.
+    ``cfg.screening_enabled`` turns the block bound on and off.
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")

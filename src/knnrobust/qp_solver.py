@@ -49,13 +49,12 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Pipeline settings around the dual active-set solver.
 
-    ``screening_enabled`` turns on the 1-NN pipelines' pair bounds: the
-    ``n_scr``-row block bound, which orders the targets best first, and the
-    post-build row test; each drops a target whose single-row bound already
-    exceeds the incumbent.  The reach window does not depend on it, and
-    qp-greedy ignores it.  The solver itself has
-    no setting: its exit tolerance is relative to each subproblem's
-    ``offset_scale``.
+    ``screening_enabled`` turns on the 1-NN pipelines' ``n_scr``-row block
+    bound, which orders the targets best first and drops each target whose
+    single-row bound already exceeds the incumbent, before it is built.  The
+    reach window does not depend on it, and qp-greedy ignores it.  The solver
+    itself has no setting: its exit tolerance is relative to each
+    subproblem's ``offset_scale``.
     """
 
     screening_enabled: bool = True

@@ -8,6 +8,7 @@ from knnrobust import (
     DEFAULT_TIE_RULE,
     AttackStats,
     CertificateKind,
+    CertificationError,
     DataFormatError,
     Dataset,
     DualSolution,
@@ -67,6 +68,20 @@ class TestExact1nn:
         assert cert.misclassified
         assert cert.epsilon == 0.0
         np.testing.assert_array_equal(cert.delta, [0.0])
+
+    def test_perturbation_that_does_not_flip_raises(self, fix_c, monkeypatch):
+        monkeypatch.setattr(attack, "is_adversarial", lambda *args, **kwargs: False)
+        ds, q = fix_c
+        with pytest.raises(CertificationError,
+                           match="^exact-1nn: produced perturbation does not flip the 1-NN"):
+            exact_1nn(ds, q)
+
+    def test_perturbation_without_a_finite_norm_never_wins(self, fix_c, monkeypatch):
+        # A solve that returns NaN leaves no incumbent to validate.
+        monkeypatch.setattr(attack, "_solve_delta", lambda sp, stats: np.full(sp.d, np.nan))
+        ds, q = fix_c
+        with pytest.raises(SolverError, match="no candidate subproblem produced a perturbation"):
+            exact_1nn(ds, q)
 
     def test_stats_populated(self, fix_c):
         ds, q = fix_c
@@ -211,9 +226,9 @@ _ONE_NN_CALLS = {
 class TestBestFirstLoop:
     @pytest.mark.parametrize("norm", ["l2", "linf", "l1"])
     def test_block_bound_is_the_per_target_pair_bound(self, corpus, norm):
-        # One block over every target gives, per target, the n_scr-row numbers
-        # that _pair_prune compares, bit for bit, and screen_subproblem's
-        # threshold sits exactly at the l2 bound.
+        # One block over every target gives, per target, the pair bounds of
+        # its own n_scr rows, bit for bit, and screen_subproblem's threshold
+        # sits exactly at the l2 bound.
         for ds, q, _ in corpus:
             dist_sq = ds.distances_sq(q.z)
             scr = attack._screening_rows(ds.class_indices(q.true_label), dist_sq,
@@ -264,6 +279,7 @@ class TestBestFirstLoop:
                 candidates = min(candidates, 3)
             s = cert.stats
             assert s.subproblems_solved + s.subproblems_screened == candidates
+            assert s.subproblems_built == s.subproblems_solved
 
     @pytest.mark.parametrize("name", ["exact", "exact unsorted", "exact-linf"])
     def test_one_target_blocks_give_the_same_certificates(self, corpus, monkeypatch, name):
@@ -382,6 +398,28 @@ class TestQpGreedy:
         cert = qp_greedy_knn(ds, q, 3)
         assert cert.epsilon == pytest.approx(np.linalg.norm(delta_ref), rel=1e-12)
         assert cert.epsilon < unrefined - 0.5
+        assert is_adversarial(ds, q, cert.delta, 3)
+
+    def test_failed_refinement_keeps_the_first_solution(self, monkeypatch):
+        # test_phase2_strictly_improves's data, with the refinement solve
+        # failing: the first subset's 0.85 is returned, validated as before.
+        ds = Dataset(
+            np.array([[-0.5], [-1.0], [2.0], [2.2]]), np.array([1, 1, 2, 2])
+        )
+        q = Query(np.array([0.0]), 1)
+        calls = []
+
+        def second_fails(sp, stats):
+            calls.append(sp.m)
+            if len(calls) == 2:
+                raise SolverError("recovered perturbation violates the full constraint set")
+            return _solve_candidate(sp, stats)
+
+        monkeypatch.setattr(attack, "_solve_candidate", second_fails)
+        cert = qp_greedy_knn(ds, q, 3)
+        assert calls == [4, 2]      # the refinement drops point 0's two rows
+        assert cert.epsilon == pytest.approx(0.85, abs=1e-9)
+        assert (cert.stats.subproblems_built, cert.stats.subproblems_solved) == (2, 1)
         assert is_adversarial(ds, q, cert.delta, 3)
 
     def test_refinement_skipped_when_it_would_drop_every_same_class_point(self):
@@ -812,6 +850,23 @@ class TestBegin:
         assert not cert.misclassified and cert.epsilon > 0.0
         # The other passes validate at z + delta.
         assert sum(from_query) == 1
+
+    @pytest.mark.parametrize("name", sorted(_ATTACKS))
+    def test_misclassified_query_gets_the_zero_certificate(self, fix_a, name):
+        ds, _ = fix_a
+        cert = _ATTACKS[name](ds, Query(np.array([2.9]), 1), 1)
+        assert cert.misclassified and cert.kind is CertificateKind.EXACT
+        assert cert.epsilon == 0.0
+        np.testing.assert_array_equal(cert.delta, [0.0])
+
+    @pytest.mark.parametrize("search, message", [
+        (lambda ds, q: qp_top_m(ds, q, 0), "m must be >= 1"),
+        (lambda ds, q: naive_attack(ds, q, 1, 0), "tries must be >= 1"),
+    ], ids=["qp_top_m", "naive_attack"])
+    def test_nonpositive_counts_rejected(self, fix_c, search, message):
+        ds, q = fix_c
+        with pytest.raises(ValueError, match=message):
+            search(ds, q)
 
     @pytest.mark.parametrize("name", sorted(_ATTACKS) + ["verifier"])
     def test_overflowing_distances_raise(self, name):

@@ -107,14 +107,16 @@ def test_completed_pairs_are_summarised(tmp_path):
     assert block["pairs won by change"] == {"table.refs_per_query": 0}
 
 
-def _table_run(linf_ms):
-    """A run.py stand-in that prints a method table in run.py's layout."""
+def _table_run(linf_ms, ref_ms=0.5):
+    """A run.py stand-in that prints a method table and the metric lines in
+    run.py's layout."""
     return f"""import json
 print("perfbench workload=w seed=0 seconds=40.0 trace=0")
 print(f"{{'method':>15}} {{'n':>5}} {{'median_ms':>10}} {{'mean_ms':>10}} {{'high pct':>16}} {{'max_ms':>10}}")
 print(f"{{'exact K=1':>15}} {{20:>5}} {{0.66:>10.2f}} {{0.71:>10.2f}} {{'p95=1.58':>16}} {{13.77:>10.2f}}")
 print(f"{{'exact-linf K=1':>15}} {{2:>5}} {{{linf_ms}:>10.2f}} {{3.0:>10.2f}} {{'-':>16}} {{4.0:>10.2f}}")
 print("checks: attempted=5 failed=0 failed_ratio=0 (1) failed checks={{}} raised={{}}")
+print("reference.ms = {ref_ms:.6g} ms")
 print("table.refs_per_query = 2 ref")
 print(json.dumps({{"correct": True, "attempted": 5, "failed": 0,
                   "metrics": {{"table.refs_per_query": {{"value": 2.0, "unit": "ref"}}}}}}))
@@ -126,11 +128,21 @@ def test_printed_medians_reads_run_py_table():
                          text=True, check=True).stdout
     assert bench_pairs.printed_medians(out) == {"exact K=1": 0.66, "exact-linf K=1": 2.47}
     assert bench_pairs.printed_medians('{"correct": true}') == {}
+    assert bench_pairs.printed_reference_ms(out) == 0.5
+    assert bench_pairs.printed_reference_ms('{"correct": true}') is None
+
+
+def test_run_once_without_reference_line_has_no_refs(tmp_path):
+    checkout = _checkout(tmp_path / "c", _OK_RUN)
+    result = bench_pairs.run_once(checkout, "w", 0)
+    assert result["median_ms"] == {} and result["median_refs"] == {}
 
 
 def test_printed_medians_are_summarised_per_side(tmp_path):
-    parent = _checkout(tmp_path / "parent", _table_run(2.5))
-    change = _checkout(tmp_path / "change", _table_run(1.25))
+    # The change's reference kernel runs twice as fast, so its halved
+    # exact-linf median is the same number of refs.
+    parent = _checkout(tmp_path / "parent", _table_run(2.5, ref_ms=0.5))
+    change = _checkout(tmp_path / "change", _table_run(1.25, ref_ms=0.25))
     out = tmp_path / "bench.json"
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
                              "--out", str(out)]) == 0
@@ -143,3 +155,12 @@ def test_printed_medians_are_summarised_per_side(tmp_path):
         "change": {"median": 1.25, "q1": 1.25, "q3": 1.25},
         "change_over_parent": 0.5, "pairs won by change": 2}
     assert medians["exact K=1"]["pairs won by change"] == 0
+    assert [r["median_refs"] for r in written["runs"]["w"]] == [
+        {"exact K=1": 0.66 / ref, "exact-linf K=1": 5.0} for ref in (0.5, 0.25, 0.25, 0.5)]
+    refs = written["workloads"]["w"]["median_refs"]
+    assert refs["exact-linf K=1"] == {
+        "parent": {"median": 5.0, "q1": 5.0, "q3": 5.0},
+        "change": {"median": 5.0, "q1": 5.0, "q3": 5.0},
+        "change_over_parent": 1.0, "pairs won by change": 0}
+    assert refs["exact K=1"]["change_over_parent"] == pytest.approx(2.0)
+    assert refs["exact K=1"]["pairs won by change"] == 0

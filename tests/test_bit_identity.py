@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bit_identity.py"
@@ -19,7 +21,7 @@ def _records():
 
 def test_identical_records_have_no_difference():
     counts, lines = bit_identity.compare(_records(), _records())
-    assert counts == {"exact": [1, 0], "verifier": [2, 0], "qp-10": [1, 0]}
+    assert counts == {"exact": [1, 0, 0], "verifier": [2, 0, 0], "qp-10": [1, 0, 0]}
     assert lines == []
 
 
@@ -31,17 +33,54 @@ def test_each_kind_of_difference_is_counted_under_its_method():
     del change["binary-knn:s0:d1:q2/qp-10/k1"]                       # missing on one side
     change["binary-knn:s0:d1:q2/mean/k3"] = {"error": "SolverError"}  # new on one side
     counts, lines = bit_identity.compare(_records(), change)
-    assert counts == {"exact": [1, 1], "verifier": [2, 2], "qp-10": [1, 1], "mean": [1, 1]}
+    # The extra solver step is a count; every other change moves an outcome.
+    assert counts == {"exact": [1, 0, 1], "verifier": [2, 2, 0], "qp-10": [1, 1, 0],
+                      "mean": [1, 1, 0]}
     assert len(lines) == 5
     assert any(line.startswith("binary-knn:s0:d1:q2/qp-10/k1: parent {") and
                line.endswith("change None") for line in lines)
+    assert lines[-1].startswith("corpus/0/exact/k1: ")   # outcome differences first
 
 
 def test_equal_epsilon_with_another_delta_differs():
     change = _records()
     change["corpus/0/exact/k1"]["delta"] = "ab13"
     counts, lines = bit_identity.compare(_records(), change)
-    assert counts["exact"] == [1, 1] and len(lines) == 1
+    assert counts["exact"] == [1, 1, 0] and len(lines) == 1
+
+
+def test_count_only_differences_are_told_apart_from_outcomes():
+    change = _records()
+    change["corpus/0/exact/k1"]["stats"] = [3, 3, 0, 9]       # a screened target solved
+    change["corpus/0/verifier/k1"]["pairs"] = 10              # fewer pair bounds
+    change["binary-knn:s0:d1:q2/qp-10/k1"]["stats"] = [4, 2, 1, 7]
+    counts, lines = bit_identity.compare(_records(), change)
+    assert counts == {"exact": [1, 0, 1], "verifier": [2, 0, 1], "qp-10": [1, 0, 1]}
+    assert len(lines) == 3
+    # The same pair count beside another binding pair is an outcome difference.
+    change["corpus/0/verifier/k1"] = dict(_VERIFIER, binding=[4, 8])
+    assert bit_identity.compare(_records(), change)[0]["verifier"] == [2, 1, 0]
+
+
+def test_main_prints_both_counts_and_exits_1_on_counts_alone(monkeypatch, capsys):
+    change = _records()
+    change["corpus/0/exact/k1"]["stats"] = [3, 3, 0, 9]
+    recorded = iter([_records(), change])
+
+    class _Done:
+        returncode = 0
+
+        def communicate(self):
+            return json.dumps(next(recorded)), None
+
+    monkeypatch.setattr(bit_identity, "_record_in_subprocess", lambda checkout: _Done())
+    assert bit_identity.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out
+    exact = next(line for line in out.splitlines() if line.startswith("exact "))
+    assert re.search(r"\b1 compared\s+0 outcome differ\s+1 counts only\b", exact)
+    assert "total: 4 compared, 0 outcome differ, 1 counts only" in out
+    recorded = iter([_records(), _records()])
+    assert bit_identity.main(["parent", "change"]) == 0
 
 
 def test_sizes_report_the_largest_epsilon_move_and_changed_errors():

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knnrobust import CertificationError, DataFormatError, Query, cli, exact_1nn_lp
+from knnrobust import (CertificationError, DataFormatError, DegeneratePairError, Query,
+                       SolverError, cli, exact_1nn_lp)
 from knnrobust.attack import CertificateKind, PerturbationCertificate
 from knnrobust.cli import RobustnessReport, RunConfig, _check_bound_ordering, bench, main, run
 
@@ -264,6 +265,25 @@ class TestMainExitCodes:
             cli._sample_queries(ds, queries, cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["exact", "bench"])
+    @pytest.mark.parametrize("error, code, prefix", [
+        (CertificationError("delta does not flip"), 5, "certification violation: "),
+        (SolverError("no pivot row"), 4, "solver failure: "),
+        (DegeneratePairError("points coincide"), 4, "error: "),
+        (ValueError("unknown method"), 2, "configuration error: "),
+    ], ids=["certification", "solver", "other library error", "value"])
+    def test_errors_raised_mid_run(self, fix_files, capsys, monkeypatch, command, error,
+                                   code, prefix):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "_run_method", fail)
+        assert main([command, "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                     "--output", fix_files["out"]]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{prefix}{error}\n"
+        assert not Path(fix_files["out"]).exists()
+
     def test_even_k_verify_error(self, fix_files, capsys):
         code = main(["verify", "--data", fix_files["fixC"],
                      "--queries", fix_files["fixC_q"], "--k", "4"])
@@ -473,3 +493,47 @@ class TestMainFlags:
             assert err.startswith("configuration error:")
         assert main(["bench", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
                      "--k", "3", "--methods", "verifier,qp-greedy,naive-3,mean"]) == 0
+
+
+class TestSampleQueries:
+    @pytest.fixture
+    def many(self, fix_files):
+        """fixA with twelve queries: ten the 1-NN classifies right, two it does not."""
+        path = fix_files["dir"] / "many_q.csv"
+        xs = [-1.0, -0.8, -0.6, 2.5, -0.4, -0.2, 0.0, 0.2, 0.4, 2.9, 0.6, 0.8]
+        path.write_text("".join(f"1,{x}\n" for x in xs))
+        return cli.load_csv(fix_files["fixA"]), cli.load_queries(str(path)), str(path)
+
+    def _sample(self, fix_files, many, **fields):
+        ds, queries, path = many
+        cfg = RunConfig(command="exact", data_path=fix_files["fixA"], query_path=path, **fields)
+        return [index for index, _ in cli._sample_queries(ds, queries, cfg)]
+
+    def test_all_correct_queries_when_the_sample_is_larger(self, fix_files, many):
+        correct = [0, 1, 2, 4, 5, 6, 7, 8, 10, 11]
+        assert self._sample(fix_files, many) == correct
+        assert self._sample(fix_files, many, sample=10) == correct
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_seeded_subsample_in_index_order(self, fix_files, many, seed):
+        correct = [0, 1, 2, 4, 5, 6, 7, 8, 10, 11]
+        chosen = self._sample(fix_files, many, sample=4, seed=seed)
+        assert len(chosen) == 4 and chosen == sorted(chosen)
+        assert set(chosen) <= set(correct)
+        picks = np.random.default_rng(seed).choice(len(correct), size=4, replace=False)
+        assert chosen == [correct[i] for i in sorted(picks)]
+        assert self._sample(fix_files, many, sample=4, seed=seed) == chosen
+
+    def test_subsample_depends_on_the_seed(self, fix_files, many):
+        samples = {tuple(self._sample(fix_files, many, sample=4, seed=seed))
+                   for seed in range(5)}
+        assert len(samples) > 1
+
+    def test_report_lists_the_subsample(self, fix_files, many, capsys):
+        _, _, path = many
+        assert main(["exact", "--data", fix_files["fixA"], "--queries", path, "--sample", "3",
+                     "--seed", "2", "--output", fix_files["out"]]) == 0
+        report = json.loads(Path(fix_files["out"]).read_text())
+        indices = [record["query_index"] for record in report["queries"]]
+        assert indices == self._sample(fix_files, many, sample=3, seed=2)
+        assert report["aggregates"]["count"] == 3

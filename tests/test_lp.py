@@ -161,6 +161,19 @@ class TestSolveLp:
             with pytest.raises(SolverError):
                 solve_lp(build(sp))
 
+    def test_column_without_pivot_row_raises(self):
+        # A hand-made program: minimize -x1 subject to x0 - x1 = 1, from the
+        # basis {x0}.  x1 prices in, but its column has no positive entry,
+        # so the program is unbounded below.  A dual-norm program cannot be
+        # (its cost is a norm); only rounding could bring solve_lp here.
+        program = lp.DualLp(matrix=np.array([[1.0, -1.0]]), rhs=np.array([1.0]),
+                            cost=np.array([0.0, -1.0]), basis=np.array([0]),
+                            unit_rows=np.array([0, 0]), scale=1.0, norm="linf")
+        tableau = np.array([[1.0, -1.0, 1.0], [0.0, -1.0, 0.0]])
+        assert lp._bland_leaving(tableau, program.basis, 1) is None
+        with pytest.raises(SolverError, match="a column of negative reduced cost has no pivot row"):
+            solve_lp(program)
+
     def test_agrees_with_vertex_enumeration(self):
         # Random integer subproblems with some b_i < 0, against the vertices
         # of the plain min-norm LP; those with no feasible delta must raise.
@@ -345,6 +358,16 @@ class TestExact1nnLp:
         assert solved["linf"] > 0 and solved["l1"] > 0
         assert calls == {"build_linf_lp": solved["linf"], "build_l1_lp": solved["l1"],
                          "solve_lp": solved["linf"] + solved["l1"]}
+
+    @pytest.mark.parametrize("norm", ["linf", "l1"])
+    def test_lp_failure_names_its_target(self, fix_c, monkeypatch, norm):
+        def fail(program):
+            raise SolverError("no optimum after 50000 pivots")
+
+        monkeypatch.setattr(lp, "solve_lp", fail)
+        ds, q = fix_c
+        with pytest.raises(SolverError, match=f"^exact-{norm}: LP for target 2: no optimum"):
+            exact_1nn_lp(ds, q, norm)
 
     def test_one_dimension_collapses(self):
         rng = np.random.default_rng(113)

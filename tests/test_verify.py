@@ -126,6 +126,24 @@ class TestVerifyKnn:
             verify_knn(merged, q, 1).epsilon_lower, abs=1e-12
         )
 
+    def test_plurality_vote_with_few_same_class_rows_before_the_block(self):
+        # Four classes on a line around z = 0.  At K=5 the query keeps its
+        # label by plurality, 2 of the 5 votes against 1 per rival, so only
+        # 2 same-class points lie nearer than the block's farthest target,
+        # fewer than the 3 the order statistic needs: the block then takes
+        # every same-class row.  The third row, beyond every target, gives
+        # each target the bound 0.
+        ds = Dataset(np.array([[1.0], [-2.0], [10.0], [3.0], [-4.0], [5.0]]),
+                     np.array([1, 1, 1, 2, 3, 4]), 4)
+        q = Query(np.array([0.0]), 1)
+        assert knn_predict(ds, q.z, 5) == 1
+        res = verify_knn(ds, q, 5)
+        assert not res.misclassified
+        assert res.pair_bounds == 3 * 3
+        assert res.epsilon_lower == knn_pair_bound_reference(ds, q, 3, 3) == 0.0
+        assert res.binding_pair[0] == 2
+        assert pair_bound(ds, q.z, *res.binding_pair) == 0.0
+
     @pytest.mark.parametrize("classes, d", [(2, 2), (3, 2), (2, 20), (3, 20)])
     def test_sorted_stop_matches_reference(self, classes, d):
         # Gaussian blobs of 100 points per class: large enough that the walk
