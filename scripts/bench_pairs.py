@@ -11,7 +11,10 @@ pairs (1, 3, ...) and the change first in even pairs.  The runs are
 sequential, so the two sides never share the machine.  ``--out`` receives a
 JSON object whose ``workloads[W]`` block holds, per side: the run count,
 whether every run was correct, the failed and attempted checks summed over the
-runs, and per end-to-end metric the median and quartiles,
+runs, the pairs whose two runs attempted a different number of checks
+(``attempted differs``: a run cut by the deadline certifies fewer calls, so
+its medians cover other queries), and per end-to-end metric the median and
+quartiles,
 ``change_over_parent`` (the ratio of the medians) and the pairs won by the
 change.  The same summary, lower being better, is made in ``median_ms`` of
 the ``median_ms`` column that run.py prints per method table entry ("method
@@ -127,6 +130,9 @@ def summarise(runs: dict, better: dict) -> dict:
         "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+        "attempted differs": [
+            pair for pair, (p, c) in enumerate(zip(runs["parent"], runs["change"]), start=1)
+            if p["attempted"] != c["attempted"]],
         "metrics": {},
         "pairs won by change": {},
         "median_ms": {},
@@ -199,9 +205,11 @@ def main(argv=None) -> int:
         out.setdefault("workloads", {}).pop(args.workload, None)
         out.setdefault("failures", {})[args.workload] = failure
     else:
-        out.setdefault("workloads", {})[args.workload] = {
-            "seed": args.seed, **summarise(runs, better)}
+        block = summarise(runs, better)
+        out.setdefault("workloads", {})[args.workload] = {"seed": args.seed, **block}
         out.get("failures", {}).pop(args.workload, None)
+        print(f"{args.workload}: {len(block['attempted differs'])} of {args.pairs} pairs "
+              f"differ in attempted {block['attempted differs']}", file=sys.stderr)
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     if failure:
         print("run failed: " + json.dumps(failure, indent=1), file=sys.stderr)

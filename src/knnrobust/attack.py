@@ -374,7 +374,6 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
 
     k_minus = (k + 1) // 2
     k_plus = (k - 1) // 2
-    n_same = ds.class_indices(q.true_label).size
     # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
 
@@ -406,11 +405,11 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
         if k_plus > 0 and sol.indices.size:
             mass = {}
             for row, lam in zip(sol.indices, sol.values):
-                i = int(sp.row_source_ids[row])
+                i = int(sp.sources[row % sp.sources.size])
                 mass[i] = mass.get(i, 0.0) + float(lam)
             s_plus = sorted(mass, key=lambda i: -mass[i])[:k_plus]
             # Dropping every same-class point would leave no row to refine.
-            if len(s_plus) < n_same:
+            if len(s_plus) < sp.sources.size:
                 sp2 = sp.without_sources(s_plus)
                 stats.subproblems_built += 1
                 try:

@@ -315,9 +315,12 @@ def knn_vote(ds: Dataset, dist_sq: np.ndarray, k: int, true_label: int | None = 
     """The vote of ``knn_predict`` on given squared distances to every point.
 
     Needs ``k <= ds.n``.  ``knn_predict`` and the verifier pass distances
-    they already hold.
+    they already hold.  A NaN or Inf K-th distance raises ``DataFormatError``;
+    no larger distance enters the vote.
     """
     kth = np.partition(dist_sq, k - 1)[k - 1]
+    if not np.isfinite(kth):
+        raise DataFormatError("squared distances from the point are NaN or overflow float64")
     window = _TIE_REL_TOL * kth
     strict = dist_sq < kth - window
     tied = np.abs(dist_sq - kth) <= window

@@ -274,7 +274,7 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
         try:
             solved = solve_lp(build_linf_lp(sp) if norm == "linf" else build_l1_lp(sp))
         except SolverError as err:
-            raise SolverError(f"{method}: LP for target {int(sp.row_target_ids[0])}: {err}") from err
+            raise SolverError(f"{method}: LP for target {int(sp.targets[0])}: {err}") from err
         stats.subproblems_solved += 1
         stats.solver_iterations += solved[2]
         return solved[0]

@@ -151,7 +151,7 @@ def solve_dual_gca(sp: Subproblem) -> DualSolution:
             zz = float(z @ z)
             blocking = r > 0.0
             # d independent active rows span the space, whatever rounding left in z.
-            if q == sp.d or zz <= _DEPENDENT_ROW * sp.row_norms_sq[p]:
+            if q == sp.d or zz <= _DEPENDENT_ROW * np.einsum("i,i->", a_p, a_p):
                 if not blocking.any():
                     status = SolveStatus.INFEASIBLE
                     break

@@ -22,33 +22,26 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 @dataclass(frozen=True)
 class Subproblem:
-    """One convex QP instance: minimize ||delta||^2/2 s.t. rows.delta + offsets >= 0."""
+    """One convex QP instance: minimize ||delta||^2/2 s.t. rows.delta + offsets >= 0.
+
+    Row ``t * sources.size + s`` pairs ``targets[t]`` with ``sources[s]``; a
+    hand-built system leaves both empty."""
 
     rows: np.ndarray            # (m, d) matrix A
     offsets: np.ndarray         # (m,) vector b
-    row_source_ids: np.ndarray = field(default_factory=lambda: _EMPTY)  # i per row
-    row_target_ids: np.ndarray = field(default_factory=lambda: _EMPTY)  # j per row
-    # Squared row norms, computed from the rows unless given.
-    row_norms_sq: np.ndarray = field(default=None, repr=False)
+    sources: np.ndarray = field(default_factory=lambda: _EMPTY)  # same-class ids i
+    targets: np.ndarray = field(default_factory=lambda: _EMPTY)  # target ids j
 
     def __post_init__(self) -> None:
         rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.float64))
         offsets = np.asarray(self.offsets, dtype=np.float64).ravel()
         if rows.ndim != 2 or rows.shape[0] != offsets.shape[0] or rows.shape[0] < 1:
             raise ValueError("rows must be (m, d) with one offset per row, m >= 1")
-        norms_sq = self.row_norms_sq
-        if norms_sq is None:
-            norms_sq = np.einsum("ij,ij->i", rows, rows)
-        if np.any(norms_sq == 0.0):
-            bad = int(np.flatnonzero(norms_sq == 0.0)[0])
-            i = int(self.row_source_ids[bad]) if len(self.row_source_ids) else bad
-            j = int(self.row_target_ids[bad]) if len(self.row_target_ids) else -1
-            raise DegeneratePairError(
-                f"points {i} and {j} coincide across classes (zero constraint row)"
-            )
+        grid = self.sources.size * self.targets.size
+        if (self.sources.size or self.targets.size) and rows.shape[0] != grid:
+            raise ValueError("the rows must form the targets x sources grid")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "row_norms_sq", norms_sq)
 
     @property
     def m(self) -> int:
@@ -73,32 +66,34 @@ class Subproblem:
         """The rows whose source is not in ``excluded``, in their order.
 
         On a ``build_knn_subproblem`` system this equals rebuilding it with
-        ``excluded`` added, bit for bit, with no row or row norm recomputed.
+        ``excluded`` added, bit for bit, with no row recomputed.
         """
-        keep = np.ones(self.m, dtype=bool)
+        keep = np.ones(self.sources.size, dtype=bool)
         for i in excluded:
-            keep &= self.row_source_ids != i
+            keep &= self.sources != i
         if not keep.any():
             raise ValueError("all same-class points excluded; constraint set is empty")
-        # np.compress copies the kept rows about twice as fast as rows[keep].
-        return Subproblem(np.compress(keep, self.rows, axis=0), self.offsets[keep],
-                          self.row_source_ids[keep], self.row_target_ids[keep],
-                          self.row_norms_sq[keep])
+        grid = (self.targets.size, self.sources.size)
+        # np.compress copies the kept rows about twice as fast as fancy indexing.
+        rows = np.compress(keep, self.rows.reshape(*grid, self.d), axis=1).reshape(-1, self.d)
+        return Subproblem(rows, self.offsets.reshape(grid)[:, keep], self.sources[keep],
+                          self.targets)
 
 
-def _build(ds: Dataset, z: np.ndarray, source_ids: np.ndarray, target_ids,
+def _build(ds: Dataset, z: np.ndarray, sources: np.ndarray, target_ids,
            dist_sq: np.ndarray | None) -> Subproblem:
     if dist_sq is None:
         dist_sq = ds.distances_sq(z)
     targets = np.asarray(target_ids, dtype=np.int64)
-    rows = ds.points[targets][:, None] - ds.points[source_ids][None]
-    offsets = 0.5 * (dist_sq[source_ids][None] - dist_sq[targets][:, None])
-    return Subproblem(
-        rows=rows.reshape(-1, ds.d),
-        offsets=offsets.ravel(),
-        row_source_ids=np.tile(source_ids, targets.size),
-        row_target_ids=np.repeat(targets, source_ids.size),
-    )
+    rows = (ds.points[targets][:, None] - ds.points[sources][None]).reshape(-1, ds.d)
+    offsets = 0.5 * (dist_sq[sources][None] - dist_sq[targets][:, None])
+    # Equal points have bit-equal distances: only a zero offset can sit on a zero row.
+    tied = np.flatnonzero(offsets == 0.0)
+    zero = tied[~rows[tied].any(axis=1)]
+    if zero.size:
+        t, s = divmod(int(zero[0]), sources.size)
+        raise DegeneratePairError(f"points {sources[s]} and {targets[t]} coincide across classes")
+    return Subproblem(rows, offsets.ravel(), sources, targets)
 
 
 def build_1nn_subproblem(ds: Dataset, q: Query, j: int, *,

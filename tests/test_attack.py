@@ -148,7 +148,7 @@ def test_exact_vertex_at_degenerate_optimum(points, labels, z, label, expected):
 def _two_row_system():
     # Rows x >= 3 and y >= x - 1: the optimum is (3, 2), where both are tight.
     return Subproblem(rows=np.array([[1.0, 0.0], [-1.0, 1.0]]), offsets=np.array([-3.0, 1.0]),
-                      row_source_ids=np.array([0, 1]), row_target_ids=np.array([2, 2]))
+                      sources=np.array([0, 1]), targets=np.array([2]))
 
 
 class TestSolveCandidate:

@@ -28,6 +28,7 @@ def test_summary_of_two_fake_sides():
     assert block["runs"] == {"parent": 3, "change": 3}
     assert block["correct"] == {"parent": True, "change": True}
     assert block["attempted"] == {"parent": 300, "change": 290}
+    assert block["attempted differs"] == [1]
     table = block["metrics"]["table.refs_per_query"]
     assert table["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
     assert table["change"] == {"median": 10.0, "q1": 9.5, "q3": 11.25}
@@ -105,6 +106,36 @@ def test_completed_pairs_are_summarised(tmp_path):
     block = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
     assert block["runs"] == {"parent": 2, "change": 2}
     assert block["pairs won by change"] == {"table.refs_per_query": 0}
+    assert block["attempted differs"] == []
+
+
+# A run cut by the deadline: the checkout's n-th run attempts 5 - n checks
+# when a counter file says so, so only some pairs differ.
+_COUNTING_RUN = """import json, pathlib
+counter = pathlib.Path("count.txt")
+n = int(counter.read_text()) + 1 if counter.exists() else 1
+counter.write_text(str(n))
+cut = pathlib.Path("cut.txt").exists() and n in (1, 3)
+print(json.dumps({"correct": True, "attempted": 5 - n if cut else 5, "failed": 0,
+                  "metrics": {"table.refs_per_query": {"value": 2.0, "unit": "ref"}}}))
+"""
+
+
+def test_pairs_with_different_attempted_counts_are_listed(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", _COUNTING_RUN)
+    change = _checkout(tmp_path / "change", _COUNTING_RUN)
+    (change / "cut.txt").write_text("", encoding="utf-8")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "4",
+                             "--out", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert [(r["pair"], r["side"], r["attempted"]) for r in written["runs"]["w"]] == [
+        (1, "parent", 5), (1, "change", 4), (2, "change", 5), (2, "parent", 5),
+        (3, "parent", 5), (3, "change", 2), (4, "change", 5), (4, "parent", 5)]
+    block = written["workloads"]["w"]
+    assert block["attempted differs"] == [1, 3]
+    assert block["attempted"] == {"parent": 20, "change": 16}
+    assert "w: 2 of 4 pairs differ in attempted [1, 3]" in capsys.readouterr().err
 
 
 def _table_run(linf_ms, ref_ms=0.5):

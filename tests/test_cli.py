@@ -213,6 +213,17 @@ class TestMainExitCodes:
                      "--queries", fix_files["fixA_q"], "--k", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["n_scr", "workers", "repeats"])
+    def test_count_below_one_exit_2(self, fix_files, capsys, field):
+        message = "n_scr, workers and repeats must all be >= 1"
+        files = {"data_path": fix_files["fixA"], "query_path": fix_files["fixA_q"]}
+        with pytest.raises(ValueError, match=message):
+            RunConfig(command="bench", **files, **{field: 0})
+        code = main(["bench", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                     "--" + field.replace("_", "-"), "0"])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
     def test_io_error_exit_3(self, fix_files, capsys):
         code = main(["exact", "--data", str(fix_files["dir"] / "nope.csv"),
                      "--queries", fix_files["fixA_q"]])

@@ -13,6 +13,7 @@ from knnrobust import (
     TieRule,
     class_means,
     generate_synthetic,
+    is_adversarial,
     k_nearest,
     knn_predict,
     load_csv,
@@ -101,6 +102,28 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=message):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,0\n2\n", "row 2: need a label and at least one feature"),
+        ("1,0\n2.5,1\n", "row 2: label '2.5' is not an integer"),
+        ("1,0\n0,1\n", "row 2: label must be a positive integer, got 0"),
+        ("1,0\n-2,1\n", "row 2: label must be a positive integer, got -2"),
+        ("1,0\n", "{path}: need at least 2 data rows, got 1"),
+        ("1,0\n3,1\n", "{path}: labels must form a contiguous range 1..C, got [1, 3]"),
+    ], ids=["no-feature", "non-integer-label", "zero-label", "negative-label", "one-row",
+            "labels-1-3"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "db.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=re.escape(message.format(path=path))):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_query_file_without_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "q.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: no query rows")):
+            load_queries(path)
+
     def test_load_queries(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("1,0\n2,5\n")
@@ -176,6 +199,21 @@ class TestKnnPredict:
         ds = Dataset(points, labels)
         for i in range(ds.n):
             assert knn_predict(ds, ds.points[i], 1) == ds.labels[i]
+
+    @pytest.mark.parametrize("z", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0],
+                                   [1e308, 1e308]], ids=["nan", "inf", "-inf", "overflow"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nonfinite_point_rejected(self, z, k):
+        # A NaN point once got label 0, which is no class, and an Inf K-th
+        # distance made the tie window inf - inf.  Warnings are errors here.
+        ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0]]),
+                     np.array([1, 2, 2, 1]))
+        message = "squared distances from the point are NaN or overflow float64"
+        for true_label in (None, 1):
+            with pytest.raises(DataFormatError, match=message):
+                knn_predict(ds, np.array(z), k, true_label=true_label)
+        with pytest.raises(DataFormatError, match=message):
+            is_adversarial(ds, Query(np.zeros(2), 1), np.array(z), k)
 
     def test_tie_rule_has_no_settings(self):
         # The validation inflation is a constant: a large one certified

@@ -7,10 +7,13 @@ from knnrobust import (
     Dataset,
     DegeneratePairError,
     Query,
+    SolveStatus,
     Subproblem,
     build_1nn_subproblem,
     build_knn_subproblem,
     pair_bound,
+    recover_primal,
+    solve_dual_gca,
 )
 
 
@@ -20,8 +23,8 @@ class TestBuild1nn:
         sp = build_1nn_subproblem(ds, q, 1)
         np.testing.assert_allclose(sp.rows, [[1.0, -1.0]])
         np.testing.assert_allclose(sp.offsets, [-1.0])
-        assert sp.row_target_ids.tolist() == [1]
-        assert sp.row_source_ids.tolist() == [0]
+        assert sp.targets.tolist() == [1]
+        assert sp.sources.tolist() == [0]
 
     def test_fix_a_row(self, fix_a):
         ds, q = fix_a
@@ -67,8 +70,8 @@ class TestBuildKnn:
         sp = build_knn_subproblem(ds, q, [2, 3])
         assert sp.m == 4
         got = {
-            (int(i), int(j)): (float(a[0]), float(b))
-            for i, j, a, b in zip(sp.row_source_ids, sp.row_target_ids, sp.rows, sp.offsets)
+            (int(sp.sources[row % 2]), int(sp.targets[row // 2])): (float(a[0]), float(b))
+            for row, (a, b) in enumerate(zip(sp.rows, sp.offsets))  # two sources per target
         }
         assert got == {
             (0, 2): (2.5, -1.875),
@@ -81,8 +84,9 @@ class TestBuildKnn:
         ds, q = fix_c
         sp = build_knn_subproblem(ds, q, [2, 3], excluded=[1])
         assert sp.m == 2
-        assert sp.row_source_ids.tolist() == [0, 0]
-        assert sp.row_target_ids.tolist() == [2, 3]
+        assert sp.sources.tolist() == [0]
+        assert sp.targets.tolist() == [2, 3]
+        np.testing.assert_allclose(sp.rows, [[2.5], [3.5]])
 
     def test_singleton_matches_1nn(self, fix_c):
         ds, q = fix_c
@@ -107,7 +111,7 @@ class TestBuildKnn:
     def test_without_sources_equals_rebuild(self):
         # qp-greedy's refinement drops 1 to (K-1)/2 same-class sources from
         # its first system; that must be the system built without them, bit
-        # for bit, down to the cached row norms.
+        # for bit, down to its source and target ids.
         rng = np.random.default_rng(17)
         checked = 0
         for _ in range(300):
@@ -124,7 +128,7 @@ class TestBuildKnn:
             s_plus = rng.choice(same, size=size, replace=False).tolist()
             carved = build_knn_subproblem(ds, q, s_minus).without_sources(s_plus)
             built = build_knn_subproblem(ds, q, s_minus, s_plus)
-            for name in ("rows", "offsets", "row_source_ids", "row_target_ids", "row_norms_sq"):
+            for name in ("rows", "offsets", "sources", "targets"):
                 a, b = getattr(carved, name), getattr(built, name)
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
             checked += 1
@@ -154,6 +158,60 @@ class TestBuildKnn:
         for _ in range(20):
             sp = Subproblem(rng.normal(size=(7, 3)), rng.normal(size=7))
             assert sp.offset_scale == float(np.max(np.abs(sp.offsets)))
+
+
+class TestGrid:
+    @pytest.mark.parametrize("targets", [(9,), (7, 5, 10)], ids=["1nn", "knn"])
+    def test_row_pairs_a_target_with_a_source(self, targets):
+        # Row t*n + s is x_targets[t] - x_sources[s], with offset
+        # (d_s^2 - d_t^2)/2, bit for bit.
+        rng = np.random.default_rng(23)
+        ds = Dataset(rng.normal(size=(12, 5)), np.repeat([1, 2, 1], [3, 8, 1]))
+        q = Query(rng.normal(size=5), 1)
+        if len(targets) == 1:
+            sp = build_1nn_subproblem(ds, q, targets[0])
+        else:
+            sp = build_knn_subproblem(ds, q, targets)
+        dist_sq = ds.distances_sq(q.z)
+        assert sp.sources.tolist() == [0, 1, 2, 11] and sp.targets.tolist() == list(targets)
+        assert sp.m == 4 * len(targets)
+        for t, j in enumerate(targets):
+            for s, i in enumerate(sp.sources):
+                row = t * sp.sources.size + s
+                assert sp.rows[row].tobytes() == (ds.points[j] - ds.points[i]).tobytes()
+                assert sp.offsets[row] == 0.5 * (dist_sq[i] - dist_sq[j])
+
+    def test_rows_must_form_the_grid(self):
+        rows, offsets = np.ones((3, 2)), np.zeros(3)
+        with pytest.raises(ValueError, match="targets x sources grid"):
+            Subproblem(rows, offsets, np.array([0, 1]), np.array([2]))
+        with pytest.raises(ValueError, match="targets x sources grid"):
+            Subproblem(rows, offsets, sources=np.array([0, 1, 4]))
+        hand = Subproblem(rows, offsets)
+        assert hand.sources.size == hand.targets.size == 0
+
+    def test_hand_built_zero_row_is_a_constraint(self):
+        # Only a build rejects a zero row.  A violated one makes the system
+        # infeasible; a satisfied one never joins the active set.
+        rows = np.array([[1.0, 0.0], [0.0, 0.0]])
+        violated = Subproblem(rows, np.array([-1.0, -0.5]))
+        assert solve_dual_gca(violated).status is SolveStatus.INFEASIBLE
+        satisfied = Subproblem(rows, np.array([-1.0, 0.5]))
+        sol = solve_dual_gca(satisfied)
+        assert sol.status is SolveStatus.CONVERGED and sol.indices.tolist() == [0]
+        np.testing.assert_array_equal(recover_primal(satisfied, sol), [1.0, 0.0])
+
+    def test_cross_class_duplicate_names_both_points(self):
+        # Point 1 (the query's class) and point 2 coincide; target 3 does not.
+        ds = Dataset(np.array([[0.0, 1.0], [2.0, 2.0], [2.0, 2.0], [3.0, 0.0]]),
+                     np.array([1, 1, 2, 2]))
+        q = Query(np.array([0.0, 0.0]), 1)
+        message = "points 1 and 2 coincide across classes"
+        with pytest.raises(DegeneratePairError, match=message):
+            build_1nn_subproblem(ds, q, 2)
+        with pytest.raises(DegeneratePairError, match=message):
+            build_knn_subproblem(ds, q, (3, 2))
+        assert build_1nn_subproblem(ds, q, 3).m == 2
 
 
 @pytest.mark.parametrize("build", [
@@ -204,8 +262,8 @@ class TestPairBound:
         j = int(rng.integers(3, 6))
         sp = build_1nn_subproblem(ds, q, j)
         for row in range(sp.m):
-            i = int(sp.row_source_ids[row])
-            dual_value = max(-sp.offsets[row], 0.0) ** 2 / (2 * sp.row_norms_sq[row])
+            i = int(sp.sources[row])
+            dual_value = max(-sp.offsets[row], 0.0) ** 2 / (2 * float(sp.rows[row] @ sp.rows[row]))
             assert pair_bound(ds, z, i, j) ** 2 / 2 == pytest.approx(dual_value, abs=1e-9)
 
 
