@@ -14,14 +14,18 @@ checks its sorts for ties, and most distances shared), and the first 40
 queries of every dataset of both perfbench workloads at seeds 0 and 1,
 generated in memory.  Each input runs every method of the perfbench method
 table at every K that the input allows, and the exact ablations at K=1
-(unsorted, with ``n_scr=1`` and without screening).
+(unsorted, with ``n_scr=1`` and without screening).  Ingestion is compared
+too: for every dataset of both workloads at both seeds, the files that
+``workloads.write_csvs`` writes are read back through ``load_csv`` and
+``load_queries`` (methods ``load_csv`` and ``load_queries``).
 
 Per call the record holds the epsilon as ``float.hex``, the SHA-1 of the
 perturbation's bytes, the stats counts (built, solved, screened, solver
 steps), the verifier's binding pair and pair count, or the type of the
-library error raised.  The script prints, per method, the calls compared;
-those whose outcome differs (the epsilon, perturbation, binding pair or
-error, or a call recorded on one side only); those that differ only in
+library error raised; per file read, the SHA-1 of the arrays returned, or
+the library error.  The script prints, per method, the calls compared; those
+whose outcome differs (the epsilon, perturbation, binding pair, error or
+SHA-1, or a call recorded on one side only); those that differ only in
 their counts (the stats counts or the verifier's pair count); the largest
 relative difference of an epsilon recorded on both sides; and the calls
 whose raised error changed (an error on one side only, or another type).
@@ -49,7 +53,7 @@ TIE_GRID_KS = (1, 3, 5)
 ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen")
 SHOWN = 10  # differences printed
 # Record fields that state a call's outcome; "stats" and "pairs" count its work.
-OUTCOME_FIELDS = ("eps", "delta", "binding", "error")
+OUTCOME_FIELDS = ("eps", "delta", "binding", "error", "sha1")
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                       "MKL_NUM_THREADS")}
 
@@ -149,13 +153,50 @@ def _inputs():
                            w.ks, w.table)
 
 
+def _arrays_sha1(*arrays) -> str:
+    digest = hashlib.sha1()
+    for a in arrays:
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def _ingestion(directory: Path) -> dict:
+    """Per perfbench CSV file, the SHA-1 of what the loader returns, keyed
+    ``workload:sSEED:dDATASET/load_csv/FILE`` (or ``load_queries``)."""
+    import numpy as np
+    from knnrobust import KnnRobustError, load_csv, load_queries
+    from workloads import WORKLOADS, write_csvs
+
+    def digest(load, path):
+        try:
+            out = load(path)
+        except KnnRobustError as err:
+            return {"error": type(err).__name__}
+        if load is load_csv:
+            return {"sha1": _arrays_sha1(out.points, out.labels, np.array(out.class_count))}
+        return {"sha1": _arrays_sha1(*(q.z for q in out),
+                                     np.array([q.true_label for q in out]))}
+
+    out = {}
+    for w in WORKLOADS.values():
+        for seed in SEEDS:
+            for b, pair in enumerate(write_csvs(w, seed, directory)):
+                for load, path in zip((load_csv, load_queries), pair):
+                    out[f"{w.name}:s{seed}:d{b}/{load.__name__}/{path.name}"] = digest(load, path)
+    return out
+
+
 def record(checkout: Path) -> dict:
-    """Every record of the sweep on ``checkout``, keyed ``input/method/kK``."""
+    """Every record of the sweep on ``checkout``, keyed ``input/method/kK``,
+    and of the ingestion, keyed ``input/loader/file``."""
     for sub in ("src", "tests", "perfbench"):
         sys.path.insert(0, str(checkout / sub))
+    import tempfile
     import warnings
     warnings.simplefilter("ignore")
-    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _ingestion(Path(tmp))
     for name, ds, q, ks, table in _inputs():
         entries = [(e.method, e.k) for e in table if e.k in ks]
         entries += [(m, 1) for m in ABLATIONS]
@@ -193,9 +234,9 @@ def sizes(parent: dict, change: dict) -> dict:
     """Per method ``[largest relative epsilon difference, errors changed]``.
 
     The first is over the calls with an epsilon on both sides (0 when none
-    differs, inf when a zero epsilon became nonzero); the second counts the
-    calls on both sides where either raised and the two records' errors
-    differ: an error on one side only, or another type.
+    differs, inf when a zero epsilon became nonzero; a file read has none);
+    the second counts the calls on both sides where either raised and the
+    two records' errors differ: an error on one side only, or another type.
     """
     out: dict = {}
     for key in parent.keys() & change.keys():
@@ -203,6 +244,8 @@ def sizes(parent: dict, change: dict) -> dict:
         old, new = parent[key], change[key]
         if "error" in old or "error" in new:
             size[1] += old.get("error") != new.get("error")
+            continue
+        if "eps" not in old:
             continue
         eps_old, eps_new = float.fromhex(old["eps"]), float.fromhex(new["eps"])
         if eps_old != eps_new:

@@ -8,7 +8,8 @@ The IDX files are the standard distribution format (optionally gzipped,
 detected by the .gz suffix), e.g. train-images-idx3-ubyte.gz and
 train-labels-idx1-ubyte.gz for MNIST or Fashion-MNIST.  Pixels are scaled
 to [0, 1] and the 0-based digit labels are shifted to 1..10 because the
-library requires positive class ids.
+library requires positive class ids.  A file that ends before the count its
+header declares is rejected.
 
 For the benchmark suite place the outputs in one directory as
 mnist_train.csv, mnist_test.csv, fashion_train.csv, fashion_test.csv and
@@ -20,26 +21,37 @@ import struct
 import sys
 
 
+# Each pixel byte's text in the CSV, "%.6g" of its value scaled to [0, 1].
+_PIXEL_TEXT = ["%.6g" % (p / 255.0) for p in range(256)]
+
+
 def _open(path):
     return gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")
 
 
+def _read_exactly(fh, size, path, what):
+    data = fh.read(size)
+    if len(data) != size:
+        raise SystemExit(f"{path}: truncated {what}: {len(data)} of {size} bytes")
+    return data
+
+
 def read_images(path):
     with _open(path) as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", fh.read(16))
+        magic, count, rows, cols = struct.unpack(">IIII", _read_exactly(fh, 16, path, "header"))
         if magic != 2051:
             raise SystemExit(f"{path}: not an IDX image file (magic {magic})")
-        payload = fh.read(count * rows * cols)
+        payload = _read_exactly(fh, count * rows * cols, path, "payload")
     size = rows * cols
     return [payload[i * size:(i + 1) * size] for i in range(count)]
 
 
 def read_labels(path):
     with _open(path) as fh:
-        magic, count = struct.unpack(">II", fh.read(8))
+        magic, count = struct.unpack(">II", _read_exactly(fh, 8, path, "header"))
         if magic != 2049:
             raise SystemExit(f"{path}: not an IDX label file (magic {magic})")
-        return list(fh.read(count))
+        return list(_read_exactly(fh, count, path, "payload"))
 
 
 def main(argv):
@@ -51,7 +63,7 @@ def main(argv):
         raise SystemExit(f"count mismatch: {len(images)} images, {len(labels)} labels")
     with open(argv[3], "w", encoding="utf-8") as out:
         for label, pixels in zip(labels, images):
-            values = ",".join("%.6g" % (p / 255.0) for p in pixels)
+            values = ",".join([_PIXEL_TEXT[p] for p in pixels])
             out.write(f"{label + 1},{values}\n")
     print(f"wrote {len(images)} rows to {argv[3]}")
 

@@ -7,6 +7,7 @@ The dataset is an immutable matrix of points with integer class labels in
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -36,15 +37,20 @@ DEFAULT_TIE_RULE = TieRule()
 
 @dataclass(frozen=True)
 class Dataset:
-    """n points in d dimensions with class labels in {1..C}."""
+    """n points in d dimensions with class labels in {1..C}.
+
+    ``points`` and ``labels`` are read-only copies of the arrays given, made
+    once per construction, so that the caches below (norms, label splits,
+    class means) cannot go stale when the caller edits its own arrays.
+    """
 
     points: np.ndarray
     labels: np.ndarray
     class_count: int = field(default=0)
 
     def __post_init__(self) -> None:
-        points = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64).ravel()
+        points = np.array(self.points, dtype=np.float64, order="C")
+        labels = np.array(self.labels, dtype=np.int64, order="C").ravel()
         if points.ndim != 2:
             raise DataFormatError("points must be a 2-D matrix")
         n, d = points.shape
@@ -60,8 +66,8 @@ class Dataset:
         c = self.class_count if self.class_count else int(present.max())
         if present[0] < 1 or present[-1] > c:
             raise DataFormatError(f"labels must lie in 1..{c}, got {present.tolist()}")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", _read_only(points))
+        object.__setattr__(self, "labels", _read_only(labels))
         object.__setattr__(self, "class_count", c)
 
     @property
@@ -100,8 +106,8 @@ class Dataset:
 
     @cached_property
     def means_by_label(self) -> dict[int, np.ndarray]:
-        """The mean of each class's points, keyed by the labels that have points."""
-        return {int(c): self.points[self.class_indices(c)].mean(axis=0)
+        """The mean of each class's points, read-only, keyed by the labels that have points."""
+        return {int(c): _read_only(self.points[self.class_indices(c)].mean(axis=0))
                 for c in np.unique(self.labels)}
 
     def distances_sq(self, z: np.ndarray) -> np.ndarray:
@@ -135,7 +141,12 @@ class Query:
         object.__setattr__(self, "true_label", int(self.true_label))
 
 
-def _read_labeled_rows(path, has_header: bool) -> tuple[list[int], list[list[float]]]:
+def _read_labeled_rows(path, has_header: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and features of a ``label,f1,...,fd`` file, one ``csv`` record at a time.
+
+    The reference reader: errors name the row (1-based, header excluded) and
+    the field.  Returns int64 labels and a float64 matrix, empty without rows.
+    """
     rows: list[list[float]] = []
     labels: list[int] = []
     width = None
@@ -159,6 +170,8 @@ def _read_labeled_rows(path, has_header: bool) -> tuple[list[int], list[list[flo
                 raise DataFormatError(f"row {lineno}: label {raw_label!r} is not an integer") from None
             if label < 1:
                 raise DataFormatError(f"row {lineno}: label must be a positive integer, got {label}")
+            if label > _MAX_LABEL:
+                raise DataFormatError(f"row {lineno}: label {label} does not fit in 64 bits")
             features = []
             for col, fieldval in enumerate(record[1:], start=2):
                 try:
@@ -175,7 +188,52 @@ def _read_labeled_rows(path, has_header: bool) -> tuple[list[int], list[list[flo
                 )
             labels.append(label)
             rows.append(features)
-    return labels, rows
+    return np.asarray(labels, dtype=np.int64), np.asarray(rows, dtype=np.float64)
+
+
+_MAX_LABEL = np.iinfo(np.int64).max
+# From 2**53 on, a label parsed to float64 may be another integer, rounded.
+_FLOAT_EXACT_LIMIT = 2.0 ** 53
+
+
+def _parse_fast(path, has_header: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_read_labeled_rows``'s result from numpy's C reader, or None.
+
+    None when the row reader must decide: numpy rejects the file, or it has
+    no rows, fewer than two columns, or a label below 1 or from 2**53 on.
+    Otherwise the result is the row reader's, bit for bit: numpy accepts a
+    subset of what ``float()`` does (no underscores, no non-ASCII digits, no
+    quotes, no empty fields) and rounds it the same way, the labels go
+    through ``int`` as there, and the header is one ``csv`` record in both.
+    The features are a view of the parsed table, so the ``Dataset`` copy is
+    the only other one.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError:
+        return None
+    with handle, warnings.catch_warnings():
+        # A file without rows warns; the row reader names what it lacks.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        if has_header:
+            next(csv.reader(handle), None)
+        try:
+            table = np.loadtxt(handle, dtype=np.float64, delimiter=",", comments=None,
+                               converters={0: int}, ndmin=2)
+        except (ValueError, OverflowError):
+            return None
+    if table.shape[0] == 0 or table.shape[1] < 2:
+        return None
+    labels = table[:, 0]
+    if not (labels >= 1).all() or not (labels < _FLOAT_EXACT_LIMIT).all():
+        return None
+    return labels.astype(np.int64), table[:, 1:]
+
+
+def _read_table(path, has_header: bool) -> tuple[np.ndarray, np.ndarray]:
+    """int64 labels and float64 features of a CSV file, by numpy where it can."""
+    table = _parse_fast(path, has_header)
+    return _read_labeled_rows(path, has_header) if table is None else table
 
 
 def load_csv(path, has_header: bool = False) -> Dataset:
@@ -184,11 +242,10 @@ def load_csv(path, has_header: bool = False) -> Dataset:
     Rows are kept in file order.  Errors carry the 1-based row number of the
     offending line (header excluded from the count when present).
     """
-    labels, rows = _read_labeled_rows(path, has_header)
-    if len(rows) < 2:
-        raise DataFormatError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    label_arr = np.asarray(labels, dtype=np.int64)
-    present = np.unique(label_arr)
+    labels, points = _read_table(path, has_header)
+    if labels.size < 2:
+        raise DataFormatError(f"{path}: need at least 2 data rows, got {labels.size}")
+    present = np.unique(labels)
     if present.size < 2:
         raise DataFormatError(f"{path}: fewer than 2 classes present")
     if present[0] != 1 or present[-1] != present.size:
@@ -196,7 +253,7 @@ def load_csv(path, has_header: bool = False) -> Dataset:
             f"{path}: labels must form a contiguous range 1..C, got {present.tolist()}"
         )
     try:
-        return Dataset(np.asarray(rows, dtype=np.float64), label_arr, int(present.size))
+        return Dataset(points, labels, int(present.size))
     except DataFormatError as err:     # e.g. a NaN or Inf feature
         raise DataFormatError(f"{path}: {err}") from err
 
@@ -206,13 +263,12 @@ def load_queries(path, has_header: bool = False) -> list[Query]:
 
     The label column holds the true label of each query.
     """
-    labels, rows = _read_labeled_rows(path, has_header)
-    if not rows:
+    labels, points = _read_table(path, has_header)
+    if not labels.size:
         raise DataFormatError(f"{path}: no query rows")
-    points = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(points)):
         raise DataFormatError(f"{path}: query features contain NaN or Inf entries")
-    return [Query(z, lab) for lab, z in zip(labels, points)]
+    return [Query(z, lab) for lab, z in zip(labels.tolist(), points)]
 
 
 def generate_synthetic(

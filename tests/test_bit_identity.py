@@ -3,6 +3,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bit_identity.py"
 _spec = importlib.util.spec_from_file_location("bit_identity", _PATH)
 bit_identity = importlib.util.module_from_spec(_spec)
@@ -94,3 +96,27 @@ def test_sizes_report_the_largest_epsilon_move_and_changed_errors():
     assert sizes["qp-10"] == [0.0, 1]
     assert bit_identity.sizes(_records(), _records()) == {
         "exact": [0.0, 0], "verifier": [0.0, 0], "qp-10": [0.0, 0]}
+
+
+def test_ingestion_records_compare_as_outcomes(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(_PATH.parent.parent / "perfbench"))
+    records = bit_identity._ingestion(tmp_path)
+    assert records == bit_identity._ingestion(tmp_path)       # rewritten files, same hashes
+    methods = {key.split("/")[-2] for key in records}
+    assert methods == {"load_csv", "load_queries"}
+    assert all(set(entry) == {"sha1"} for entry in records.values())
+    key = next(k for k in records if "/load_queries/" in k)
+    change = dict(records, **{key: {"sha1": "0" * 40}})
+    counts, lines = bit_identity.compare(records, change)
+    assert counts["load_queries"][1:] == [1, 0] and counts["load_csv"][1:] == [0, 0]
+    assert lines == [f"{key}: parent {records[key]} change {change[key]}"]
+    assert bit_identity.sizes(records, change)["load_queries"] == [0.0, 0]
+
+
+def test_ingestion_hash_sees_every_array():
+    a, b = np.zeros((2, 3)), np.arange(2)
+    base = bit_identity._arrays_sha1(a, b)
+    assert bit_identity._arrays_sha1(a.copy(), b.copy()) == base
+    assert bit_identity._arrays_sha1(-a, b) != base                 # -0.0 is another value
+    assert bit_identity._arrays_sha1(a.reshape(3, 2), b) != base
+    assert bit_identity._arrays_sha1(a, b.astype(np.int32)) != base

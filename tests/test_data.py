@@ -12,6 +12,7 @@ from knnrobust import (
     Query,
     TieRule,
     class_means,
+    exact_1nn,
     generate_synthetic,
     is_adversarial,
     k_nearest,
@@ -23,6 +24,7 @@ from knnrobust import (
     qp_greedy_knn,
     verify_knn,
 )
+from knnrobust import data
 from knnrobust.data import stable_order
 
 from helpers import knn_predict_reference
@@ -149,6 +151,84 @@ class TestLoadCsv:
         queries = load_queries(path)
         assert [q.true_label for q in queries] == [1, 2]
         np.testing.assert_array_equal(queries[0].z, [-1.0])
+
+
+# Tokens that each path may read differently.  The C reader takes only
+# plain decimal and nan/inf spellings; float() also takes underscores and
+# non-ASCII digits, and neither takes hex, comments or empty fields.
+_LABEL_TOKENS = ["1.0", "0", "-1", "a", "+1", "01", " 2 ", "1_0", str(2 ** 53),
+                 str(2 ** 53 + 1), str(2 ** 63), ""]
+_FEATURE_TOKENS = ["nan", "-inf", "1_0", "0x10", "\u0661", ".5", "5.", " 1", "#1", "-0",
+                   "1e-320", "0.1000000000000000055511151231257827", "\xa02", ""]
+_LINE_FORMS = ["", "   ", ",,", " , ", '"1","2"', "1", "1,2,3,4,5"]
+
+
+def _random_csv(rng) -> tuple[str, bool]:
+    """A small CSV file's text, mostly valid, with a few of the forms above."""
+    d = int(rng.integers(1, 4))
+    lines = []
+    for _ in range(int(rng.integers(1, 7))):
+        fields = [str(int(rng.integers(1, 4)))]
+        fields += [repr(float(v)) for v in np.round(rng.standard_normal(d), int(rng.integers(0, 18)))]
+        lines.append(fields)
+    for _ in range(int(rng.integers(0, 3))):
+        row = lines[int(rng.integers(len(lines)))]
+        kind = int(rng.integers(4))
+        if kind == 0:
+            row[0] = str(rng.choice(_LABEL_TOKENS))
+        elif kind == 1:
+            row[int(rng.integers(1, len(row)))] = str(rng.choice(_FEATURE_TOKENS))
+        elif kind == 2:
+            row[int(rng.integers(len(row)))] = f'"{row[0]}"'
+        else:
+            row.append("")                                   # a trailing comma
+    text = [",".join(fields) for fields in lines]
+    for _ in range(int(rng.integers(0, 3))):
+        text.insert(int(rng.integers(len(text) + 1)), str(rng.choice(_LINE_FORMS)))
+    has_header = bool(rng.integers(2))
+    if has_header and rng.integers(2):
+        text.insert(0, rng.choice(["label,f1", '"label', "1,2"]))
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    body = end.join(text) + (end if rng.integers(4) else "")
+    return ("\ufeff" if rng.integers(4) == 0 else "") + body, has_header
+
+
+def _outcome(load, path, has_header):
+    """What a loader gives, as bytes, or the type and message of its error."""
+    try:
+        out = load(path, has_header)
+    except Exception as err:                                  # compared, not handled
+        return type(err).__name__, str(err)
+    if isinstance(out, Dataset):
+        return out.points.tobytes(), out.points.shape, out.labels.tobytes(), out.class_count
+    return [(q.z.tobytes(), q.true_label) for q in out]
+
+
+class TestLoaderEquivalence:
+    FIXED = [("", False), ("", True), ("label,f1\n", True), ("label,f1\r\n1,2\r\n2,3", True),
+             ("\n\n", False), ("1\n2\n", False), ("1,2\n2,3,\n", False)]
+
+    def test_matches_the_row_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20)
+        cases = self.FIXED + [_random_csv(rng) for _ in range(600)]
+        fast = []
+        outcomes = []
+        for i, (text, has_header) in enumerate(cases):
+            path = tmp_path / f"{i}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            fast.append(data._parse_fast(path, has_header) is not None)
+            outcomes.append([_outcome(load, path, has_header) for load in (load_csv, load_queries)])
+        monkeypatch.setattr(data, "_parse_fast", lambda path, has_header: None)
+        for i, (text, has_header) in enumerate(cases):
+            reference = [_outcome(load, tmp_path / f"{i}.csv", has_header)
+                         for load in (load_csv, load_queries)]
+            assert outcomes[i] == reference, (text, has_header)
+        # Both paths ran: valid files through numpy, and files that only the
+        # row reader loads (quotes, underscores, blank fields) through it.
+        loaded = [isinstance(out[1], list) for out in outcomes]
+        assert sum(f and ok for f, ok in zip(fast, loaded)) >= 100
+        assert sum(not f and ok for f, ok in zip(fast, loaded)) >= 20
+        assert sum(not ok for ok in loaded) >= 100
 
 
 class TestGenerateSynthetic:
@@ -340,6 +420,31 @@ class TestDatasetCaches:
         assert "_splits" not in vars(ds) and "norms_sq" not in vars(ds)
         verify_knn(ds, Query(np.array([0.2]), 1), 1)
         assert "_splits" in vars(ds) and "norms_sq" in vars(ds)
+
+    def test_dataset_owns_read_only_copies(self):
+        # Editing the caller's arrays after construction must leave the
+        # dataset and its caches as built: a stale norm would make the
+        # verifier certify against points that are no longer there.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            points = rng.standard_normal((12, 2))
+            labels = np.repeat([1, 2], 6)
+            q = Query(rng.standard_normal(2), 1)
+            ds = Dataset(points, labels)
+            fresh = Dataset(points.copy(), labels.copy())
+            if knn_predict(ds, q.z, 1) != 1:
+                continue
+            before = verify_knn(ds, q, 1)                  # fills norms_sq and the splits
+            moved = int(np.argmin(ds.distances_sq(q.z)[6:])) + 6
+            points[moved] = q.z + 0.1 * (points[moved] - q.z)
+            labels[0] = 2
+            assert verify_knn(ds, q, 1) == verify_knn(fresh, q, 1) == before
+            cert, fresh_cert = exact_1nn(ds, q), exact_1nn(fresh, q)
+            assert cert.epsilon == fresh_cert.epsilon
+            np.testing.assert_array_equal(cert.delta, fresh_cert.delta)
+        for a in (ds.points, ds.labels, *ds.means_by_label.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7
 
 
 _K_ENTRY_POINTS = {
