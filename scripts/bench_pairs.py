@@ -22,8 +22,12 @@ K=k"), so that entries which no end-to-end metric names alone (such as
 ``exact-linf``) can be compared too.  Raw milliseconds drift between
 checkouts and runs, so ``median_refs`` summarises the same entries divided
 by the run's printed ``reference.ms`` (the reference kernel's median call,
-the unit of run.py's ``refs_per_query`` metrics).  ``runs[W]`` lists every
-run's metrics, printed medians in both units, ``attempted`` and order.  A
+the unit of run.py's ``refs_per_query`` metrics).  That value shows how fast
+the machine ran, so ``reference_ms`` holds its median and quartiles per side
+and ``change_over_parent``, printed on stderr too: a ratio far from 1 means
+the two sides met different load, which ``refs_per_query`` divides out only
+in part.  ``runs[W]`` lists every run's metrics, printed medians in both
+units, ``reference_ms``, ``attempted`` and order.  A
 metric's better direction is read from the change's ``BENCHMARK.json``
 before the first run; a change checkout without that file ends the script at
 once (exit 2).  An existing ``--out`` file keeps its other workloads.
@@ -79,8 +83,9 @@ def printed_reference_ms(stdout: str) -> float | None:
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run: the JSON object on its last output line, with the
-    printed per-entry medians added as ``median_ms`` and, divided by the
-    printed ``reference.ms``, as ``median_refs`` (empty without that line).
+    printed ``reference.ms`` added as ``reference_ms`` (None without that
+    line) and the printed per-entry medians as ``median_ms`` and, divided by
+    ``reference_ms``, as ``median_refs`` (empty without that line).
 
     A run that exits non-zero raises ``subprocess.CalledProcessError``."""
     done = subprocess.run(
@@ -89,7 +94,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     result["median_ms"] = printed_medians(done.stdout)
-    ref = printed_reference_ms(done.stdout)
+    ref = result["reference_ms"] = printed_reference_ms(done.stdout)
     result["median_refs"] = ({entry: ms / ref for entry, ms in result["median_ms"].items()}
                              if ref else {})
     return result
@@ -121,7 +126,9 @@ def summarise(runs: dict, better: dict) -> dict:
     ``runs`` maps "parent" and "change" to equally long lists of run.py
     results, pair i being the i-th of each; ``better`` maps a metric name to
     "lower" or "higher".  ``median_ms`` and ``median_refs`` each summarise
-    the entries that every run of both sides holds in that key of its result.
+    the entries that every run of both sides holds in that key of its result,
+    and ``reference_ms`` summarises that value when every run has one (else
+    it is None).
     """
     if len(runs["parent"]) != len(runs["change"]) or not runs["parent"]:
         raise ValueError("each side needs the same, nonzero number of runs")
@@ -137,12 +144,16 @@ def summarise(runs: dict, better: dict) -> dict:
         "pairs won by change": {},
         "median_ms": {},
         "median_refs": {},
+        "reference_ms": None,
     }
     for name in runs["parent"][0]["metrics"]:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         block["metrics"][name], block["pairs won by change"][name] = compare(
             values, better[name])
     every = runs["parent"] + runs["change"]
+    if all(r.get("reference_ms") for r in every):
+        block["reference_ms"] = compare(
+            {side: [r["reference_ms"] for r in runs[side]] for side in SIDES}, "lower")[0]
     for column in ("median_ms", "median_refs"):
         for entry in every[0].get(column, {}):
             if all(entry in r.get(column, {}) for r in every):
@@ -190,7 +201,8 @@ def main(argv=None) -> int:
                             "attempted": result["attempted"], "failed": result["failed"],
                             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
                             "median_ms": result["median_ms"],
-                            "median_refs": result["median_refs"]})
+                            "median_refs": result["median_refs"],
+                            "reference_ms": result["reference_ms"]})
             print(f"pair {pair} {side}: attempted={result['attempted']} "
                   f"correct={result['correct']}", file=sys.stderr)
         if failure:
@@ -208,8 +220,11 @@ def main(argv=None) -> int:
         block = summarise(runs, better)
         out.setdefault("workloads", {})[args.workload] = {"seed": args.seed, **block}
         out.get("failures", {}).pop(args.workload, None)
+        ref = block["reference_ms"]
+        load = (f"reference.ms change/parent {ref['change_over_parent']:.3f}" if ref
+                else "no reference.ms")
         print(f"{args.workload}: {len(block['attempted differs'])} of {args.pairs} pairs "
-              f"differ in attempted {block['attempted differs']}", file=sys.stderr)
+              f"differ in attempted {block['attempted differs']}; {load}", file=sys.stderr)
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     if failure:
         print("run failed: " + json.dumps(failure, indent=1), file=sys.stderr)

@@ -13,8 +13,9 @@ of 450 to 800 points (each class large enough that ``data.stable_order``
 checks its sorts for ties, and most distances shared), and the first 40
 queries of every dataset of both perfbench workloads at seeds 0 and 1,
 generated in memory.  Each input runs every method of the perfbench method
-table at every K that the input allows, and the exact ablations at K=1
-(unsorted, with ``n_scr=1`` and without screening).  Ingestion is compared
+table at every K that the input allows, and the ablations at K=1: exact
+unsorted, with ``n_scr=1`` and without screening, exact-linf and exact-l1
+with ``n_scr=1``, and exact-l1 unsorted.  Ingestion is compared
 too: for every dataset of both workloads at both seeds, the files that
 ``workloads.write_csvs`` writes are read back through ``load_csv`` and
 ``load_queries`` (methods ``load_csv`` and ``load_queries``).
@@ -50,7 +51,10 @@ QUERIES_PER_DATASET = 40
 TIE_GRIDS = 40
 TIE_GRID_SEED = 11
 TIE_GRID_KS = (1, 3, 5)
-ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen")
+ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen", "exact-linf-nscr1",
+             "exact-l1-nscr1", "exact-l1-unsorted")
+# The keyword arguments of each ``exact-<norm>[-<ablation>]`` LP call.
+LP_ABLATIONS = {"": {}, "nscr1": {"n_scr": 1}, "unsorted": {"sort_candidates": False}}
 SHOWN = 10  # differences printed
 # Record fields that state a call's outcome; "stats" and "pairs" count its work.
 OUTCOME_FIELDS = ("eps", "delta", "binding", "error", "sha1")
@@ -87,7 +91,8 @@ def _run(method: str, ds, q, k: int) -> dict:
         elif method == "exact-noscreen":
             cert = exact_1nn(ds, q, SolverConfig(screening_enabled=False))
         elif method.startswith("exact-"):
-            cert = exact_1nn_lp(ds, q, method[6:])
+            norm, _, ablation = method[6:].partition("-")
+            cert = exact_1nn_lp(ds, q, norm, **LP_ABLATIONS[ablation])
         elif method == "qp-greedy":
             cert = qp_greedy_knn(ds, q, k)
         elif method.startswith("qp-"):

@@ -24,12 +24,10 @@ from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, check_k, finite_di
                    knn_predict, knn_vote, stable_order)
 from .errors import CertificationError, InfeasibleSubproblemError, SolverError
 from .qp_solver import DualSolution, SolveStatus, SolverConfig, recover_primal, solve_dual_gca
-from .subproblem import Subproblem, build_1nn_subproblem, build_knn_subproblem
+from .subproblem import (Subproblem, build_1nn_subproblem, build_knn_subproblem,
+                         pair_bound_block)
 
 DEFAULT_N_SCR = 8
-# Elements of one temporary block of target-row differences, about 2 MB: at
-# d=784 the window can hold thousands of targets.
-_BLOCK_ELEMENTS = 2 ** 18
 _SUBSET_BUDGET = 50
 _RAY_EXTENSION_CAP = 2.0 ** 20
 # Backstop on the line search's events; it ends after at most (K + 1) times
@@ -130,13 +128,6 @@ def _certificate(delta: np.ndarray, kind: CertificateKind, method: str,
     )
 
 
-def _dual_norms_sq(a: np.ndarray, norm: str) -> np.ndarray:
-    """Squared dual norms of the rows of ``a`` under ``norm``, for the pair bounds."""
-    if norm == "l2":
-        return np.einsum("ij,ij->i", a, a)
-    return np.square(np.linalg.norm(a, ord={"linf": 1, "l1": np.inf}[norm], axis=1))
-
-
 def _check_n_scr(n_scr: int) -> None:
     if n_scr < 1:
         raise ValueError("n_scr must be >= 1")
@@ -147,40 +138,6 @@ def _screening_rows(same: np.ndarray, dist_sq: np.ndarray, n_scr: int) -> np.nda
     return same[stable_order(dist_sq[same])[:n_scr]]
 
 
-def _screen_bounds_sq(ds: Dataset, dist_sq: np.ndarray, scr_ids: np.ndarray,
-                      targets: np.ndarray, norm: str) -> np.ndarray:
-    """Each target's squared pair bound over the rows ``scr_ids``, in the dual norm.
-
-    Row ``a.delta + b >= 0`` forces ``||delta|| >= max(-b, 0)/||a||_*`` in
-    any norm, with ``||.||_*`` its dual norm (Hölder's inequality; the dual
-    of l2 is l2, of the max norm the sum norm and of the sum norm the max
-    norm).  For target j this is the largest ``max(0.5 (d_j^2 - d_i^2), 0)^2 /
-    ||x_j - x_i||_*^2`` over i in ``scr_ids`` (``dist_sq`` holds the d^2), so
-    ``incumbent_sq < bound`` proves that target j cannot beat the incumbent.
-    A target that coincides with one of them gets 0: a zero row is a
-    degenerate pair that proves nothing.  The differences are formed in
-    blocks of about ``_BLOCK_ELEMENTS`` elements.  The numbers are
-    bit for bit those of one target's own rows, except under l2 with a single
-    row beyond d = 8192: numpy's einsum sums a lone row of more than 8192
-    entries in another order than a row of a larger block, so a bound may
-    then differ in its last place.
-    """
-    x_scr = ds.points[scr_ids]
-    scr_sq = dist_sq[scr_ids]
-    bounds = np.empty(targets.size)
-    step = max(1, _BLOCK_ELEMENTS // x_scr.size)
-    for lo in range(0, targets.size, step):
-        block = targets[lo:lo + step]
-        a = (ds.points[block][:, None, :] - x_scr).reshape(-1, ds.d)
-        norms_sq = _dual_norms_sq(a, norm).reshape(block.size, -1)
-        neg_b = 0.5 * (dist_sq[block][:, None] - scr_sq)
-        zero = norms_sq == 0.0
-        norms_sq[zero] = 1.0
-        ratios = np.square(np.maximum(neg_b, 0.0)) / norms_sq
-        bounds[lo:lo + step] = np.where(zero.any(axis=1), 0.0, ratios.max(axis=1))
-    return bounds
-
-
 def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
                       n_scr: int = DEFAULT_N_SCR) -> bool:
     """Cheap test discarding target j without building its full subproblem.
@@ -189,13 +146,16 @@ def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
     same-class points nearest the query already certifies a radius beyond
     the incumbent attack (``incumbent_sq`` is its square), so that target j's
     subproblem cannot improve it.  It is the block bound of ``_one_nn`` for
-    the one target j.
+    the one target j, squared.  Raises ``ValueError`` when target j has the
+    query's own label.
     """
     _check_n_scr(n_scr)
+    if int(ds.labels[j]) == q.true_label:
+        raise ValueError(f"target {j} has the query's own label {q.true_label}")
     dist_sq = ds.distances_sq(q.z)
-    scr_ids = _screening_rows(ds.class_indices(q.true_label), dist_sq, n_scr)
-    bound = _screen_bounds_sq(ds, dist_sq, scr_ids, np.array([j]), "l2")[0]
-    return bool(incumbent_sq < bound)
+    scr = _screening_rows(ds.class_indices(q.true_label), dist_sq, n_scr)
+    bound = pair_bound_block(ds, q.z, scr, dist_sq[scr], np.array([j]), dist_sq[[j]]).max()
+    return bool(incumbent_sq < bound * bound)
 
 
 def _solve_candidate(sp: Subproblem, stats: AttackStats) -> tuple[np.ndarray, DualSolution]:
@@ -235,9 +195,10 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
     two rules, each against the incumbent at the time:
     - the reach window: no target j certifies below (d_j - d_1)/2 in l2 or
       l1, or that over sqrt(d) in the max norm;
-    - when ``cfg.screening_enabled``, the block bound: ``_screen_bounds_sq``
-      on its ``n_scr`` nearest same-class rows, computed for every target in
-      the first window at once.
+    - when ``cfg.screening_enabled``, the block bound: the largest
+      ``pair_bound_block`` in ``norm`` over the ``n_scr`` same-class rows
+      nearest the query, computed for every target in the first window at
+      once.
     Every target that passes both is built and solved.  Sorted with
     screening, the window is visited in ascending bound (ties in distance
     order) and the first bound beyond the incumbent ends the loop.  Sorted
@@ -277,13 +238,14 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
     stats.subproblems_screened += rest.size - window.size
     bounds = None
     if cfg.screening_enabled and window.size:
-        bounds = _screen_bounds_sq(ds, dist_sq, _screening_rows(same, dist_sq, n_scr), window,
-                                   norm)
+        scr = _screening_rows(same, dist_sq, n_scr)
+        bounds = pair_bound_block(ds, q.z, scr, dist_sq[scr], window, dist_sq[window],
+                                  norm).max(axis=0)
         if sort_candidates:
             order = stable_order(bounds)
             window, reach, bounds = window[order], reach[order], bounds[order]
     for pos, j in enumerate(window):
-        if bounds is not None and eps_best * eps_best < bounds[pos]:
+        if bounds is not None and eps_best < bounds[pos]:
             ends = sort_candidates                  # the bounds ascend from here
         elif reach[pos] > eps_best:
             ends = sort_candidates and bounds is None   # so do the distances

@@ -13,9 +13,9 @@ the cost ``sum(p + n)``; under the sum norm with v, the 2d rows
 2d + 1 rows whatever the number m of constraint rows.
 
 The start basis puts all weight on the single row with the largest Hölder
-bound ``max(-b, 0)/||a||_*`` (the pair bound of ``attack._screen_bounds_sq``),
-with one p or n column or slack per coordinate, so it is feasible and its
-value is that bound.  Pricing follows Dantzig's rule (the most negative
+bound ``max(-b, 0)/||a||_*`` (the pair bound of
+``subproblem.pair_bound_block``), with one p or n column or slack per
+coordinate, so it is feasible and its value is that bound.  Pricing follows Dantzig's rule (the most negative
 reduced cost) and turns to Bland's rule during long runs of degenerate
 pivots, where Dantzig's rule could cycle.  At the optimum the final basis is
 solved once against the original rows for the simplex multipliers, which

@@ -4,7 +4,8 @@ A subproblem encodes "push the query closer to every target point than to
 every retained same-class point" as the linear system ``A delta + b >= 0``.
 Row (i, j) has ``a = x_j - x_i`` and ``b = (||z - x_i||^2 - ||z - x_j||^2)/2``;
 the squared distances are computed from the differences directly to limit
-cancellation error.
+cancellation error.  The dual value of one row, the pair bound, is
+``pair_bound`` for one pair and ``pair_bound_block`` for a block of them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ from .data import Dataset, Query
 from .errors import DegeneratePairError
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# A Gram-product squared distance below this fraction of ||x_i||^2 + ||x_j||^2
+# has lost at least four of its digits to cancellation.
+_GRAM_REL_TOL = 1e-4
+# Elements of one temporary block of pair differences under linf and l1,
+# about 2 MB: at d=784 the 1-NN window can hold thousands of targets.
+_BLOCK_ELEMENTS = 2 ** 18
+# The dual of the max norm is the sum norm, and that of the sum norm the max norm.
+_DUAL_ORD = {"linf": 1, "l1": np.inf}
 
 
 @dataclass(frozen=True)
@@ -155,3 +164,65 @@ def pair_bound(ds: Dataset, z: np.ndarray, i: int, j: int) -> float:
     dj = z - xj
     numer = max(float(dj @ dj) - float(di @ di), 0.0)
     return numer / (2.0 * denom)
+
+
+def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq: np.ndarray,
+                     targets: np.ndarray, targets_sq: np.ndarray, norm: str = "l2") -> np.ndarray:
+    """Pair bounds C[s, t] of the sources against the targets, in ``norm``.
+
+    ``sources_sq`` and ``targets_sq`` are their squared distances from the
+    query ``z``.  Row (i, j) forces ``||delta|| >= max(d_j^2 - d_i^2, 0) /
+    (2 ||x_j - x_i||_*)`` by Hölder's inequality, with ``||.||_*`` the dual
+    norm (l2 under l2, the sum norm under the max norm and the max norm
+    under the sum norm); under l2 this is ``pair_bound``.  It is the
+    verifier's certified bound and, over the ``n_scr`` screening rows, the
+    1-NN loop's proof that a target cannot beat the incumbent.
+
+    Under l2 the cross-pair squared distances are evaluated through a Gram
+    product, which is the only tractable form at scale.  Where that value is
+    at most ``_GRAM_REL_TOL`` times ``||x_i||^2 + ||x_j||^2`` (near-duplicate
+    points far from the origin), cancellation may have shrunk it and so
+    inflated the bound; such pairs are recomputed in difference form,
+    ``||x_i - x_j||^2`` over the numerator ``(x_i - x_j).((z - x_i) + (z - x_j))``.
+    The squared norms are read from ``ds.norms_sq``, one einsum over all the
+    points, which sums each row as an einsum over these rows alone would,
+    except beyond d = 8192 for a block of one source or one target: numpy's
+    einsum sums a lone row of that length in another order, so such a bound
+    may then differ in its last bit.  Under linf and l1 the dual norms are
+    taken of the differences, formed in blocks of about ``_BLOCK_ELEMENTS``
+    elements, and every entry is that of its own pair bit for bit.
+
+    A coincident pair has bound 0, which keeps the bound sound.  A zero
+    distance with ``d_i < d_j`` raises ``DegeneratePairError``: the points
+    differ, but their squared distance underflows.
+    """
+    numer = np.maximum(targets_sq[None, :] - sources_sq[:, None], 0.0)
+    xs = ds.points[sources]
+    xt = ds.points[targets]
+    if norm == "l2":
+        s_norm = ds.norms_sq[sources]
+        t_norm = ds.norms_sq[targets]
+        cross = s_norm[:, None] + t_norm[None, :] - 2.0 * (xs @ xt.T)
+        # The block-wide test is cheap and almost always clears every pair; a
+        # cleared block has no negative or zero cross distance.
+        if not cross.min() <= _GRAM_REL_TOL * (s_norm.max() + t_norm.max()):
+            return numer / (2.0 * np.sqrt(cross))
+        i, j = np.nonzero(cross <= _GRAM_REL_TOL * (s_norm[:, None] + t_norm[None, :]))
+        gap = xs[i] - xt[j]
+        cross[i, j] = np.einsum("ij,ij->i", gap, gap)
+        numer[i, j] = np.maximum(np.einsum("ij,ij->i", gap, (z - xs[i]) + (z - xt[j])), 0.0)
+        dual = np.sqrt(cross)
+    else:
+        dual = np.empty(numer.shape)
+        step = max(1, _BLOCK_ELEMENTS // xs.size)
+        for lo in range(0, targets.size, step):
+            gap = xt[None, lo:lo + step] - xs[:, None]
+            dual[:, lo:lo + step] = np.linalg.norm(gap, ord=_DUAL_ORD[norm], axis=2)
+    zero = dual == 0.0
+    bad = zero & (numer > 0.0)
+    if np.any(bad):
+        s, t = np.argwhere(bad)[0]
+        raise DegeneratePairError(f"points {int(sources[s])} and {int(targets[t])} differ, "
+                                  "but their squared distance underflows to 0")
+    dual[zero] = 1.0
+    return numer / (2.0 * dual)

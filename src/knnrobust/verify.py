@@ -25,14 +25,12 @@ import numpy as np
 from .data import knn_predict  # noqa: F401
 from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, check_k, finite_distances_sq,
                    knn_vote, stable_order)
-from .errors import DegeneratePairError, InsufficientPointsError
+from .errors import InsufficientPointsError
+from .subproblem import pair_bound_block
 
 # Targets in the first block of the sorted walk; each later block is twice
 # as large as the one before.
 _FIRST_BLOCK = 16
-# A Gram-product squared distance below this fraction of ||x_i||^2 + ||x_j||^2
-# has lost at least four of its digits to cancellation.
-_GRAM_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -47,51 +45,6 @@ class VerificationResult:
     k_used: int
     misclassified: bool = False
     pair_bounds: int = 0
-
-
-def _pair_bound_block(ds: Dataset, z: np.ndarray, rows: np.ndarray, rows_sq: np.ndarray,
-                      block: np.ndarray, block_sq: np.ndarray) -> np.ndarray:
-    """Pair bounds C[i, j] for same-class rows i against a block of targets j.
-
-    ``rows_sq`` and ``block_sq`` are their squared distances from the query
-    ``z``.  The cross-pair squared distances are evaluated through a Gram
-    product, which is the only tractable form at scale.  Where that value is
-    at most ``_GRAM_REL_TOL`` times ``||x_i||^2 + ||x_j||^2`` (near-duplicate
-    points far from the origin), cancellation may have shrunk it and so
-    inflated the bound; such pairs are recomputed in difference form,
-    ``||x_i - x_j||^2`` over the numerator ``(x_i - x_j).((z - x_i) + (z - x_j))``.
-    A pair with ``d_i >= d_j`` has bound 0 whatever its distance, so only
-    pairs with ``d_i < d_j`` are evaluated, and a zero distance there raises
-    ``DegeneratePairError``.
-
-    The squared norms are read from ``ds.norms_sq``, one einsum over all the
-    points, which sums each row as an einsum over these rows alone would,
-    except beyond d = 8192 for a block of one row or one target: numpy's
-    einsum sums a lone row of that length in another order, so such a bound
-    may then differ in its last bit.
-    """
-    xs = ds.points[rows]
-    xb = ds.points[block]
-    rows_norm = ds.norms_sq[rows]
-    block_norm = ds.norms_sq[block]
-    cross = rows_norm[:, None] + block_norm[None, :] - 2.0 * (xs @ xb.T)
-    numer = np.maximum(block_sq[None, :] - rows_sq[:, None], 0.0)
-    # The block-wide test is cheap and almost always clears every pair; a
-    # cleared block has no negative or zero cross distance.
-    if cross.min() <= _GRAM_REL_TOL * (rows_norm.max() + block_norm.max()):
-        i, j = np.nonzero(cross <= _GRAM_REL_TOL * (rows_norm[:, None] + block_norm[None, :]))
-        gap = xs[i] - xb[j]
-        cross[i, j] = np.einsum("ij,ij->i", gap, gap)
-        numer[i, j] = np.maximum(np.einsum("ij,ij->i", gap, (z - xs[i]) + (z - xb[j])), 0.0)
-        zero = cross == 0.0
-        bad = zero & (numer > 0.0)
-        if np.any(bad):
-            i_bad, j_bad = np.argwhere(bad)[0]
-            raise DegeneratePairError(
-                f"points {int(rows[i_bad])} and {int(block[j_bad])} coincide across classes"
-            )
-        cross[zero] = 1.0
-    return numer / (2.0 * np.sqrt(cross))
 
 
 def verify_knn(ds: Dataset, q: Query, k: int = 1,
@@ -144,7 +97,7 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
         if near < order:
             near = same.size
         rows = same[:near]
-        c = _pair_bound_block(ds, q.z, rows, same_sq[:near], block, others_sq[done:end])
+        c = pair_bound_block(ds, q.z, rows, same_sq[:near], block, others_sq[done:end])
         pairs += c.size
         d_vals[done:end] = np.partition(c, rows.size - order, axis=0)[rows.size - order]
         blocks.append((done, rows, c))

@@ -114,13 +114,18 @@ def test_criterion_03_screening_soundness(corpus):
 # with n_scr=1 the block bound lets 105 targets more through than n_scr=8,
 # and every target let through is built and solved.  Until the post-build
 # row test was removed it pruned 101 of those 105, and this entry read
-# (693, 592, 1122, 1023); no certificate changed with it.
+# (693, 592, 1122, 1023); no certificate changed with it.  The l2 entries
+# read one build and solve fewer while the block bound compared squared
+# bounds in difference form, before it took the verifier's Gram-form kernel.
+# On instance 152 target 2's squared bound, exactly 4.5, sat above the
+# incumbent's square, one ulp below it; its bound now equals the incumbent
+# 3/sqrt(2), so the target is solved, and ties without winning.
 PINNED_PRUNING_COUNTS = {
-    "exact, n_scr=8, sorted": ((588, 588, 1126, 1011), lambda ds, q: exact_1nn(ds, q)),
-    "exact, n_scr=1, sorted": ((693, 693, 1021, 1396), lambda ds, q: exact_1nn(ds, q, n_scr=1)),
-    "exact, n_scr=8, unsorted": ((948, 948, 766, 1843),
+    "exact, n_scr=8, sorted": ((589, 589, 1125, 1012), lambda ds, q: exact_1nn(ds, q)),
+    "exact, n_scr=1, sorted": ((694, 694, 1020, 1397), lambda ds, q: exact_1nn(ds, q, n_scr=1)),
+    "exact, n_scr=8, unsorted": ((949, 949, 765, 1844),
                                  lambda ds, q: exact_1nn(ds, q, sort_candidates=False)),
-    "qp-10": ((588, 588, 1125, 1011), lambda ds, q: qp_top_m(ds, q, 10)),
+    "qp-10": ((589, 589, 1124, 1012), lambda ds, q: qp_top_m(ds, q, 10)),
     # The same loop with one LP per target and pivots as its steps; without
     # the dual-norm pair prunes these were (1010, 1010, 704, 4015) and
     # (995, 995, 719, 3493), with Bland's pricing and no final-basis solve

@@ -11,6 +11,7 @@ from knnrobust import (
     CertificationError,
     DataFormatError,
     Dataset,
+    DegeneratePairError,
     DualSolution,
     InsufficientPointsError,
     KnnRobustError,
@@ -34,8 +35,9 @@ from knnrobust import (
     verify_knn,
 )
 
-from knnrobust import attack
+from knnrobust import attack, subproblem
 from knnrobust.attack import _solve_candidate
+from knnrobust.subproblem import pair_bound, pair_bound_block
 
 from helpers import (active_set_oracle, brute_force_exact_1nn, line_flip_reference, min_flip_1d,
                      random_grid_dataset, ray_flip_reference)
@@ -205,6 +207,24 @@ class TestScreenSubproblem:
         q = Query(np.array([0.0]), 1)
         assert screen_subproblem(ds, q, 1, incumbent_sq=1e-12) is False
 
+    def test_target_of_the_query_label_rejected(self):
+        # Point 1 shares the query's label: its pair with itself has bound 0,
+        # but the rows (2, 1) and (3, 1) would prove a radius above 0.
+        ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
+                     np.array([1, 1, 2, 2]))
+        q = Query(np.array([0.2, 0.0]), 1)
+        with pytest.raises(ValueError, match="target 1 has the query's own label 1"):
+            screen_subproblem(ds, q, 1, incumbent_sq=0.0)
+
+    def test_squared_distance_underflow_raises(self):
+        # The points differ, but 1e-165 squared underflows to 0 while the
+        # squared distances from the query still differ by about 2e-320.
+        ds = Dataset(np.array([[0.0], [1e-165]]), np.array([1, 2]))
+        q = Query(np.array([-1e-155]), 1)
+        with pytest.raises(DegeneratePairError,
+                           match="^points 0 and 1 differ, but their squared distance underflows"):
+            screen_subproblem(ds, q, 1, incumbent_sq=1.0)
+
     def test_screening_rows_break_ties_at_the_cut_by_index(self):
         dist_sq = np.array([9.0, 2.0, 4.0, 2.0, 4.0, 1.0, 4.0])
         same = np.array([0, 2, 3, 4, 6])
@@ -226,47 +246,54 @@ _ONE_NN_CALLS = {
 class TestBestFirstLoop:
     @pytest.mark.parametrize("norm", ["l2", "linf", "l1"])
     def test_block_bound_is_the_per_target_pair_bound(self, corpus, norm):
-        # One block over every target gives, per target, the pair bounds of
-        # its own n_scr rows, bit for bit, and screen_subproblem's threshold
-        # sits exactly at the l2 bound.
+        # One block over every target gives, per pair, the pair bound:
+        # pair_bound's under l2 and the explicit row's Hölder bound, bit for
+        # bit, under linf and l1 (the corpus has no coincident pair).
+        # screen_subproblem's threshold sits exactly at the squared column max.
+        dual_ord = {"linf": 1, "l1": np.inf}.get(norm)
         for ds, q, _ in corpus:
             dist_sq = ds.distances_sq(q.z)
-            scr = attack._screening_rows(ds.class_indices(q.true_label), dist_sq,
-                                         attack.DEFAULT_N_SCR)
-            targets = np.flatnonzero(ds.labels != q.true_label)
-            bounds = attack._screen_bounds_sq(ds, dist_sq, scr, targets, norm)
-            for j, bound in zip(targets, bounds):
-                norms_sq = attack._dual_norms_sq(ds.points[j] - ds.points[scr], norm)
-                neg_b = 0.5 * (dist_sq[j] - dist_sq[scr])
-                if norms_sq.min() == 0.0:
-                    assert bound == 0.0
-                    continue
-                assert bound == np.max(np.square(np.maximum(neg_b, 0.0)) / norms_sq)
+            same, targets = ds.split(q.true_label)
+            c = pair_bound_block(ds, q.z, same, dist_sq[same], targets, dist_sq[targets], norm)
+            assert c.shape == (same.size, targets.size)
+            for (s, t), bound in np.ndenumerate(c):
+                i, j = same[s], targets[t]
                 if norm == "l2":
-                    assert screen_subproblem(ds, q, j, bound) is False
-                    if bound > 0.0:
-                        assert screen_subproblem(ds, q, j, np.nextafter(bound, 0.0)) is True
+                    assert bound == pytest.approx(pair_bound(ds, q.z, i, j), rel=1e-12, abs=0.0)
+                else:
+                    neg_b = -0.5 * (dist_sq[i] - dist_sq[j])
+                    dual = np.linalg.norm(ds.points[j] - ds.points[i], ord=dual_ord)
+                    assert bound == max(neg_b, 0.0) / dual
+            if norm != "l2":
+                continue
+            scr = attack._screening_rows(same, dist_sq, attack.DEFAULT_N_SCR)
+            c = pair_bound_block(ds, q.z, scr, dist_sq[scr], targets, dist_sq[targets])
+            for j, bound in zip(targets, c.max(axis=0)):
+                assert screen_subproblem(ds, q, j, bound * bound) is False
+                if bound > 0.0:
+                    assert screen_subproblem(ds, q, j, np.nextafter(bound * bound, 0.0)) is True
 
     @pytest.mark.parametrize("n_scr", [1, 2])
     def test_block_bound_beyond_8192_entries(self, n_scr):
-        # numpy's einsum sums a lone row of more than 8192 entries in another
-        # order than a row of a larger block: with two rows per target every
-        # bound is still exact, with one only the last places may differ.
+        # At d = 9000 numpy's einsum sums a lone row in another order than a
+        # row of a larger block; the squared norms come from Dataset.norms_sq,
+        # so every bound stays within rounding of pair_bound's, and each
+        # one-target screen sits at its block bound.
         rng = np.random.default_rng(53)
         ds = Dataset(rng.standard_normal((12, 9000)), np.arange(12) % 2 + 1)
-        dist_sq = ds.distances_sq(rng.standard_normal(9000))
+        q = Query(rng.standard_normal(9000), 1)
+        dist_sq = ds.distances_sq(q.z)
         scr = attack._screening_rows(ds.class_indices(1), dist_sq, n_scr)
         targets = ds.class_indices(2)
-        bounds = attack._screen_bounds_sq(ds, dist_sq, scr, targets, "l2")
-        own = []
-        for j in targets:
-            a = ds.points[j] - ds.points[scr]
-            ratios = np.square(np.maximum(0.5 * (dist_sq[j] - dist_sq[scr]), 0.0))
-            own.append(np.max(ratios / np.einsum("ij,ij->i", a, a)))
-        if n_scr == 2:
-            np.testing.assert_array_equal(bounds, own)
-        else:
-            np.testing.assert_allclose(bounds, own, rtol=1e-13, atol=0.0)
+        bounds = pair_bound_block(ds, q.z, scr, dist_sq[scr], targets,
+                                  dist_sq[targets]).max(axis=0)
+        own = [max(pair_bound(ds, q.z, i, j) for i in scr) for j in targets]
+        np.testing.assert_allclose(bounds, own, rtol=1e-12, atol=0.0)
+        assert np.count_nonzero(bounds) >= 3
+        for j, bound in zip(targets, bounds):
+            assert screen_subproblem(ds, q, j, bound * bound, n_scr) is False
+            if bound > 0.0:
+                assert screen_subproblem(ds, q, j, np.nextafter(bound * bound, 0.0), n_scr)
 
     @pytest.mark.parametrize("name", _ONE_NN_CALLS)
     def test_every_candidate_is_solved_or_screened(self, corpus, name):
@@ -285,13 +312,33 @@ class TestBestFirstLoop:
     def test_one_target_blocks_give_the_same_certificates(self, corpus, monkeypatch, name):
         call = _ONE_NN_CALLS[name]
         default = [call(ds, q) for ds, q, _ in corpus[:200]]
-        monkeypatch.setattr(attack, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(subproblem, "_BLOCK_ELEMENTS", 1)
         for (ds, q, _), ref in zip(corpus[:200], default):
             cert = call(ds, q)
             assert cert.epsilon == ref.epsilon
             np.testing.assert_array_equal(cert.delta, ref.delta)
             assert (cert.stats.subproblems_built, cert.stats.subproblems_solved) == (
                 ref.stats.subproblems_built, ref.stats.subproblems_solved)
+
+
+def test_cross_class_duplicate_among_screening_rows_prunes_only_by_the_others():
+    # Target 3 at x = 3 coincides with same-class point 4.  Target 2 gives the
+    # incumbent 1.5, and target 3 is within reach ((3 - 1)/2 = 1).  Its pair
+    # with point 4 has bound 0, but its pair with point 1 has bound 2, so
+    # the block bound prunes it; without the block bound it is built, and
+    # its zero row raises.
+    ds = Dataset(np.array([[-2.0], [1.0], [2.0], [3.0], [3.0]]), np.array([1, 1, 2, 2, 1]))
+    q = Query(np.array([0.0]), 1)
+    dist_sq = ds.distances_sq(q.z)
+    same = np.array([0, 1, 4])
+    bounds = pair_bound_block(ds, q.z, same, dist_sq[same], np.array([3]), dist_sq[[3]])
+    np.testing.assert_array_equal(bounds[:, 0], [0.5, 2.0, 0.0])
+    cert = exact_1nn(ds, q)
+    assert cert.epsilon == 1.5
+    assert (cert.stats.subproblems_solved, cert.stats.subproblems_screened) == (1, 1)
+    assert screen_subproblem(ds, q, 3, incumbent_sq=1.5 ** 2) is True
+    with pytest.raises(DegeneratePairError, match="points 4 and 3 coincide across classes"):
+        exact_1nn(ds, q, SolverConfig(screening_enabled=False))
 
 
 @pytest.mark.parametrize("n_scr", [0, -1])

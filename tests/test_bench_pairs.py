@@ -97,16 +97,21 @@ def test_change_without_benchmark_json_stops_before_any_run(tmp_path):
     assert not out.exists()
 
 
-def test_completed_pairs_are_summarised(tmp_path):
+def test_completed_pairs_are_summarised(tmp_path, capsys):
     parent = _checkout(tmp_path / "parent", _OK_RUN)
     change = _checkout(tmp_path / "change", _OK_RUN)
     out = tmp_path / "bench.json"
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
                              "--out", str(out)]) == 0
-    block = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
+    written = json.loads(out.read_text(encoding="utf-8"))
+    block = written["workloads"]["w"]
     assert block["runs"] == {"parent": 2, "change": 2}
     assert block["pairs won by change"] == {"table.refs_per_query": 0}
     assert block["attempted differs"] == []
+    # Without a printed reference.ms there is no load to show.
+    assert [r["reference_ms"] for r in written["runs"]["w"]] == [None] * 4
+    assert block["reference_ms"] is None
+    assert "w: 0 of 2 pairs differ in attempted []; no reference.ms" in capsys.readouterr().err
 
 
 # A run cut by the deadline: the checkout's n-th run attempts 5 - n checks
@@ -169,7 +174,7 @@ def test_run_once_without_reference_line_has_no_refs(tmp_path):
     assert result["median_ms"] == {} and result["median_refs"] == {}
 
 
-def test_printed_medians_are_summarised_per_side(tmp_path):
+def test_printed_medians_are_summarised_per_side(tmp_path, capsys):
     # The change's reference kernel runs twice as fast, so its halved
     # exact-linf median is the same number of refs.
     parent = _checkout(tmp_path / "parent", _table_run(2.5, ref_ms=0.5))
@@ -178,6 +183,14 @@ def test_printed_medians_are_summarised_per_side(tmp_path):
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2",
                              "--out", str(out)]) == 0
     written = json.loads(out.read_text(encoding="utf-8"))
+    # The reference kernel's times show the load each side met.
+    assert [r["reference_ms"] for r in written["runs"]["w"]] == [0.5, 0.25, 0.25, 0.5]
+    assert written["workloads"]["w"]["reference_ms"] == {
+        "parent": {"median": 0.5, "q1": 0.5, "q3": 0.5},
+        "change": {"median": 0.25, "q1": 0.25, "q3": 0.25},
+        "change_over_parent": 0.5}
+    assert "w: 0 of 2 pairs differ in attempted []; reference.ms change/parent 0.500" in (
+        capsys.readouterr().err)
     assert [r["median_ms"] for r in written["runs"]["w"]] == [
         {"exact K=1": 0.66, "exact-linf K=1": v} for v in (2.5, 1.25, 1.25, 2.5)]
     medians = written["workloads"]["w"]["median_ms"]

@@ -120,3 +120,22 @@ def test_ingestion_hash_sees_every_array():
     assert bit_identity._arrays_sha1(-a, b) != base                 # -0.0 is another value
     assert bit_identity._arrays_sha1(a.reshape(3, 2), b) != base
     assert bit_identity._arrays_sha1(a, b.astype(np.int32)) != base
+
+
+def test_lp_ablations_pass_their_arguments_to_the_lp(fix_c, monkeypatch):
+    # "exact-l1-unsorted" is an ablation of exact-l1, not a norm "l1-unsorted".
+    import knnrobust
+    calls = []
+
+    def lp(ds, q, norm, **kwargs):
+        calls.append((norm, kwargs))
+        raise knnrobust.SolverError("not solved")
+
+    monkeypatch.setattr(knnrobust, "exact_1nn_lp", lp)
+    ds, q = fix_c
+    lp_methods = [m for m in bit_identity.ABLATIONS if m.startswith(("exact-linf", "exact-l1"))]
+    assert lp_methods == ["exact-linf-nscr1", "exact-l1-nscr1", "exact-l1-unsorted"]
+    for method in ["exact-linf", "exact-l1"] + lp_methods:
+        assert bit_identity._run(method, ds, q, 1) == {"error": "SolverError"}
+    assert calls == [("linf", {}), ("l1", {}), ("linf", {"n_scr": 1}), ("l1", {"n_scr": 1}),
+                     ("l1", {"sort_candidates": False})]

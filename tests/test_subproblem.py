@@ -15,6 +15,8 @@ from knnrobust import (
     recover_primal,
     solve_dual_gca,
 )
+from knnrobust import subproblem
+from knnrobust.subproblem import pair_bound_block
 
 
 class TestBuild1nn:
@@ -265,6 +267,44 @@ class TestPairBound:
             i = int(sp.sources[row])
             dual_value = max(-sp.offsets[row], 0.0) ** 2 / (2 * float(sp.rows[row] @ sp.rows[row]))
             assert pair_bound(ds, z, i, j) ** 2 / 2 == pytest.approx(dual_value, abs=1e-9)
+
+
+def _block(ds, z, sources, targets, norm="l2"):
+    dist_sq = ds.distances_sq(z)
+    return pair_bound_block(ds, z, np.asarray(sources), dist_sq[sources], np.asarray(targets),
+                            dist_sq[targets], norm)
+
+
+class TestPairBoundBlock:
+    @pytest.mark.parametrize("offset", [1e5, 1e6])
+    def test_near_duplicates_far_from_the_origin_are_recomputed(self, offset, monkeypatch):
+        # The bisector of 0.001 and 0.004 lies 0.0025 from the query.  The
+        # Gram form cancels: it gives 0.00272 at 1e5 and a zero distance at
+        # 1e6, and the recompute in difference form gives pair_bound's value.
+        ds = Dataset(np.array([[0.001], [0.004]]) + offset, np.array([1, 2]))
+        z = np.array([offset])
+        bound = _block(ds, z, [0], [1])[0, 0]
+        assert bound == pytest.approx(pair_bound(ds, z, 0, 1), rel=1e-12, abs=0.0)
+        assert bound == pytest.approx(0.0025, rel=1e-6, abs=0.0)
+        if offset == 1e5:
+            monkeypatch.setattr(subproblem, "_GRAM_REL_TOL", -np.inf)
+            assert _block(ds, z, [0], [1])[0, 0] == pytest.approx(0.00272, rel=1e-2)
+
+    def test_random_near_duplicates_far_from_the_origin(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            offset = 10.0 ** rng.uniform(3, 6) * rng.choice([-1.0, 1.0], size=3)
+            ds = Dataset(offset + 1e-3 * rng.normal(size=(8, 3)), np.repeat([1, 2], 4))
+            z = offset + 1e-3 * rng.normal(size=3)
+            c = _block(ds, z, [0, 1, 2, 3], [4, 5, 6, 7])
+            for (s, t), bound in np.ndenumerate(c):
+                assert bound == pytest.approx(pair_bound(ds, z, s, 4 + t), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("norm", ["l2", "linf", "l1"])
+    def test_coincident_pair_has_bound_zero(self, norm):
+        ds = Dataset(np.array([[1.0, 0.0], [4.0, 0.0], [4.0, 0.0]]), np.array([1, 1, 2]))
+        # Point 1 coincides with target 2; point 0's bisector with it is x = 2.5.
+        np.testing.assert_array_equal(_block(ds, np.zeros(2), [0, 1], [2], norm), [[2.5], [0.0]])
 
 
 def test_row_order_invariance(fix_c):

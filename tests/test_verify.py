@@ -5,6 +5,7 @@ import pytest
 
 from knnrobust import (
     Dataset,
+    DegeneratePairError,
     InsufficientPointsError,
     Query,
     exact_1nn,
@@ -173,7 +174,7 @@ class TestVerifyKnn:
         # One same-class row per block, d = 9000: the row norm comes from
         # Dataset.norms_sq, summed with every other row, which beyond
         # d = 8192 may differ in its last bit from a lone row's einsum
-        # (see _pair_bound_block).  The bound stays the reference's.
+        # (see subproblem.pair_bound_block).  The bound stays the reference's.
         rng = np.random.default_rng(9000)
         labels = np.array([1, 2, 2, 2, 2])
         ds = Dataset(rng.standard_normal((5, 9000)) + 0.05 * labels[:, None], labels)
@@ -207,6 +208,16 @@ class TestVerifyKnn:
             assert preserved_fraction(ds, q.true_label, z_batch, k) == 1.0
             flipped = q.z + np.array([bound, 0.0])
             assert knn_predict(ds, flipped, k, true_label=q.true_label) != q.true_label
+
+    def test_squared_distance_underflow_raises(self):
+        # Points 0 and 1e-165 differ, but their squared distance underflows
+        # to 0 while d_j^2 - d_i^2 is about 2e-320, so no finite bound exists.
+        ds = Dataset(np.array([[0.0], [1e-165]]), np.array([1, 2]))
+        q = Query(np.array([-1e-155]), 1)
+        with pytest.raises(DegeneratePairError,
+                           match="^points 0 and 1 differ, but their squared distance "
+                                 "underflows to 0$"):
+            verify_knn(ds, q, 1)
 
 
 class TestSoundness:
