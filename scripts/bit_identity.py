@@ -30,10 +30,10 @@ SHA-1, or a call recorded on one side only); those that differ only in
 their counts (the stats counts or the verifier's pair count); the largest
 relative difference of an epsilon recorded on both sides; and the calls
 whose raised error changed (an error on one side only, or another type).
-Then it prints the first differences, outcome differences first.  It exits
-1 on any difference, counts included, and 2 when a recording subprocess
-fails.  BLAS runs on one thread, as in perfbench.  Standard library and
-numpy only.
+Then it prints every difference, one a line, outcome differences first.  It
+exits 1 on any difference, counts included, and 2 when a recording
+subprocess fails.  BLAS runs on one thread, as in perfbench.  Standard
+library and numpy only.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen", "exact-linf-nscr
              "exact-l1-nscr1", "exact-l1-unsorted")
 # The keyword arguments of each ``exact-<norm>[-<ablation>]`` LP call.
 LP_ABLATIONS = {"": {}, "nscr1": {"n_scr": 1}, "unsorted": {"sort_candidates": False}}
-SHOWN = 10  # differences printed
 # Record fields that state a call's outcome; "stats" and "pairs" count its work.
 OUTCOME_FIELDS = ("eps", "delta", "binding", "error", "sha1")
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
     totals = [sum(column) for column in zip(*counts.values())]
     print(f"total: {totals[0]} compared, {totals[1]} outcome differ, "
           f"{totals[2]} counts only")
-    for line in lines[:SHOWN]:
+    for line in lines:
         print(line)
     return 1 if lines else 0
 

@@ -287,26 +287,32 @@ def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), 
                    cfg, n_scr, True, m, tie)
 
 
-def _subset_candidates(sorted_ids: np.ndarray, dists: np.ndarray, size: int):
-    """Yield index subsets in roughly ascending order of summed distance.
+def _subset_candidates(ids: np.ndarray, dist_sq: np.ndarray, size: int):
+    """Yield ``(distance sum, member-id tuple, members)`` for the size-``size``
+    subsets of one label's points ``ids``, in ascending distance sum.
 
-    Starts from the ``size`` nearest points and expands by single swaps,
-    driven by a heap on the distance sum.
+    Sorts the points by distance, starts from the ``size`` nearest and
+    expands by single swaps, driven by a heap on the distance sum.  Merged
+    across labels, equal sums tie-break by member ids, so that K=1
+    enumerates targets exactly like the top-m pipeline does.
     """
-    if sorted_ids.size < size:
+    if ids.size < size:
         return
+    ids = ids[stable_order(dist_sq[ids])]
+    dists = np.sqrt(dist_sq[ids])
     first = tuple(range(size))
     heap = [(float(dists[list(first)].sum()), first)]
     seen = {first}
     while heap:
         total, positions = heapq.heappop(heap)
-        yield sorted_ids[list(positions)]
+        members = ids[list(positions)]
+        yield total, tuple(int(i) for i in members), members
         taken = set(positions)
         for slot in range(size):
             nxt = positions[slot] + 1
             while nxt in taken:
                 nxt += 1
-            if nxt >= sorted_ids.size:
+            if nxt >= ids.size:
                 continue
             child = tuple(sorted(positions[:slot] + (nxt,) + positions[slot + 1:]))
             if child not in seen:
@@ -339,21 +345,11 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     # A useful attack never needs to travel further than twice the farthest point.
     cap_norm = 2.0 * float(np.sqrt(dist_sq.max())) + 1.0
 
-    streams = []
-    for label in range(1, ds.class_count + 1):
-        if label != q.true_label:
-            ids = ds.class_indices(label)
-            ids = ids[stable_order(dist_sq[ids])]
-            streams.append(_subset_candidates(ids, np.sqrt(dist_sq[ids]), k_minus))
-
-    def key(sub):
-        # Tie-break equal distance sums by member indices so that K=1
-        # enumerates targets exactly like the top-m pipeline does.
-        return float(np.sqrt(dist_sq[sub]).sum()), tuple(int(i) for i in sub)
-
+    streams = [_subset_candidates(ds.class_indices(label), dist_sq, k_minus)
+               for label in range(1, ds.class_count + 1) if label != q.true_label]
     tried = 0
-    subsets = itertools.islice(heapq.merge(*streams, key=key), _SUBSET_BUDGET)
-    for tried, s_minus in enumerate(subsets, start=1):
+    subsets = itertools.islice(heapq.merge(*streams), _SUBSET_BUDGET)
+    for tried, (_, _, s_minus) in enumerate(subsets, start=1):
         sp = build_knn_subproblem(ds, q, s_minus, dist_sq=dist_sq)
         stats.subproblems_built += 1
         try:

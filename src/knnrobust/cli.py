@@ -43,6 +43,16 @@ _BENCH_KNN = ("verifier", "qp-greedy", "naive-1", "mean")
 _NAMED_METHODS = ("exact", "verifier", "qp-greedy", "mean")
 
 
+def _method_count(name: str) -> tuple[str, int | None]:
+    """The prefix of a method name and, for ``qp-<m>`` and ``naive-<t>``, its
+    count: None unless spelled exactly as ``str(int(count))``, so that a row of
+    the bench table and its query records carry one name (``qp-01`` is none)."""
+    prefix, _, count = name.partition("-")
+    if prefix in ("qp", "naive") and count.isdecimal() and count == str(int(count)):
+        return prefix, int(count)
+    return prefix, None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -82,9 +92,8 @@ class RunConfig:
         if self.methods is not None and not (self.methods and all(self.methods)):
             raise ValueError(f"methods must be non-empty names, got {self.methods}")
         for name in self.method_names():
-            prefix, _, count = name.partition("-")
-            if name not in _NAMED_METHODS and not (
-                    prefix in ("qp", "naive") and count.isdecimal() and int(count) >= 1):
+            prefix, count = _method_count(name)
+            if name not in _NAMED_METHODS and not count:  # None, or a count of 0
                 raise ValueError(f"unknown method {name!r}; expected exact, verifier, qp-<m>, "
                                  "qp-greedy, naive-<t> or mean, with m, t >= 1")
             if self.k != 1 and prefix in ("exact", "qp") and name != "qp-greedy":
@@ -188,12 +197,13 @@ def _run_method(ds: Dataset, q: Query, method: str, cfg: RunConfig) -> Perturbat
             method="verifier", misclassified=res.misclassified,
             stats=AttackStats(wall_time=time.perf_counter() - started),
         )
-    if method.startswith("qp-") and method[3:].isdigit():
-        return attack_mod.qp_top_m(ds, q, int(method[3:]), solver, n_scr=cfg.n_scr, tie=tie)
+    prefix, count = _method_count(method)
+    if prefix == "qp" and count is not None:
+        return attack_mod.qp_top_m(ds, q, count, solver, n_scr=cfg.n_scr, tie=tie)
     if method == "qp-greedy":
         return attack_mod.qp_greedy_knn(ds, q, cfg.k, solver, tie=tie)
-    if method.startswith("naive-") and method[6:].isdigit():
-        return attack_mod.naive_attack(ds, q, cfg.k, int(method[6:]), tie=tie)
+    if prefix == "naive" and count is not None:
+        return attack_mod.naive_attack(ds, q, cfg.k, count, tie=tie)
     if method == "mean":
         return attack_mod.mean_attack(ds, q, cfg.k, tie=tie)
     raise ValueError(f"unknown method {method!r}")

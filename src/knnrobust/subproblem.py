@@ -107,18 +107,10 @@ def _build(ds: Dataset, z: np.ndarray, sources: np.ndarray, target_ids,
 
 def build_1nn_subproblem(ds: Dataset, q: Query, j: int, *,
                          dist_sq: np.ndarray | None = None) -> Subproblem:
-    """Constraints forcing z + delta to be (weakly) nearer x_j than every
-    point sharing the query's label.  One row per same-class point; rows for
-    other classes would be identically zero and are not stored.
-
-    ``dist_sq``, when given, must be ``ds.distances_sq(q.z)``; callers that
-    already hold it pass it so that it is not recomputed per target."""
-    if int(ds.labels[j]) == q.true_label:
-        raise ValueError(f"target {j} has the query's own label {q.true_label}")
-    source_ids = ds.class_indices(q.true_label)
-    if source_ids.size == 0:
-        raise ValueError(f"no points with the query label {q.true_label}")
-    return _build(ds, q.z, source_ids, (int(j),), dist_sq)
+    """Constraints forcing z + delta (weakly) nearer x_j than every point
+    sharing the query's label: the K-NN system of the one target j, one row
+    per same-class point.  ``dist_sq`` is as in ``build_knn_subproblem``."""
+    return build_knn_subproblem(ds, q, (j,), dist_sq=dist_sq)
 
 
 def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=(), *,
@@ -126,7 +118,8 @@ def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=(), *,
     """K-NN constraint system: every target in ``s_minus`` must end up nearer
     than every same-class point not listed in ``excluded``.
 
-    ``dist_sq`` is as in ``build_1nn_subproblem``."""
+    ``dist_sq``, when given, must be ``ds.distances_sq(q.z)``; callers that
+    already hold it pass it so that it is not recomputed per target set."""
     s_minus = tuple(int(j) for j in s_minus)
     excluded = tuple(int(i) for i in excluded)
     if not s_minus:
@@ -135,7 +128,7 @@ def build_knn_subproblem(ds: Dataset, q: Query, s_minus, excluded=(), *,
     if len(target_labels) != 1:
         raise ValueError(f"s_minus mixes labels {sorted(target_labels)}")
     if q.true_label in target_labels:
-        raise ValueError("s_minus must not carry the query's own label")
+        raise ValueError(f"target {s_minus[0]} has the query's own label {q.true_label}")
     for i in excluded:
         if int(ds.labels[i]) != q.true_label:
             raise ValueError(f"excluded index {i} is not a same-class point")

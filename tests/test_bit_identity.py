@@ -64,10 +64,9 @@ def test_count_only_differences_are_told_apart_from_outcomes():
     assert bit_identity.compare(_records(), change)[0]["verifier"] == [2, 1, 0]
 
 
-def test_main_prints_both_counts_and_exits_1_on_counts_alone(monkeypatch, capsys):
-    change = _records()
-    change["corpus/0/exact/k1"]["stats"] = [3, 3, 0, 9]
-    recorded = iter([_records(), change])
+def _replay(monkeypatch, *records):
+    """Make ``main`` read ``records`` in turn instead of recording checkouts."""
+    recorded = iter(records)
 
     class _Done:
         returncode = 0
@@ -76,13 +75,29 @@ def test_main_prints_both_counts_and_exits_1_on_counts_alone(monkeypatch, capsys
             return json.dumps(next(recorded)), None
 
     monkeypatch.setattr(bit_identity, "_record_in_subprocess", lambda checkout: _Done())
+
+
+def test_main_prints_both_counts_and_exits_1_on_counts_alone(monkeypatch, capsys):
+    change = _records()
+    change["corpus/0/exact/k1"]["stats"] = [3, 3, 0, 9]
+    _replay(monkeypatch, _records(), change, _records(), _records())
     assert bit_identity.main(["parent", "change"]) == 1
     out = capsys.readouterr().out
     exact = next(line for line in out.splitlines() if line.startswith("exact "))
     assert re.search(r"\b1 compared\s+0 outcome differ\s+1 counts only\b", exact)
     assert "total: 4 compared, 0 outcome differ, 1 counts only" in out
-    recorded = iter([_records(), _records()])
     assert bit_identity.main(["parent", "change"]) == 0
+
+
+def test_main_prints_every_difference(monkeypatch, capsys):
+    parent = {f"corpus/{i}/exact/k1": dict(_EXACT) for i in range(13)}
+    change = {key: dict(entry, eps="0x1.0p+1") for key, entry in parent.items()}
+    _replay(monkeypatch, parent, change)
+    assert bit_identity.main(["parent", "change"]) == 1
+    shown = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("corpus/")]
+    assert shown == bit_identity.compare(parent, change)[1]
+    assert len(shown) == 13
 
 
 def test_sizes_report_the_largest_epsilon_move_and_changed_errors():

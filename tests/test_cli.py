@@ -71,6 +71,13 @@ class TestRun:
         again = RobustnessReport.from_dict(payload)
         assert again.to_json() == report.to_json()
 
+    @pytest.mark.parametrize("version", [0, 2, None])
+    def test_other_schema_versions_rejected(self, version):
+        payload = RobustnessReport(command="exact", config={}).to_dict()
+        payload["schema_version"] = version
+        with pytest.raises(DataFormatError, match=f"unsupported schema_version {version!r}"):
+            RobustnessReport.from_dict(payload)
+
     def test_deterministic_without_timing(self, fix_files):
         cfg = RunConfig(command="exact", data_path=fix_files["fixA"],
                         query_path=fix_files["fixA_q"], omit_timing=True, seed=3)
@@ -305,6 +312,25 @@ class TestMainExitCodes:
                      "--queries", fix_files["fixC_q"], "--k", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["exact", "verifier"])
+    def test_attack_rejects_the_exact_and_lower_bound_methods(self, fix_files, capsys, method):
+        code = main(["attack", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
+                     "--method", method])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: attack takes an upper-bound method, got {method!r}\n")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"command": "certify"}, "unknown command 'certify'"),
+        ({"command": "exact", "norm": "l3"}, "norm must be l2, linf or l1, got 'l3'"),
+        ({"command": "verify", "norm": "linf"}, "applies to the exact command only"),
+        ({"command": "attack", "norm": "l1"}, "applies to the exact command only"),
+        ({"command": "bench", "norm": "linf"}, "applies to the exact command only"),
+    ])
+    def test_config_rejects_commands_and_norms(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(data_path="d.csv", query_path="q.csv", **fields)
+
 
 def _echo(**fields):
     """The report's ``config`` for a RunConfig with these fields, as JSON reads it back."""
@@ -473,8 +499,10 @@ class TestMainFlags:
 
     def test_malformed_sweep_is_a_configuration_error(self, fix_files, capsys, monkeypatch):
         # Also empty lists, empty method names, sweep values below 1, unknown
-        # method names, zero counts and a negative seed: all are rejected
-        # before any data is loaded.
+        # method names, zero counts, counts spelled unlike their int and a
+        # negative seed: all are rejected before any data is loaded.  A count
+        # like "01" would run qp-1 under a table row named qp-01, where the
+        # bound ordering check, which looks rows up by name, skips qp-1's pairs.
         def no_loading(*args):
             raise AssertionError("data loaded before the configuration was checked")
 
@@ -482,7 +510,9 @@ class TestMainFlags:
         for flags in (["--nscr-sweep", "x"], ["--nscr-sweep", ""], ["--nscr-sweep", "0"],
                       ["--methods", ""], ["--methods", "exact,,verifier"],
                       ["--methods", "exact,bogus"], ["--methods", "qp-0"],
-                      ["--methods", "naive-0"], ["--seed", "-1"]):
+                      ["--methods", "naive-0"], ["--methods", "qp-01,qp-10,naive-1"],
+                      ["--methods", "naive-01"], ["--methods", "qp-\u0661"],
+                      ["--methods", "naive-\uff11"], ["--seed", "-1"]):
             code = main(["bench", "--data", fix_files["fixA"], "--queries", fix_files["fixA_q"],
                          *flags])
             assert code == 2, flags

@@ -47,9 +47,22 @@ class TestDatasetInvariants:
         with pytest.raises(DataFormatError):
             Dataset(np.array([[1.0], [2.0]]), np.array([1, 5]), class_count=2)
 
+    def test_rejects_one_dimensional_points(self):
+        with pytest.raises(DataFormatError, match="points must be a 2-D matrix"):
+            Dataset(np.array([1.0, 2.0]), np.array([1, 2]))
+
+    def test_rejects_a_label_count_unlike_the_point_count(self):
+        with pytest.raises(DataFormatError, match="labels must have one entry per point"):
+            Dataset(np.array([[1.0], [2.0]]), np.array([1, 2, 1]))
+
     def test_query_dimension(self, fix_a):
         ds, q = fix_a
         assert q.z.shape == (ds.d,)
+
+    def test_distances_reject_a_query_of_another_dimension(self, fix_a):
+        ds, _ = fix_a
+        with pytest.raises(ValueError, match="query has dimension 2, dataset has d=1"):
+            ds.distances_sq(np.zeros(2))
 
 
 class TestLoadCsv:
@@ -247,6 +260,13 @@ class TestGenerateSynthetic:
         assert (ds.n, ds.d, ds.class_count) == (300, 3, 3)
         assert set(np.unique(ds.labels)) == {1, 2, 3}
 
+    def test_rejects_a_zero_count_and_a_negative_separation(self):
+        for counts in ((0, 2, 2), (2, 0, 2), (2, 2, 0)):
+            with pytest.raises(ValueError, match="all counts must be >= 1"):
+                generate_synthetic(*counts, 1.0, seed=0)
+        with pytest.raises(ValueError, match="separation must be >= 0"):
+            generate_synthetic(2, 2, 2, -1.0, seed=0)
+
 
 class TestKnnPredict:
     def test_fix_a_nearest(self, fix_a):
@@ -360,6 +380,13 @@ class TestKNearest:
     def test_fix_b(self, fix_b):
         ds, q = fix_b
         np.testing.assert_array_equal(k_nearest(ds, q.z, 1), [0])
+
+    def test_k_outside_one_to_n_rejected(self, fix_a):
+        ds, q = fix_a
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            k_nearest(ds, q.z, 0)
+        with pytest.raises(InsufficientPointsError, match="K=3 exceeds dataset size n=2"):
+            k_nearest(ds, q.z, 3)
 
     def test_distances_nondecreasing(self):
         rng = np.random.default_rng(11)

@@ -266,6 +266,12 @@ class TestKktCheck:
         report = kkt_check(sp, sol, 1e-6)
         assert report.passed and report.duality_gap == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_tolerance_must_be_positive(self, tol):
+        sp = Subproblem(rows=np.array([[1.0]]), offsets=np.array([2.0]))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            kkt_check(sp, solve_dual_gca(sp), tol)
+
 
 class TestActiveSetOracle:
     def test_fix_a(self, fix_a):

@@ -43,8 +43,14 @@ class TestBuild1nn:
 
     def test_rejects_same_label_target(self, fix_a):
         ds, q = fix_a
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target 0 has the query's own label 1"):
             build_1nn_subproblem(ds, q, 0)
+
+    def test_rejects_a_query_label_without_points(self):
+        # Class 1 exists but has no point: there is no row to build.
+        ds = Dataset(np.array([[1.0], [3.0]]), np.array([2, 3]), 3)
+        with pytest.raises(ValueError, match="constraint set is empty"):
+            build_1nn_subproblem(ds, Query(np.array([0.0]), 1), 0)
 
     def test_rejects_cross_class_duplicate(self):
         ds = Dataset(np.array([[1.0], [1.0], [3.0]]), np.array([1, 2, 2]))
@@ -104,6 +110,16 @@ class TestBuildKnn:
         q = Query(np.array([0.5]), 1)
         with pytest.raises(ValueError, match="mixes"):
             build_knn_subproblem(ds, q, [1, 2])
+
+    def test_empty_target_set_rejected(self, fix_c):
+        ds, q = fix_c
+        with pytest.raises(ValueError, match="s_minus must be nonempty"):
+            build_knn_subproblem(ds, q, [])
+
+    def test_target_of_the_query_label_rejected(self, fix_c):
+        ds, q = fix_c
+        with pytest.raises(ValueError, match="target 1 has the query's own label 1"):
+            build_knn_subproblem(ds, q, [1, 0])
 
     def test_excluded_must_be_same_class(self, fix_c):
         ds, q = fix_c
@@ -182,6 +198,15 @@ class TestGrid:
                 row = t * sp.sources.size + s
                 assert sp.rows[row].tobytes() == (ds.points[j] - ds.points[i]).tobytes()
                 assert sp.offsets[row] == 0.5 * (dist_sq[i] - dist_sq[j])
+
+    @pytest.mark.parametrize("rows, offsets", [
+        (np.ones((3, 2)), np.zeros(2)),     # one offset short
+        (np.ones(3), np.zeros(3)),          # a vector, not (m, d)
+        (np.ones((0, 2)), np.zeros(0)),     # m = 0
+    ])
+    def test_rows_must_be_a_nonempty_matrix_with_one_offset_each(self, rows, offsets):
+        with pytest.raises(ValueError, match="one offset per row, m >= 1"):
+            Subproblem(rows, offsets)
 
     def test_rows_must_form_the_grid(self):
         rows, offsets = np.ones((3, 2)), np.zeros(3)
