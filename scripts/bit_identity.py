@@ -21,12 +21,12 @@ too: for every dataset of both workloads at both seeds, the files that
 ``load_queries`` (methods ``load_csv`` and ``load_queries``).
 
 Per call the record holds the epsilon as ``float.hex``, the SHA-1 of the
-perturbation's bytes, the stats counts (built, solved, screened, solver
+perturbation's bytes, the certificate's kind, the stats counts (built, solved, screened, solver
 steps), the verifier's binding pair and pair count, or the type of the
 library error raised; per file read, the SHA-1 of the arrays returned, or
 the library error.  The script prints, per method, the calls compared; those
-whose outcome differs (the epsilon, perturbation, binding pair, error or
-SHA-1, or a call recorded on one side only); those that differ only in
+whose outcome differs (the epsilon, perturbation, kind, binding pair, error
+or SHA-1, or a call recorded on one side only); those that differ only in
 their counts (the stats counts or the verifier's pair count); the largest
 relative difference of an epsilon recorded on both sides; and the calls
 whose raised error changed (an error on one side only, or another type).
@@ -56,7 +56,7 @@ ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen", "exact-linf-nscr
 # The keyword arguments of each ``exact-<norm>[-<ablation>]`` LP call.
 LP_ABLATIONS = {"": {}, "nscr1": {"n_scr": 1}, "unsorted": {"sort_candidates": False}}
 # Record fields that state a call's outcome; "stats" and "pairs" count its work.
-OUTCOME_FIELDS = ("eps", "delta", "binding", "error", "sha1")
+OUTCOME_FIELDS = ("eps", "delta", "kind", "binding", "error", "sha1")
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                       "MKL_NUM_THREADS")}
 
@@ -64,7 +64,7 @@ _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 def _certificate_record(cert) -> dict:
     s = cert.stats
     delta = None if cert.delta is None else hashlib.sha1(cert.delta.tobytes()).hexdigest()
-    return {"eps": float(cert.epsilon).hex(), "delta": delta,
+    return {"eps": float(cert.epsilon).hex(), "delta": delta, "kind": cert.kind.value,
             "stats": [s.subproblems_built, s.subproblems_solved, s.subproblems_screened,
                       s.solver_iterations]}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -102,26 +102,16 @@ def _begin(ds: Dataset, q: Query, k: int, method: str
     dist_sq = finite_distances_sq(ds, q.z)
     if knn_vote(ds, dist_sq, k, q.true_label) == q.true_label:
         return stats, start, dist_sq, None
+    zero = _certificate(np.zeros(ds.d), CertificateKind.EXACT, method, stats, start)
+    return stats, start, dist_sq, replace(zero, misclassified=True)
+
+
+def _certificate(delta: np.ndarray, kind: CertificateKind, method: str, stats: AttackStats,
+                 start: float, norm_ord: float = 2) -> PerturbationCertificate:
+    """Every pipeline's exit, for a ``delta`` that ``is_adversarial`` has accepted
+    or a misclassified query's zero; ``stats.wall_time`` runs from ``start``,
+    taken before ``_begin``'s distance pass."""
     stats.wall_time = time.perf_counter() - start
-    return stats, start, dist_sq, PerturbationCertificate(
-        delta=np.zeros(ds.d), epsilon=0.0, kind=CertificateKind.EXACT,
-        method=method, stats=stats, misclassified=True,
-    )
-
-
-def _validated(ds: Dataset, q: Query, delta: np.ndarray, kind: CertificateKind,
-               method: str, stats: AttackStats, k: int, tie: TieRule,
-               norm_ord: float = 2) -> PerturbationCertificate:
-    if not is_adversarial(ds, q, delta, k, tie):
-        raise CertificationError(
-            f"{method}: produced perturbation does not flip the {k}-NN prediction"
-        )
-    return _certificate(delta, kind, method, stats, norm_ord)
-
-
-def _certificate(delta: np.ndarray, kind: CertificateKind, method: str,
-                 stats: AttackStats, norm_ord: float = 2) -> PerturbationCertificate:
-    """A certificate for a perturbation that ``is_adversarial`` has accepted."""
     return PerturbationCertificate(
         delta=delta, epsilon=float(np.linalg.norm(delta, ord=norm_ord)), kind=kind,
         method=method, stats=stats,
@@ -133,9 +123,14 @@ def _check_n_scr(n_scr: int) -> None:
         raise ValueError("n_scr must be >= 1")
 
 
-def _screening_rows(same: np.ndarray, dist_sq: np.ndarray, n_scr: int) -> np.ndarray:
-    """The ``n_scr`` points of ``same`` nearest the query, ties by index."""
-    return same[stable_order(dist_sq[same])[:n_scr]]
+def _block_bounds(ds: Dataset, z: np.ndarray, same: np.ndarray, dist_sq: np.ndarray,
+                  targets: np.ndarray, n_scr: int, norm: str = "l2") -> np.ndarray:
+    """Per target, its largest pair bound in ``norm`` (``pair_bound_block``) over
+    the ``n_scr`` points of ``same`` nearest ``z``, ties by index.  ``dist_sq``
+    holds the squared distances from ``z`` to every point."""
+    scr = same[stable_order(dist_sq[same])[:n_scr]]
+    return pair_bound_block(ds, z, scr, dist_sq[scr], targets, dist_sq[targets],
+                            norm).max(axis=0)
 
 
 def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
@@ -145,16 +140,14 @@ def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
     True iff the single-coordinate dual value of one of the ``n_scr``
     same-class points nearest the query already certifies a radius beyond
     the incumbent attack (``incumbent_sq`` is its square), so that target j's
-    subproblem cannot improve it.  It is the block bound of ``_one_nn`` for
-    the one target j, squared.  Raises ``ValueError`` when target j has the
-    query's own label.
+    subproblem cannot improve it.  It is ``_block_bounds`` for the one target
+    j, squared.  Raises ``ValueError`` when target j has the query's own label.
     """
     _check_n_scr(n_scr)
     if int(ds.labels[j]) == q.true_label:
         raise ValueError(f"target {j} has the query's own label {q.true_label}")
-    dist_sq = ds.distances_sq(q.z)
-    scr = _screening_rows(ds.class_indices(q.true_label), dist_sq, n_scr)
-    bound = pair_bound_block(ds, q.z, scr, dist_sq[scr], np.array([j]), dist_sq[[j]]).max()
+    bound = _block_bounds(ds, q.z, ds.class_indices(q.true_label), ds.distances_sq(q.z),
+                          np.array([j]), n_scr)[0]
     return bool(incumbent_sq < bound * bound)
 
 
@@ -176,29 +169,24 @@ def _solve_candidate(sp: Subproblem, stats: AttackStats) -> tuple[np.ndarray, Du
     return delta, sol
 
 
-def _solve_delta(sp: Subproblem, stats: AttackStats) -> np.ndarray:
-    """``_one_nn``'s l2 solve: the least perturbation of ``sp``."""
-    return _solve_candidate(sp, stats)[0]
-
-
-def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str,
-            solve, cfg: SolverConfig, n_scr: int, sort_candidates: bool,
-            candidate_limit: int | None, tie: TieRule) -> PerturbationCertificate:
+def _one_nn(ds: Dataset, q: Query, method: str, norm: str, solve, cfg: SolverConfig,
+            n_scr: int, sort_candidates: bool, candidate_limit: int | None,
+            tie: TieRule) -> PerturbationCertificate:
     """The 1-NN candidate loop behind ``exact_1nn``, ``qp_top_m`` and ``exact_1nn_lp``.
 
     Targets are the other-class points, nearest first when ``sort_candidates``
     (else in index order), cut to ``candidate_limit``.  ``solve(sp, stats)``
-    counts its solves and returns target ``sp``'s least perturbation.  The
-    loop keeps the perturbation of least ``norm`` and validates the winner.
+    counts its solves and returns a tuple whose first item is target ``sp``'s
+    least perturbation.  The loop keeps the perturbation of least ``norm`` and
+    validates the winner.  The certificate is ``EXACT``, or ``UPPER_BOUND``
+    under a ``candidate_limit``, whether or not the limit drops a target.
 
     The first target is solved unscreened.  Every later target is screened by
     two rules, each against the incumbent at the time:
     - the reach window: no target j certifies below (d_j - d_1)/2 in l2 or
       l1, or that over sqrt(d) in the max norm;
-    - when ``cfg.screening_enabled``, the block bound: the largest
-      ``pair_bound_block`` in ``norm`` over the ``n_scr`` same-class rows
-      nearest the query, computed for every target in the first window at
-      once.
+    - when ``cfg.screening_enabled``, the block bound ``_block_bounds`` in
+      ``norm``, computed for every target in the first window at once.
     Every target that passes both is built and solved.  Sorted with
     screening, the window is visited in ascending bound (ties in distance
     order) and the first bound beyond the incumbent ends the loop.  Sorted
@@ -222,7 +210,7 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
         nonlocal eps_best, delta_best
         sp = build_1nn_subproblem(ds, q, int(j), dist_sq=dist_sq)
         stats.subproblems_built += 1
-        delta = solve(sp, stats)
+        delta = solve(sp, stats)[0]
         eps_j = float(np.linalg.norm(delta, ord=norm_ord))
         if eps_j < eps_best:
             eps_best, delta_best = eps_j, delta
@@ -238,9 +226,7 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
     stats.subproblems_screened += rest.size - window.size
     bounds = None
     if cfg.screening_enabled and window.size:
-        scr = _screening_rows(same, dist_sq, n_scr)
-        bounds = pair_bound_block(ds, q.z, scr, dist_sq[scr], window, dist_sq[window],
-                                  norm).max(axis=0)
+        bounds = _block_bounds(ds, q.z, same, dist_sq, window, n_scr, norm)
         if sort_candidates:
             order = stable_order(bounds)
             window, reach, bounds = window[order], reach[order], bounds[order]
@@ -258,8 +244,11 @@ def _one_nn(ds: Dataset, q: Query, method: str, kind: CertificateKind, norm: str
         stats.subproblems_screened += 1
     if delta_best is None:
         raise SolverError(f"{method}: no candidate subproblem produced a perturbation")
-    stats.wall_time = time.perf_counter() - start
-    return _validated(ds, q, delta_best, kind, method, stats, 1, tie, norm_ord)
+    if not is_adversarial(ds, q, delta_best, 1, tie):
+        raise CertificationError(
+            f"{method}: produced perturbation does not flip the 1-NN prediction")
+    kind = CertificateKind.EXACT if candidate_limit is None else CertificateKind.UPPER_BOUND
+    return _certificate(delta_best, kind, method, stats, start, norm_ord)
 
 
 def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
@@ -274,8 +263,8 @@ def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
     skipped.  Queries the model already misclassifies get a zero certificate
     immediately.
     """
-    return _one_nn(ds, q, "exact-1nn", CertificateKind.EXACT, "l2", _solve_delta, cfg,
-                   n_scr, sort_candidates, None, tie)
+    return _one_nn(ds, q, "exact-1nn", "l2", _solve_candidate, cfg, n_scr, sort_candidates,
+                   None, tie)
 
 
 def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), *,
@@ -283,8 +272,7 @@ def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), 
     """Upper bound from solving only the m nearest target subproblems."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _one_nn(ds, q, f"qp-{m}", CertificateKind.UPPER_BOUND, "l2", _solve_delta,
-                   cfg, n_scr, True, m, tie)
+    return _one_nn(ds, q, f"qp-{m}", "l2", _solve_candidate, cfg, n_scr, True, m, tie)
 
 
 def _subset_candidates(ids: np.ndarray, dist_sq: np.ndarray, size: int):
@@ -380,9 +368,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                     and is_adversarial(ds, q, delta2, k, tie)
                 ):
                     delta = delta2
-        stats.wall_time = time.perf_counter() - start
-        # The subset loop has accepted delta with is_adversarial, the test of _validated.
-        return _certificate(delta, CertificateKind.UPPER_BOUND, "qp-greedy", stats)
+        return _certificate(delta, CertificateKind.UPPER_BOUND, "qp-greedy", stats, start)
     raise SolverError(
         f"qp-greedy: no feasible target subset among {tried} candidates (budget {_SUBSET_BUDGET})"
     )
@@ -532,9 +518,7 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
             best_delta = t_star * direction
     if best_delta is None:
         raise SolverError(f"naive-{tries}: no tested direction flips the {k}-NN prediction")
-    stats.wall_time = time.perf_counter() - start
-    # flip has accepted best_delta with is_adversarial, the test of _validated.
-    return _certificate(best_delta, CertificateKind.UPPER_BOUND, f"naive-{tries}", stats)
+    return _certificate(best_delta, CertificateKind.UPPER_BOUND, f"naive-{tries}", stats, start)
 
 
 def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
@@ -560,6 +544,4 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     t_star = flip(direction, _RAY_EXTENSION_CAP)
     if t_star is None:
         raise SolverError("mean: no flip within the ray-length cap")
-    stats.wall_time = time.perf_counter() - start
-    # flip has accepted t_star * direction with is_adversarial, the test of _validated.
-    return _certificate(t_star * direction, CertificateKind.UPPER_BOUND, "mean", stats)
+    return _certificate(t_star * direction, CertificateKind.UPPER_BOUND, "mean", stats, start)

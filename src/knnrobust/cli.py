@@ -100,6 +100,9 @@ class RunConfig:
                 raise ValueError(f"{name} is defined for k=1 only")
         if self.nscr_sweep is not None and not (self.nscr_sweep and min(self.nscr_sweep) >= 1):
             raise ValueError(f"nscr_sweep values must be >= 1, got {self.nscr_sweep}")
+        for name, items in (("methods", self.methods), ("nscr_sweep", self.nscr_sweep)):
+            if items is not None and len(set(items)) < len(items):
+                raise ValueError(f"{name} lists an item twice: {items}")
         if self.command != "exact" and self.norm != "l2":
             raise ValueError("--norm linf/l1 applies to the exact command only")
         if self.nscr_sweep is not None and self.k != 1:

@@ -50,7 +50,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         points = np.array(self.points, dtype=np.float64, order="C")
-        labels = np.array(self.labels, dtype=np.int64, order="C").ravel()
+        labels = np.array(_integral(self.labels, "labels"), dtype=np.int64, order="C").ravel()
         if points.ndim != 2:
             raise DataFormatError("points must be a 2-D matrix")
         n, d = points.shape
@@ -63,7 +63,7 @@ class Dataset:
         present = np.unique(labels)
         if present.size < 2:
             raise DataFormatError("need at least two distinct classes")
-        c = self.class_count if self.class_count else int(present.max())
+        c = int(_integral(self.class_count or present.max(), "class_count"))
         if present[0] < 1 or present[-1] > c:
             raise DataFormatError(f"labels must lie in 1..{c}, got {present.tolist()}")
         object.__setattr__(self, "points", _read_only(points))
@@ -128,6 +128,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integral(values, what: str) -> np.ndarray:
+    """``values`` as an array, raising ``DataFormatError`` at a float that is not
+    a finite integer in int64's range (a cast would truncate 1.9 to 1)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f":
+        bad = raw[~(np.isfinite(raw) & (raw == np.trunc(raw)) & (np.abs(raw) < 2.0 ** 63))]
+        if bad.size:
+            raise DataFormatError(f"{what}: {float(bad[0])!r} is not a 64-bit integer")
+    return raw
+
+
 @dataclass(frozen=True)
 class Query:
     """A test instance together with the label the model should assign it."""
@@ -138,7 +149,9 @@ class Query:
     def __post_init__(self) -> None:
         z = np.ascontiguousarray(np.asarray(self.z, dtype=np.float64)).ravel()
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "true_label", int(self.true_label))
+        label = self.true_label     # load_queries passes ints, which need no check
+        label = label if isinstance(label, int) else _integral(label, "query label")
+        object.__setattr__(self, "true_label", int(label))
 
 
 def _read_labeled_rows(path, has_header: bool) -> tuple[np.ndarray, np.ndarray]:

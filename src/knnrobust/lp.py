@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import DEFAULT_N_SCR, CertificateKind, PerturbationCertificate, _one_nn
+from .attack import DEFAULT_N_SCR, PerturbationCertificate, _one_nn
 # knn_predict and build_1nn_subproblem are not called here, but they stay
 # bound in lp: the benchmark's tracer rebinds lp.<name>.
 from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict  # noqa: F401
@@ -270,14 +270,13 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")
     method = f"exact-{norm}"
 
-    def solve(sp: Subproblem, stats) -> np.ndarray:
+    def solve(sp: Subproblem, stats) -> tuple[np.ndarray, float, int]:
         try:
             solved = solve_lp(build_linf_lp(sp) if norm == "linf" else build_l1_lp(sp))
         except SolverError as err:
             raise SolverError(f"{method}: LP for target {int(sp.targets[0])}: {err}") from err
         stats.subproblems_solved += 1
         stats.solver_iterations += solved[2]
-        return solved[0]
+        return solved
 
-    return _one_nn(ds, q, method, CertificateKind.EXACT, norm, solve, cfg, n_scr,
-                   sort_candidates, None, tie)
+    return _one_nn(ds, q, method, norm, solve, cfg, n_scr, sort_candidates, None, tie)

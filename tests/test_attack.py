@@ -80,7 +80,8 @@ class TestExact1nn:
 
     def test_perturbation_without_a_finite_norm_never_wins(self, fix_c, monkeypatch):
         # A solve that returns NaN leaves no incumbent to validate.
-        monkeypatch.setattr(attack, "_solve_delta", lambda sp, stats: np.full(sp.d, np.nan))
+        monkeypatch.setattr(attack, "_solve_candidate",
+                            lambda sp, stats: (np.full(sp.d, np.nan), None))
         ds, q = fix_c
         with pytest.raises(SolverError, match="no candidate subproblem produced a perturbation"):
             exact_1nn(ds, q)
@@ -226,10 +227,15 @@ class TestScreenSubproblem:
             screen_subproblem(ds, q, 1, incumbent_sq=1.0)
 
     def test_screening_rows_break_ties_at_the_cut_by_index(self):
-        dist_sq = np.array([9.0, 2.0, 4.0, 2.0, 4.0, 1.0, 4.0])
-        same = np.array([0, 2, 3, 4, 6])
-        np.testing.assert_array_equal(attack._screening_rows(same, dist_sq, 2), [3, 2])
-        np.testing.assert_array_equal(attack._screening_rows(same, dist_sq, 3), [3, 2, 4])
+        # Same-class points at -1 and +1 tie at distance 1 from the query at
+        # 0; against the target at 3 their pair bounds are 1 and 2.  With
+        # n_scr = 1 the block bound takes the lower index of the two.
+        z, same, target = np.zeros(1), np.array([0, 1]), np.array([2])
+        for points, first in (([-1.0, 1.0, 3.0], 1.0), ([1.0, -1.0, 3.0], 2.0)):
+            ds = Dataset(np.array(points)[:, None], np.array([1, 1, 2]))
+            dist_sq = ds.distances_sq(z)
+            assert attack._block_bounds(ds, z, same, dist_sq, target, 1).tolist() == [first]
+            assert attack._block_bounds(ds, z, same, dist_sq, target, 2).tolist() == [2.0]
 
 
 _ONE_NN_CALLS = {
@@ -266,9 +272,11 @@ class TestBestFirstLoop:
                     assert bound == max(neg_b, 0.0) / dual
             if norm != "l2":
                 continue
-            scr = attack._screening_rows(same, dist_sq, attack.DEFAULT_N_SCR)
+            scr = same[np.argsort(dist_sq[same], kind="stable")[:attack.DEFAULT_N_SCR]]
             c = pair_bound_block(ds, q.z, scr, dist_sq[scr], targets, dist_sq[targets])
-            for j, bound in zip(targets, c.max(axis=0)):
+            bounds = attack._block_bounds(ds, q.z, same, dist_sq, targets, attack.DEFAULT_N_SCR)
+            np.testing.assert_array_equal(bounds, c.max(axis=0))
+            for j, bound in zip(targets, bounds):
                 assert screen_subproblem(ds, q, j, bound * bound) is False
                 if bound > 0.0:
                     assert screen_subproblem(ds, q, j, np.nextafter(bound * bound, 0.0)) is True
@@ -283,10 +291,9 @@ class TestBestFirstLoop:
         ds = Dataset(rng.standard_normal((12, 9000)), np.arange(12) % 2 + 1)
         q = Query(rng.standard_normal(9000), 1)
         dist_sq = ds.distances_sq(q.z)
-        scr = attack._screening_rows(ds.class_indices(1), dist_sq, n_scr)
-        targets = ds.class_indices(2)
-        bounds = pair_bound_block(ds, q.z, scr, dist_sq[scr], targets,
-                                  dist_sq[targets]).max(axis=0)
+        same, targets = ds.split(1)
+        scr = same[np.argsort(dist_sq[same], kind="stable")[:n_scr]]
+        bounds = attack._block_bounds(ds, q.z, same, dist_sq, targets, n_scr)
         own = [max(pair_bound(ds, q.z, i, j) for i in scr) for j in targets]
         np.testing.assert_allclose(bounds, own, rtol=1e-12, atol=0.0)
         assert np.count_nonzero(bounds) >= 3
@@ -371,6 +378,18 @@ class TestQpTopM:
             assert qp_top_m(ds, q, n_other).epsilon == pytest.approx(
                 exact_1nn(ds, q).epsilon, abs=1e-9
             )
+
+    def test_covering_every_target_is_still_an_upper_bound(self, fix_c):
+        # The kind names the method: qp-<m> is an upper bound even when m
+        # covers every target and its value is the exact one.
+        ds, q = fix_c
+        n_other = int(np.count_nonzero(ds.labels != q.true_label))
+        exact = exact_1nn(ds, q)
+        assert exact.kind is CertificateKind.EXACT
+        for m in (n_other, n_other + 1):
+            cert = qp_top_m(ds, q, m)
+            assert cert.kind is CertificateKind.UPPER_BOUND
+            assert cert.epsilon == exact.epsilon
 
     def test_monotone_in_m(self):
         rng = np.random.default_rng(59)
@@ -658,6 +677,14 @@ class TestLineSearchWalk:
         assert ray_flip_reference(ds, q, 3, np.array([1.0]), 2.0 ** 20) == pytest.approx(0.75)
         # The nearest other-class mean is the class-2 point at 1.5.
         assert mean_attack(ds, q, 3).epsilon == pytest.approx(0.75, rel=1e-12, abs=0.0)
+
+    def test_event_cap_raises(self, monkeypatch):
+        # The walk of test_vote_tie_at_an_event_flips needs one event.
+        monkeypatch.setattr(attack, "_MAX_EVENTS", 0)
+        ds = Dataset(np.array([[-0.5], [-1.0], [1.5], [2.5]]), np.array([1, 1, 2, 3]), 3)
+        q = Query(np.array([0.0]), 1)
+        with pytest.raises(SolverError, match="^line search: no first flip within 0 events$"):
+            mean_attack(ds, q, 3)
 
     def test_k_equal_to_n_never_flips(self):
         # Every point votes at K = n, so class 1 keeps its majority anywhere.

@@ -10,7 +10,7 @@ _spec = importlib.util.spec_from_file_location("bit_identity", _PATH)
 bit_identity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bit_identity)
 
-_EXACT = {"eps": "0x1.8p+0", "delta": "ab12", "stats": [3, 2, 1, 7]}
+_EXACT = {"eps": "0x1.8p+0", "delta": "ab12", "kind": "exact", "stats": [3, 2, 1, 7]}
 _VERIFIER = {"eps": "0x1.0p-1", "binding": [4, 9], "pairs": 12}
 
 
@@ -49,6 +49,18 @@ def test_equal_epsilon_with_another_delta_differs():
     change["corpus/0/exact/k1"]["delta"] = "ab13"
     counts, lines = bit_identity.compare(_records(), change)
     assert counts["exact"] == [1, 1, 0] and len(lines) == 1
+
+
+def test_another_kind_is_an_outcome_difference(fix_c):
+    # The same epsilon and perturbation labelled an upper bound, not exact.
+    change = _records()
+    change["corpus/0/exact/k1"]["kind"] = "upper_bound"
+    counts, lines = bit_identity.compare(_records(), change)
+    assert counts["exact"] == [1, 1, 0] and len(lines) == 1
+    ds, q = fix_c
+    for method, kind in (("exact", "exact"), ("exact-linf", "exact"), ("qp-10", "upper_bound"),
+                         ("qp-greedy", "upper_bound"), ("mean", "upper_bound")):
+        assert bit_identity._run(method, ds, q, 1)["kind"] == kind, method
 
 
 def test_count_only_differences_are_told_apart_from_outcomes():

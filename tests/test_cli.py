@@ -521,6 +521,22 @@ class TestMainFlags:
             assert err.startswith("configuration error:")
             assert "usage:" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--methods", "exact,exact,verifier"],
+         "methods lists an item twice: ('exact', 'exact', 'verifier')"),
+        (["--nscr-sweep", "8,8"], "nscr_sweep lists an item twice: (8, 8)"),
+    ])
+    def test_repeated_list_item_is_a_configuration_error(self, fix_files, capsys, flags,
+                                                         message):
+        # A repeated method would print its table row twice and write each of
+        # its query records twice; a repeated n_scr, its sweep entry twice.
+        code = main(["bench", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
+                     *flags])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: {message}\n"
+
     def test_one_nn_rows_rejected_at_k_above_1(self, fix_files, capsys):
         # exact and qp-<m> certify the 1-NN classifier only, and the n_scr
         # sweep runs exact; a K=3 table must not list them as K=3 results.

@@ -55,6 +55,35 @@ class TestDatasetInvariants:
         with pytest.raises(DataFormatError, match="labels must have one entry per point"):
             Dataset(np.array([[1.0], [2.0]]), np.array([1, 2, 1]))
 
+    @pytest.mark.parametrize("labels, shown", [
+        ([1.9, 1.2, 2.7, 2.0], "1.9"), ([1.0, 2.0, np.nan, 2.0], "nan"),
+        ([1.0, 2.0, 1.0, -np.inf], "-inf"), ([1.0, 2.0, 1.0, 2.0 ** 63], "9.223372036854776e+18"),
+    ])
+    def test_rejects_a_label_that_is_not_an_integer(self, labels, shown):
+        # A cast to int64 would store [1, 1, 2, 2] for the first list.
+        points = np.arange(4.0)[:, None]
+        with pytest.raises(DataFormatError, match=f"^labels: {re.escape(shown)} is not a 64-bit"):
+            Dataset(points, labels)
+
+    def test_integral_labels_and_class_count_load(self):
+        points = np.arange(4.0)[:, None]
+        for labels in ([1.0, 2.0, 1.0, 2.0], np.array([1, 2, 1, 2], dtype=np.int32)):
+            ds = Dataset(points, labels, 3.0)
+            assert ds.labels.tolist() == [1, 2, 1, 2] and ds.labels.dtype == np.int64
+            assert ds.class_count == 3 and type(ds.class_count) is int
+        with pytest.raises(DataFormatError, match="^class_count: 2.5 is not a 64-bit integer"):
+            Dataset(points, [1, 2, 1, 2], 2.5)
+
+    @pytest.mark.parametrize("label", [1.8, np.float64(np.nan), np.inf])
+    def test_query_rejects_a_label_that_is_not_an_integer(self, label):
+        with pytest.raises(DataFormatError, match="^query label: .* is not a 64-bit integer"):
+            Query(np.zeros(1), label)
+
+    def test_query_takes_an_integral_label(self):
+        for label in (2, np.int64(2), 2.0, np.float32(2.0)):
+            q = Query(np.zeros(1), label)
+            assert q.true_label == 2 and type(q.true_label) is int
+
     def test_query_dimension(self, fix_a):
         ds, q = fix_a
         assert q.z.shape == (ds.d,)

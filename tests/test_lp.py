@@ -5,6 +5,7 @@ import pytest
 
 from knnrobust import lp
 from knnrobust import (
+    CertificateKind,
     Dataset,
     Query,
     SolverError,
@@ -174,6 +175,14 @@ class TestSolveLp:
         with pytest.raises(SolverError, match="a column of negative reduced cost has no pivot row"):
             solve_lp(program)
 
+    def test_pivot_cap(self, fix_b, monkeypatch):
+        # test_linf_fix_b's program needs at least one pivot.
+        monkeypatch.setattr(lp, "_MAX_PIVOTS", 0)
+        ds, q = fix_b
+        mirrored = Dataset(np.vstack([ds.points, [1.0, -1.0]]), np.append(ds.labels, 1))
+        with pytest.raises(SolverError, match="^no optimum after 0 pivots$"):
+            solve_lp(build_linf_lp(build_1nn_subproblem(mirrored, q, 1)))
+
     def test_agrees_with_vertex_enumeration(self):
         # Random integer subproblems with some b_i < 0, against the vertices
         # of the plain min-norm LP; those with no feasible delta must raise.
@@ -304,6 +313,13 @@ class TestExact1nnLp:
         cert = exact_1nn_lp(ds, q, "l1")
         assert cert.epsilon == pytest.approx(1.0, abs=1e-9)
         assert cert.stats.solver_iterations == solve_lp(build_l1_lp(_sp(fix_b)))[2]
+
+    @pytest.mark.parametrize("norm", ["linf", "l1"])
+    @pytest.mark.parametrize("sort_candidates", [True, False])
+    def test_certificate_is_exact(self, fix_c, norm, sort_candidates):
+        ds, q = fix_c
+        cert = exact_1nn_lp(ds, q, norm, sort_candidates=sort_candidates)
+        assert cert.kind is CertificateKind.EXACT and not cert.misclassified
 
     def test_bad_norm_rejected(self, fix_a):
         ds, q = fix_a

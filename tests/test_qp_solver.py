@@ -15,6 +15,7 @@ from knnrobust import (
     recover_primal,
     solve_dual_gca,
 )
+from knnrobust import qp_solver
 from knnrobust.qp_solver import _gram_solve
 
 from helpers import active_set_oracle, random_grid_dataset
@@ -201,6 +202,34 @@ class TestGramSolve:
         N = np.array([[1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(SolverError, match="singular active set"):
             _gram_solve(N, np.ones(2))
+
+
+class TestSolverGuards:
+    """The ``SolverError`` backstops, each reached by a patched module name."""
+
+    @staticmethod
+    def _nan_gram_solve(N, rhs):
+        return np.full(len(rhs), np.nan)
+
+    def test_step_cap(self, fix_b, monkeypatch):
+        monkeypatch.setattr(qp_solver, "_MAX_STEPS", 0)
+        with pytest.raises(SolverError,
+                           match="^dual active-set solver did not finish within 0 steps$"):
+            solve_dual_gca(_fix_b_sp(fix_b))
+
+    def test_non_finite_step(self, monkeypatch):
+        # The second row joins against the first, whose Gram solve is NaN.
+        monkeypatch.setattr(qp_solver, "_gram_solve", self._nan_gram_solve)
+        sp = Subproblem(rows=np.eye(2), offsets=np.array([-1.0, -1.0]))
+        with pytest.raises(SolverError, match="^non-finite step in the dual active-set solver$"):
+            solve_dual_gca(sp)
+
+    def test_non_finite_multipliers(self, fix_b, monkeypatch):
+        # One row joins without a Gram solve; the final one is NaN.
+        monkeypatch.setattr(qp_solver, "_gram_solve", self._nan_gram_solve)
+        with pytest.raises(SolverError,
+                           match="^non-finite multipliers in the dual active-set solver$"):
+            solve_dual_gca(_fix_b_sp(fix_b))
 
 
 class TestRecoverPrimal:
