@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,7 +59,11 @@ class TestDatasetInvariants:
     @pytest.mark.parametrize("labels, shown", [
         ([1.9, 1.2, 2.7, 2.0], "1.9"), ([1.0, 2.0, np.nan, 2.0], "nan"),
         ([1.0, 2.0, 1.0, -np.inf], "-inf"), ([1.0, 2.0, 1.0, 2.0 ** 63], "9.223372036854776e+18"),
-    ])
+        (np.array([1.9, 1.2, 2.7, 2.0], dtype=object), "1.9"),
+        ([1, Fraction(3, 2), 2, 2], "Fraction(3, 2)"),
+        (np.array([1.0, 2.0, np.nan, 2.0], dtype=np.float16), "nan"),
+        (["1", "2", "1", "2"], "'1'"),
+    ], ids=["fraction-part", "nan", "inf", "2^63", "object", "Fraction", "float16-nan", "strings"])
     def test_rejects_a_label_that_is_not_an_integer(self, labels, shown):
         # A cast to int64 would store [1, 1, 2, 2] for the first list.
         points = np.arange(4.0)[:, None]
@@ -67,20 +72,29 @@ class TestDatasetInvariants:
 
     def test_integral_labels_and_class_count_load(self):
         points = np.arange(4.0)[:, None]
-        for labels in ([1.0, 2.0, 1.0, 2.0], np.array([1, 2, 1, 2], dtype=np.int32)):
+        for labels in ([1.0, 2.0, 1.0, 2.0], np.array([1, 2, 1, 2], dtype=np.int32),
+                       np.array([1, 2, 1, 2], dtype=np.float16),
+                       np.array([1, 2.0, Fraction(1), np.int8(2)], dtype=object)):
             ds = Dataset(points, labels, 3.0)
             assert ds.labels.tolist() == [1, 2, 1, 2] and ds.labels.dtype == np.int64
             assert ds.class_count == 3 and type(ds.class_count) is int
         with pytest.raises(DataFormatError, match="^class_count: 2.5 is not a 64-bit integer"):
             Dataset(points, [1, 2, 1, 2], 2.5)
 
-    @pytest.mark.parametrize("label", [1.8, np.float64(np.nan), np.inf])
+    @pytest.mark.parametrize("label", [1.8, np.float64(np.nan), np.inf, Fraction(3, 2),
+                                       np.float16(1.5)])
     def test_query_rejects_a_label_that_is_not_an_integer(self, label):
         with pytest.raises(DataFormatError, match="^query label: .* is not a 64-bit integer"):
             Query(np.zeros(1), label)
 
+    @pytest.mark.parametrize("label", [2 ** 70, None, float("nan")], ids=["2^70", "None", "nan"])
+    def test_query_rejects_a_label_int_refuses(self, label):
+        # Object entries go through int(), which raises rather than casting.
+        with pytest.raises(DataFormatError, match="^query label: "):
+            Query(np.zeros(1), np.array(label, dtype=object))
+
     def test_query_takes_an_integral_label(self):
-        for label in (2, np.int64(2), 2.0, np.float32(2.0)):
+        for label in (2, np.int64(2), 2.0, np.float32(2.0), np.float16(2.0), Fraction(4, 2)):
             q = Query(np.zeros(1), label)
             assert q.true_label == 2 and type(q.true_label) is int
 
