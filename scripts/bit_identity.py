@@ -14,8 +14,9 @@ checks its sorts for ties, and most distances shared), and the first 40
 queries of every dataset of both perfbench workloads at seeds 0 and 1,
 generated in memory.  Each input runs every method of the perfbench method
 table at every K that the input allows, and the ablations at K=1: exact
-unsorted, with ``n_scr=1`` and without screening, exact-linf and exact-l1
-with ``n_scr=1``, and exact-l1 unsorted.  Ingestion is compared
+unsorted, with ``n_scr=1``, without screening, and unsorted without
+screening; exact-linf with ``n_scr=1`` and without screening; exact-l1
+with ``n_scr=1`` and unsorted.  Ingestion is compared
 too: for every dataset of both workloads at both seeds, the files that
 ``workloads.write_csvs`` writes are read back through ``load_csv`` and
 ``load_queries`` (methods ``load_csv`` and ``load_queries``).
@@ -51,10 +52,8 @@ QUERIES_PER_DATASET = 40
 TIE_GRIDS = 40
 TIE_GRID_SEED = 11
 TIE_GRID_KS = (1, 3, 5)
-ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen", "exact-linf-nscr1",
-             "exact-l1-nscr1", "exact-l1-unsorted")
-# The keyword arguments of each ``exact-<norm>[-<ablation>]`` LP call.
-LP_ABLATIONS = {"": {}, "nscr1": {"n_scr": 1}, "unsorted": {"sort_candidates": False}}
+ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen", "exact-unsorted-noscreen",
+             "exact-linf-nscr1", "exact-linf-noscreen", "exact-l1-nscr1", "exact-l1-unsorted")
 # Record fields that state a call's outcome; "stats" and "pairs" count its work.
 OUTCOME_FIELDS = ("eps", "delta", "kind", "binding", "error", "sha1")
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -81,17 +80,15 @@ def _run(method: str, ds, q, k: int) -> dict:
             return {"eps": float(res.epsilon_lower).hex(),
                     "binding": res.binding_pair and list(res.binding_pair),
                     "pairs": res.pair_bounds}
-        if method == "exact":
-            cert = exact_1nn(ds, q)
-        elif method == "exact-unsorted":
-            cert = exact_1nn(ds, q, sort_candidates=False)
-        elif method == "exact-nscr1":
-            cert = exact_1nn(ds, q, n_scr=1)
-        elif method == "exact-noscreen":
-            cert = exact_1nn(ds, q, SolverConfig(screening_enabled=False))
-        elif method.startswith("exact-"):
-            norm, _, ablation = method[6:].partition("-")
-            cert = exact_1nn_lp(ds, q, norm, **LP_ABLATIONS[ablation])
+        if method.split("-")[0] == "exact":
+            # exact[-<norm>][-<ablation>...], each ablation one keyword argument.
+            parts = method.split("-")[1:]
+            norm = parts.pop(0) if parts and parts[0] in ("linf", "l1") else "l2"
+            ablations = {"nscr1": ("n_scr", 1), "unsorted": ("sort_candidates", False),
+                         "noscreen": ("cfg", SolverConfig(screening_enabled=False))}
+            kwargs = dict(ablations[part] for part in parts)
+            cert = (exact_1nn(ds, q, **kwargs) if norm == "l2"
+                    else exact_1nn_lp(ds, q, norm, **kwargs))
         elif method == "qp-greedy":
             cert = qp_greedy_knn(ds, q, k)
         elif method.startswith("qp-"):

@@ -141,12 +141,13 @@ def screen_subproblem(ds: Dataset, q: Query, j: int, incumbent_sq: float,
     same-class points nearest the query already certifies a radius beyond
     the incumbent attack (``incumbent_sq`` is its square), so that target j's
     subproblem cannot improve it.  It is ``_block_bounds`` for the one target
-    j, squared.  Raises ``ValueError`` when target j has the query's own label.
+    j, squared.  Raises ``ValueError`` when target j has the query's own label,
+    ``DataFormatError`` when a squared distance from the query overflows.
     """
     _check_n_scr(n_scr)
     if int(ds.labels[j]) == q.true_label:
         raise ValueError(f"target {j} has the query's own label {q.true_label}")
-    bound = _block_bounds(ds, q.z, ds.class_indices(q.true_label), ds.distances_sq(q.z),
+    bound = _block_bounds(ds, q.z, ds.class_indices(q.true_label), finite_distances_sq(ds, q.z),
                           np.array([j]), n_scr)[0]
     return bool(incumbent_sq < bound * bound)
 
@@ -181,18 +182,19 @@ def _one_nn(ds: Dataset, q: Query, method: str, norm: str, solve, cfg: SolverCon
     validates the winner.  The certificate is ``EXACT``, or ``UPPER_BOUND``
     under a ``candidate_limit``, whether or not the limit drops a target.
 
-    The first target is solved unscreened.  Every later target is screened by
-    two rules, each against the incumbent at the time:
-    - the reach window: no target j certifies below (d_j - d_1)/2 in l2 or
-      l1, or that over sqrt(d) in the max norm;
-    - when ``cfg.screening_enabled``, the block bound ``_block_bounds`` in
-      ``norm``, computed for every target in the first window at once.
-    Every target that passes both is built and solved.  Sorted with
-    screening, the window is visited in ascending bound (ties in distance
-    order) and the first bound beyond the incumbent ends the loop.  Sorted
-    without screening, it is visited in distance order and the first target
-    out of reach ends it.  Unsorted, each target that fails a rule is
-    skipped.  Every candidate not solved counts as screened.
+    The first target is solved unscreened.  The reach window keeps the later
+    targets j whose reach (d_j - d_1)/2 is at most its epsilon, d_1 being the
+    nearest same-class distance; under the max norm the reach is over
+    sqrt(d), as ||.||_2 <= sqrt(d) ||.||_inf.  Each has one floor: its block
+    bound ``_block_bounds`` in ``norm`` when ``cfg.screening_enabled``, else
+    its reach.  The bound is never below the reach: its rows include the
+    nearest same-class point x_1, whose l2 bound (d_j^2 - d_1^2)/(2||x_j - x_1||)
+    is at least (d_j - d_1)/2 as ||x_j - x_1|| <= d_j + d_1, and the dual norms'
+    ||.||_1 <= sqrt(d) ||.||_2 and ||.||_inf <= ||.||_2 carry it over.  A
+    target is built and solved iff its floor is at most the incumbent then.
+    Sorted, the window goes in ascending floor (the bounds stably sorted, the
+    reach in distance order) and the first floor beyond the incumbent ends
+    the loop.  Every candidate not built counts as screened.
     """
     _check_n_scr(n_scr)
     stats, start, dist_sq, zero = _begin(ds, q, 1, method)
@@ -218,30 +220,21 @@ def _one_nn(ds: Dataset, q: Query, method: str, norm: str, solve, cfg: SolverCon
     visit(others[0])
     rest = others[1:]
     d1 = float(np.sqrt(np.min(dist_sq[same])))
-    # ||.||_1 >= ||.||_2 >= sqrt(d) ||.||_inf, hence the max norm's sqrt(d).
     shrink = 2.0 * np.sqrt(ds.d) if norm == "linf" else 2.0
-    reach = (np.sqrt(dist_sq[rest]) - d1) / shrink
-    inside = reach <= eps_best
-    window, reach = rest[inside], reach[inside]
-    stats.subproblems_screened += rest.size - window.size
-    bounds = None
+    floors = (np.sqrt(dist_sq[rest]) - d1) / shrink
+    inside = floors <= eps_best
+    window, floors = rest[inside], floors[inside]
     if cfg.screening_enabled and window.size:
-        bounds = _block_bounds(ds, q.z, same, dist_sq, window, n_scr, norm)
+        floors = _block_bounds(ds, q.z, same, dist_sq, window, n_scr, norm)
         if sort_candidates:
-            order = stable_order(bounds)
-            window, reach, bounds = window[order], reach[order], bounds[order]
-    for pos, j in enumerate(window):
-        if bounds is not None and eps_best < bounds[pos]:
-            ends = sort_candidates                  # the bounds ascend from here
-        elif reach[pos] > eps_best:
-            ends = sort_candidates and bounds is None   # so do the distances
-        else:
+            order = stable_order(floors)
+            window, floors = window[order], floors[order]
+    for j, floor in zip(window, floors):
+        if floor <= eps_best:
             visit(j)
-            continue
-        if ends:
-            stats.subproblems_screened += window.size - pos
+        elif sort_candidates:
             break
-        stats.subproblems_screened += 1
+    stats.subproblems_screened = others.size - stats.subproblems_built
     if delta_best is None:
         raise SolverError(f"{method}: no candidate subproblem produced a perturbation")
     if not is_adversarial(ds, q, delta_best, 1, tie):

@@ -107,6 +107,8 @@ class RunConfig:
             raise ValueError("--norm linf/l1 applies to the exact command only")
         if self.nscr_sweep is not None and self.k != 1:
             raise ValueError("the n_scr sweep runs exact, which is defined for k=1 only")
+        if self.nscr_sweep is not None and not self.screening:
+            raise ValueError("--nscr-sweep varies the bound --no-screening switches off")
 
     def method_names(self) -> tuple[str, ...]:
         """The methods this command computes, in table order."""

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset, Query
-from .errors import DegeneratePairError
+from .errors import DataFormatError, DegeneratePairError
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # A Gram-product squared distance below this fraction of ||x_i||^2 + ||x_j||^2
@@ -145,18 +145,19 @@ def pair_bound(ds: Dataset, z: np.ndarray, i: int, j: int) -> float:
 
     This equals ``max(||z-x_j||^2 - ||z-x_i||^2, 0) / (2 ||x_j - x_i||)`` and
     is the radius certified by the best single-coordinate dual solution of
-    the (i, j) constraint row.
+    the (i, j) constraint row.  A squared distance from z that overflows
+    raises ``DataFormatError``.
     """
     z = np.asarray(z, dtype=np.float64)
-    xi, xj = ds.points[i], ds.points[j]
-    gap = xj - xi
-    denom = float(np.linalg.norm(gap))
+    with np.errstate(over="ignore"):
+        di, dj = z - ds.points[i], z - ds.points[j]
+        denom = float(np.linalg.norm(ds.points[j] - ds.points[i]))
+        di_sq, dj_sq = float(di @ di), float(dj @ dj)
     if denom == 0.0:
         raise DegeneratePairError(f"points {i} and {j} coincide")
-    di = z - xi
-    dj = z - xj
-    numer = max(float(dj @ dj) - float(di @ di), 0.0)
-    return numer / (2.0 * denom)
+    if not np.isfinite([di_sq, dj_sq]).all():
+        raise DataFormatError("squared distances from the query overflow float64")
+    return max(dj_sq - di_sq, 0.0) / (2.0 * denom)
 
 
 def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq: np.ndarray,
@@ -175,7 +176,8 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
     product, which is the only tractable form at scale.  Where that value is
     at most ``_GRAM_REL_TOL`` times ``||x_i||^2 + ||x_j||^2`` (near-duplicate
     points far from the origin), cancellation may have shrunk it and so
-    inflated the bound; such pairs are recomputed in difference form,
+    inflated the bound; such pairs, and those where a squared norm past the
+    float64 range makes it NaN, are recomputed in difference form,
     ``||x_i - x_j||^2`` over the numerator ``(x_i - x_j).((z - x_i) + (z - x_j))``.
     The squared norms are read from ``ds.norms_sq``, one einsum over all the
     points, which sums each row as an einsum over these rows alone would,
@@ -195,12 +197,13 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
     if norm == "l2":
         s_norm = ds.norms_sq[sources]
         t_norm = ds.norms_sq[targets]
-        cross = s_norm[:, None] + t_norm[None, :] - 2.0 * (xs @ xt.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = s_norm[:, None] + t_norm[None, :] - 2.0 * (xs @ xt.T)
         # The block-wide test is cheap and almost always clears every pair; a
-        # cleared block has no negative or zero cross distance.
-        if not cross.min() <= _GRAM_REL_TOL * (s_norm.max() + t_norm.max()):
+        # cleared block has no negative, zero or NaN cross distance.
+        if cross.min() > _GRAM_REL_TOL * (s_norm.max() + t_norm.max()):
             return numer / (2.0 * np.sqrt(cross))
-        i, j = np.nonzero(cross <= _GRAM_REL_TOL * (s_norm[:, None] + t_norm[None, :]))
+        i, j = np.nonzero(~(cross > _GRAM_REL_TOL * (s_norm[:, None] + t_norm[None, :])))
         gap = xs[i] - xt[j]
         cross[i, j] = np.einsum("ij,ij->i", gap, gap)
         numer[i, j] = np.maximum(np.einsum("ij,ij->i", gap, (z - xs[i]) + (z - xt[j])), 0.0)

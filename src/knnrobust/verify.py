@@ -37,6 +37,7 @@ _FIRST_BLOCK = 16
 class VerificationResult:
     """A certified radius with the pair that made it binding.
 
+    ``k_used`` is (K+1)/2, the order statistic the bound takes, not K.
     ``pair_bounds`` counts the (positive, target) pair bounds evaluated.
     """
 

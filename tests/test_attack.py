@@ -226,6 +226,15 @@ class TestScreenSubproblem:
                            match="^points 0 and 1 differ, but their squared distance underflows"):
             screen_subproblem(ds, q, 1, incumbent_sq=1.0)
 
+    def test_squared_distance_overflow_raises(self):
+        # As in exact_1nn and verify_knn: (5e199)^2 overflows float64.
+        ds = Dataset(np.array([[0.0], [1e200], [3e200]]), np.array([1, 2, 1]))
+        q = Query(np.array([5e199]), 1)
+        with pytest.raises(DataFormatError, match="squared distances from the query overflow"):
+            screen_subproblem(ds, q, 1, incumbent_sq=1.0)
+        with pytest.raises(DataFormatError, match="squared distances from the query overflow"):
+            exact_1nn(ds, q)
+
     def test_screening_rows_break_ties_at_the_cut_by_index(self):
         # Same-class points at -1 and +1 tie at distance 1 from the query at
         # 0; against the target at 3 their pair bounds are 1 and 2.  With
@@ -243,8 +252,12 @@ _ONE_NN_CALLS = {
     "exact n_scr=1": lambda ds, q: exact_1nn(ds, q, n_scr=1),
     "exact unsorted": lambda ds, q: exact_1nn(ds, q, sort_candidates=False),
     "exact unscreened": lambda ds, q: exact_1nn(ds, q, SolverConfig(screening_enabled=False)),
+    "exact unsorted unscreened": lambda ds, q: exact_1nn(
+        ds, q, SolverConfig(screening_enabled=False), sort_candidates=False),
     "qp-3": lambda ds, q: qp_top_m(ds, q, 3),
     "exact-linf": lambda ds, q: exact_1nn_lp(ds, q, "linf"),
+    "exact-linf unscreened": lambda ds, q: exact_1nn_lp(
+        ds, q, "linf", cfg=SolverConfig(screening_enabled=False)),
     "exact-l1 unsorted": lambda ds, q: exact_1nn_lp(ds, q, "l1", sort_candidates=False),
 }
 
@@ -280,6 +293,21 @@ class TestBestFirstLoop:
                 assert screen_subproblem(ds, q, j, bound * bound) is False
                 if bound > 0.0:
                     assert screen_subproblem(ds, q, j, np.nextafter(bound * bound, 0.0)) is True
+
+    @pytest.mark.parametrize("n_scr", [1, 8])
+    @pytest.mark.parametrize("norm", ["l2", "linf", "l1"])
+    def test_block_bound_is_never_below_the_reach(self, corpus, norm, n_scr):
+        # The 1-NN loop reads a screened target's block bound alone: its rows
+        # include the nearest same-class point, whose pair bound is at least
+        # the reach (d_j - d_1)/2, over sqrt(d) under linf.  Checked for every
+        # target, so for every reach window.
+        for ds, q, _ in corpus:
+            dist_sq = ds.distances_sq(q.z)
+            same, targets = ds.split(q.true_label)
+            shrink = 2.0 * np.sqrt(ds.d) if norm == "linf" else 2.0
+            reach = (np.sqrt(dist_sq[targets]) - np.sqrt(dist_sq[same].min())) / shrink
+            bounds = attack._block_bounds(ds, q.z, same, dist_sq, targets, n_scr, norm)
+            assert np.all(bounds >= reach - 1e-12 * np.abs(reach))
 
     @pytest.mark.parametrize("n_scr", [1, 2])
     def test_block_bound_beyond_8192_entries(self, n_scr):

@@ -161,8 +161,31 @@ def test_lp_ablations_pass_their_arguments_to_the_lp(fix_c, monkeypatch):
     monkeypatch.setattr(knnrobust, "exact_1nn_lp", lp)
     ds, q = fix_c
     lp_methods = [m for m in bit_identity.ABLATIONS if m.startswith(("exact-linf", "exact-l1"))]
-    assert lp_methods == ["exact-linf-nscr1", "exact-l1-nscr1", "exact-l1-unsorted"]
+    assert lp_methods == ["exact-linf-nscr1", "exact-linf-noscreen", "exact-l1-nscr1",
+                          "exact-l1-unsorted"]
     for method in ["exact-linf", "exact-l1"] + lp_methods:
         assert bit_identity._run(method, ds, q, 1) == {"error": "SolverError"}
-    assert calls == [("linf", {}), ("l1", {}), ("linf", {"n_scr": 1}), ("l1", {"n_scr": 1}),
-                     ("l1", {"sort_candidates": False})]
+    assert calls == [("linf", {}), ("l1", {}), ("linf", {"n_scr": 1}),
+                     ("linf", {"cfg": knnrobust.SolverConfig(screening_enabled=False)}),
+                     ("l1", {"n_scr": 1}), ("l1", {"sort_candidates": False})]
+
+
+def test_l2_ablations_pass_their_arguments_to_exact(fix_c, monkeypatch):
+    # Every mode of the 1-NN loop runs: sorted or not, screened or not.
+    import knnrobust
+    calls = []
+
+    def exact(ds, q, **kwargs):
+        calls.append(kwargs)
+        raise knnrobust.SolverError("not solved")
+
+    monkeypatch.setattr(knnrobust, "exact_1nn", exact)
+    ds, q = fix_c
+    l2_methods = [m for m in bit_identity.ABLATIONS if not m.startswith(("exact-linf", "exact-l1"))]
+    assert l2_methods == ["exact-unsorted", "exact-nscr1", "exact-noscreen",
+                          "exact-unsorted-noscreen"]
+    for method in ["exact"] + l2_methods:
+        assert bit_identity._run(method, ds, q, 1) == {"error": "SolverError"}
+    off = knnrobust.SolverConfig(screening_enabled=False)
+    assert calls == [{}, {"sort_candidates": False}, {"n_scr": 1}, {"cfg": off},
+                     {"sort_candidates": False, "cfg": off}]

@@ -348,7 +348,7 @@ class TestMainFlags:
                      "--output-path", fix_files["out"], "--n-scr", "3",
                      "--workers", "2", "--seed", "7",
                      "--sample", "5", "--repeats", "2", "--emit-deltas", "--omit-timing",
-                     "--no-screening", "--no-sorting", "--has-header",
+                     "--no-sorting", "--has-header",
                      "--methods", "exact, verifier",
                      "--nscr-sweep", "1,8", "--table-csv", table])
         assert code == 0
@@ -356,13 +356,17 @@ class TestMainFlags:
         assert payload["config"] == _echo(
             command="bench", data_path=str(d / "hdr.csv"), query_path=str(d / "hdr_q.csv"),
             output_path=fix_files["out"], n_scr=3, workers=2, seed=7,
-            sample=5, repeats=2, emit_deltas=True, omit_timing=True, screening=False,
+            sample=5, repeats=2, emit_deltas=True, omit_timing=True,
             sorting=False, has_header=True, methods=("exact", "verifier"),
             nscr_sweep=(1, 8), table_csv=table,
         )
         assert [row["method"] for row in payload["table"]] == ["exact", "verifier"]
         assert [entry["n_scr"] for entry in payload["sweep"]] == [1, 8]
         assert all("delta" in rec for rec in payload["queries"] if rec["method"] == "exact-1nn")
+        # --no-screening excludes the sweep, which varies the bound it switches off.
+        assert main(["bench", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
+                     "--output", fix_files["out"], "--no-screening"]) == 0
+        assert json.loads(Path(fix_files["out"]).read_text())["config"]["screening"] is False
 
     def test_tolerance_flag_is_gone(self, fix_files, capsys):
         # The solver's tolerance is relative to each subproblem, so there is
@@ -536,6 +540,17 @@ class TestMainFlags:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"configuration error: {message}\n"
+
+    def test_nscr_sweep_without_screening_is_a_configuration_error(self, fix_files, capsys):
+        # The sweep varies the block bound; with it switched off every sweep
+        # row would be the same.
+        code = main(["bench", "--data", fix_files["fixC"], "--queries", fix_files["fixC_q"],
+                     "--no-screening", "--nscr-sweep", "1,8"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("configuration error: --nscr-sweep varies the bound --no-screening "
+                       "switches off\n")
 
     def test_one_nn_rows_rejected_at_k_above_1(self, fix_files, capsys):
         # exact and qp-<m> certify the 1-NN classifier only, and the n_scr

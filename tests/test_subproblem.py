@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knnrobust import (
+    DataFormatError,
     Dataset,
     DegeneratePairError,
     Query,
@@ -274,6 +275,12 @@ class TestPairBound:
         with pytest.raises(DegeneratePairError):
             pair_bound(ds, np.array([0.0]), 0, 1)
 
+    def test_squared_distance_overflow_raises(self):
+        # As in exact_1nn and verify_knn: (5e199)^2 overflows float64.
+        ds = Dataset(np.array([[0.0], [1e200], [3e200]]), np.array([1, 2, 1]))
+        with pytest.raises(DataFormatError, match="squared distances from the query overflow"):
+            pair_bound(ds, np.array([5e199]), 0, 1)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_single_coordinate_dual_value(self, seed):
@@ -324,6 +331,17 @@ class TestPairBoundBlock:
             c = _block(ds, z, [0, 1, 2, 3], [4, 5, 6, 7])
             for (s, t), bound in np.ndenumerate(c):
                 assert bound == pytest.approx(pair_bound(ds, z, s, 4 + t), rel=1e-9, abs=0.0)
+
+    def test_overflowing_squared_norms_are_recomputed(self):
+        # Every distance from the query is finite, but ||x||^2 overflows at
+        # 1e160 from the origin, so the Gram form is inf - inf = NaN there.
+        ds = Dataset(np.array([[1e160, 0], [1e160 + 1e145, 1], [1e160, 3], [1e160, -2]]),
+                     np.array([1, 2, 2, 1]))
+        z = np.array([1e160, 0.2])
+        c = _block(ds, z, [0, 3], [1, 2])
+        for (s, t), bound in np.ndenumerate(c):
+            assert bound == pytest.approx(pair_bound(ds, z, [0, 3][s], [1, 2][t]), rel=1e-12,
+                                          abs=0.0)
 
     @pytest.mark.parametrize("norm", ["l2", "linf", "l1"])
     def test_coincident_pair_has_bound_zero(self, norm):

@@ -269,6 +269,17 @@ class TestFarFromOrigin:
         assert bound == pytest.approx(0.0025, rel=1e-6, abs=0.0)
         assert bound <= math.sqrt(knn_pair_bound_exact_sq(ds, q, 1, 1)) * (1.0 + 1e-12)
 
+    def test_overflowing_squared_norms(self):
+        # Every distance from the query is finite, but ||x||^2 overflows at
+        # 1e160 from the origin; the bound was NaN, and is exact_1nn's 1.3.
+        ds = Dataset(np.array([[1e160, 0], [1e160 + 1e145, 1], [1e160, 3], [1e160, -2]]),
+                     np.array([1, 2, 2, 1]))
+        q = Query(np.array([1e160, 0.2]), 1)
+        res = verify_knn(ds, q)
+        assert res.epsilon_lower == pytest.approx(1.3, rel=1e-12, abs=0.0)
+        assert res.epsilon_lower <= exact_1nn(ds, q).epsilon
+        assert res.binding_pair == (0, 2)
+
     def test_random_near_duplicates(self):
         rng = np.random.default_rng(5)
         checked = 0
