@@ -262,9 +262,8 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
     bounds carry over through Hölder's inequality: a row forces
     ``||delta|| >= max(-b, 0)/||a||_*`` in the dual norm (the sum norm under
     the max norm, the max norm under the sum norm), so the targets are
-    ordered and pruned by their ``n_scr``-row block bounds in that norm.  The
-    reach window is the l2 one, divided by sqrt(d) under the max norm.
-    ``cfg.screening_enabled`` turns the block bound on and off.
+    ordered and pruned by their ``n_scr``-row block bounds in that norm, or
+    by their reach without ``cfg.screening_enabled`` (``attack._one_nn``).
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")

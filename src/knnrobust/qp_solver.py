@@ -49,11 +49,9 @@ class SolveStatus(Enum):
 class SolverConfig:
     """Pipeline settings around the dual active-set solver.
 
-    ``screening_enabled`` turns on the 1-NN pipelines' ``n_scr``-row block
-    bound, which orders the targets best first and drops each target whose
-    single-row bound already exceeds the incumbent, before it is built.  The
-    reach window does not depend on it, and qp-greedy ignores it.  The solver
-    itself has no setting: its exit tolerance is relative to each
+    ``screening_enabled`` makes the ``n_scr``-row block bound, not the reach,
+    each 1-NN target's floor (``attack._one_nn``); qp-greedy ignores it.  The
+    solver itself has no setting: its exit tolerance is relative to each
     subproblem's ``offset_scale``.
     """
 

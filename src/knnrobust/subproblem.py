@@ -25,6 +25,9 @@ _GRAM_REL_TOL = 1e-4
 # Elements of one temporary block of pair differences under linf and l1,
 # about 2 MB: at d=784 the 1-NN window can hold thousands of targets.
 _BLOCK_ELEMENTS = 2 ** 18
+# |x_i.x_j| <= max(||x_i||^2, ||x_j||^2), so below this no Gram-form term
+# overflows float64.
+_GRAM_MAX = 2.0 ** 1020
 # The dual of the max norm is the sum norm, and that of the sum norm the max norm.
 _DUAL_ORD = {"linf": 1, "l1": np.inf}
 
@@ -176,16 +179,17 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
     product, which is the only tractable form at scale.  Where that value is
     at most ``_GRAM_REL_TOL`` times ``||x_i||^2 + ||x_j||^2`` (near-duplicate
     points far from the origin), cancellation may have shrunk it and so
-    inflated the bound; such pairs, and those where a squared norm past the
-    float64 range makes it NaN, are recomputed in difference form,
+    inflated the bound; such pairs are recomputed in difference form,
     ``||x_i - x_j||^2`` over the numerator ``(x_i - x_j).((z - x_i) + (z - x_j))``.
     The squared norms are read from ``ds.norms_sq``, one einsum over all the
     points, which sums each row as an einsum over these rows alone would,
     except beyond d = 8192 for a block of one source or one target: numpy's
     einsum sums a lone row of that length in another order, so such a bound
-    may then differ in its last bit.  Under linf and l1 the dual norms are
-    taken of the differences, formed in blocks of about ``_BLOCK_ELEMENTS``
-    elements, and every entry is that of its own pair bit for bit.
+    may then differ in its last bit.  Under linf and l1, and under l2 when a
+    squared norm reaches ``_GRAM_MAX`` (where the Gram form may overflow),
+    the dual norms are taken of the differences, formed in blocks of about
+    ``_BLOCK_ELEMENTS`` elements, and every entry is that of its own pair
+    bit for bit.
 
     A coincident pair has bound 0, which keeps the bound sound.  A zero
     distance with ``d_i < d_j`` raises ``DegeneratePairError``: the points
@@ -194,16 +198,15 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
     numer = np.maximum(targets_sq[None, :] - sources_sq[:, None], 0.0)
     xs = ds.points[sources]
     xt = ds.points[targets]
-    if norm == "l2":
-        s_norm = ds.norms_sq[sources]
-        t_norm = ds.norms_sq[targets]
-        with np.errstate(over="ignore", invalid="ignore"):
-            cross = s_norm[:, None] + t_norm[None, :] - 2.0 * (xs @ xt.T)
+    s_norm = ds.norms_sq[sources]
+    t_norm = ds.norms_sq[targets]
+    if norm == "l2" and max(s_norm.max(), t_norm.max()) < _GRAM_MAX:
+        cross = s_norm[:, None] + t_norm[None, :] - 2.0 * (xs @ xt.T)
         # The block-wide test is cheap and almost always clears every pair; a
-        # cleared block has no negative, zero or NaN cross distance.
-        if cross.min() > _GRAM_REL_TOL * (s_norm.max() + t_norm.max()):
+        # cleared block has no negative or zero cross distance.
+        if not cross.min() <= _GRAM_REL_TOL * (s_norm.max() + t_norm.max()):
             return numer / (2.0 * np.sqrt(cross))
-        i, j = np.nonzero(~(cross > _GRAM_REL_TOL * (s_norm[:, None] + t_norm[None, :])))
+        i, j = np.nonzero(cross <= _GRAM_REL_TOL * (s_norm[:, None] + t_norm[None, :]))
         gap = xs[i] - xt[j]
         cross[i, j] = np.einsum("ij,ij->i", gap, gap)
         numer[i, j] = np.maximum(np.einsum("ij,ij->i", gap, (z - xs[i]) + (z - xt[j])), 0.0)
@@ -213,7 +216,7 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
         step = max(1, _BLOCK_ELEMENTS // xs.size)
         for lo in range(0, targets.size, step):
             gap = xt[None, lo:lo + step] - xs[:, None]
-            dual[:, lo:lo + step] = np.linalg.norm(gap, ord=_DUAL_ORD[norm], axis=2)
+            dual[:, lo:lo + step] = np.linalg.norm(gap, ord=_DUAL_ORD.get(norm, 2), axis=2)
     zero = dual == 0.0
     bad = zero & (numer > 0.0)
     if np.any(bad):

@@ -332,9 +332,9 @@ class TestPairBoundBlock:
             for (s, t), bound in np.ndenumerate(c):
                 assert bound == pytest.approx(pair_bound(ds, z, s, 4 + t), rel=1e-9, abs=0.0)
 
-    def test_overflowing_squared_norms_are_recomputed(self):
+    def test_overflowing_squared_norms_take_the_difference_form(self):
         # Every distance from the query is finite, but ||x||^2 overflows at
-        # 1e160 from the origin, so the Gram form is inf - inf = NaN there.
+        # 1e160 from the origin, where the Gram form gave inf - inf = NaN.
         ds = Dataset(np.array([[1e160, 0], [1e160 + 1e145, 1], [1e160, 3], [1e160, -2]]),
                      np.array([1, 2, 2, 1]))
         z = np.array([1e160, 0.2])
