@@ -1,11 +1,10 @@
 """Upper-bound pipelines: exact 1-NN minimum perturbation and attacks.
 
-The exact pipeline solves the nearest target first.  Against that incumbent
-it keeps the targets within reach, bounds each of them at once by the pair
-bounds of its ``n_scr`` nearest same-class rows, and visits them best first:
-in ascending bound, up to the first bound beyond the incumbent.  Each visited
-target is built and solved to its exact optimal vertex with the dual
-active-set solver.  The greedy K-NN attack and the line-search baselines
+The exact pipeline solves the nearest target first, then visits the targets
+within its reach best first, in ascending ``n_scr``-row pair bound, up to the
+first bound beyond the incumbent (``_one_nn``).  Each visited target is built
+and solved to its exact optimal vertex with the dual active-set solver.  The
+greedy K-NN attack and the line-search baselines
 reuse the same certificate type; every certificate carrying a perturbation
 is validated against the classifier before being returned.
 """

@@ -25,8 +25,8 @@ _GRAM_REL_TOL = 1e-4
 # Elements of one temporary block of pair differences under linf and l1,
 # about 2 MB: at d=784 the 1-NN window can hold thousands of targets.
 _BLOCK_ELEMENTS = 2 ** 18
-# |x_i.x_j| <= max(||x_i||^2, ||x_j||^2), so below this no Gram-form term
-# overflows float64.
+# Every Gram-form term is at most 2 (||x_i||^2 + ||x_j||^2) in size, so
+# below this bound on that sum none overflows float64.
 _GRAM_MAX = 2.0 ** 1020
 # The dual of the max norm is the sum norm, and that of the sum norm the max norm.
 _DUAL_ORD = {"linf": 1, "l1": np.inf}
@@ -185,8 +185,8 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
     points, which sums each row as an einsum over these rows alone would,
     except beyond d = 8192 for a block of one source or one target: numpy's
     einsum sums a lone row of that length in another order, so such a bound
-    may then differ in its last bit.  Under linf and l1, and under l2 when a
-    squared norm reaches ``_GRAM_MAX`` (where the Gram form may overflow),
+    may then differ in its last bit.  Under linf and l1, and under l2 when
+    the squared norms reach ``_GRAM_MAX`` (where the Gram form may overflow),
     the dual norms are taken of the differences, formed in blocks of about
     ``_BLOCK_ELEMENTS`` elements, and every entry is that of its own pair
     bit for bit.
@@ -200,11 +200,12 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
     xt = ds.points[targets]
     s_norm = ds.norms_sq[sources]
     t_norm = ds.norms_sq[targets]
-    if norm == "l2" and max(s_norm.max(), t_norm.max()) < _GRAM_MAX:
+    scale = float(s_norm.max()) + float(t_norm.max())    # inf on overflow, unwarned
+    if norm == "l2" and scale < _GRAM_MAX:
         cross = s_norm[:, None] + t_norm[None, :] - 2.0 * (xs @ xt.T)
         # The block-wide test is cheap and almost always clears every pair; a
         # cleared block has no negative or zero cross distance.
-        if not cross.min() <= _GRAM_REL_TOL * (s_norm.max() + t_norm.max()):
+        if not cross.min() <= _GRAM_REL_TOL * scale:
             return numer / (2.0 * np.sqrt(cross))
         i, j = np.nonzero(cross <= _GRAM_REL_TOL * (s_norm[:, None] + t_norm[None, :]))
         gap = xs[i] - xt[j]
