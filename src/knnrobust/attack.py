@@ -4,9 +4,9 @@ The exact pipeline solves the nearest target first, then visits the targets
 within its reach best first, in ascending ``n_scr``-row pair bound, up to the
 first bound beyond the incumbent (``_one_nn``).  Each visited target is built
 and solved to its exact optimal vertex with the dual active-set solver.  The
-greedy K-NN attack and the line-search baselines
-reuse the same certificate type; every certificate carrying a perturbation
-is validated against the classifier before being returned.
+greedy K-NN attack and the line-search baselines reuse the same certificate
+type; every certificate carrying a perturbation is validated against the
+classifier before being returned.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # A Gram-product squared distance below this fraction of ||x_i||^2 + ||x_j||^2
 # has lost at least four of its digits to cancellation.
 _GRAM_REL_TOL = 1e-4
-# Elements of one temporary block of pair differences under linf and l1,
+# Elements of one temporary block of pair differences in difference form,
 # about 2 MB: at d=784 the 1-NN window can hold thousands of targets.
 _BLOCK_ELEMENTS = 2 ** 18
 # Every Gram-form term is at most 2 (||x_i||^2 + ||x_j||^2) in size, so
