@@ -23,11 +23,14 @@ too: for every dataset of both workloads at both seeds, the files that
 
 Per call the record holds the epsilon as ``float.hex``, the SHA-1 of the
 perturbation's bytes, the certificate's kind, the stats counts (built, solved, screened, solver
-steps), the verifier's binding pair and pair count, or the type of the
-library error raised; per file read, the SHA-1 of the arrays returned, or
-the library error.  The script prints, per method, the calls compared; those
-whose outcome differs (the epsilon, perturbation, kind, binding pair, error
-or SHA-1, or a call recorded on one side only); those that differ only in
+steps), the plain vote at the perturbed point (``knn_predict`` at z + delta
+with no true label: such points sit on bisectors, where the plain vote's
+order of ties decides), the verifier's binding pair and pair count, or the
+type of the library error raised.  Per input and K the plain vote at the
+query is recorded too (method ``plain-vote``).  Per file read, the record
+holds the SHA-1 of the arrays returned, or the library error.  The script prints, per method, the calls compared; those
+whose outcome differs (the epsilon, perturbation, kind, plain vote, binding
+pair, error or SHA-1, or a call recorded on one side only); those that differ only in
 their counts (the stats counts or the verifier's pair count); the largest
 relative difference of an epsilon recorded on both sides; and the calls
 whose raised error changed (an error on one side only, or another type).
@@ -55,17 +58,30 @@ TIE_GRID_KS = (1, 3, 5)
 ABLATIONS = ("exact-unsorted", "exact-nscr1", "exact-noscreen", "exact-unsorted-noscreen",
              "exact-linf-nscr1", "exact-linf-noscreen", "exact-l1-nscr1", "exact-l1-unsorted")
 # Record fields that state a call's outcome; "stats" and "pairs" count its work.
-OUTCOME_FIELDS = ("eps", "delta", "kind", "binding", "error", "sha1")
+OUTCOME_FIELDS = ("eps", "delta", "kind", "vote", "binding", "error", "sha1")
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                       "MKL_NUM_THREADS")}
 
 
-def _certificate_record(cert) -> dict:
+def _plain_vote(ds, z, k: int):
+    """``knn_predict`` at ``z`` with no true label, or the type of the library
+    error raised."""
+    from knnrobust import KnnRobustError, knn_predict
+    try:
+        return knn_predict(ds, z, k)
+    except KnnRobustError as err:
+        return type(err).__name__
+
+
+def _certificate_record(cert, ds, q, k: int) -> dict:
     s = cert.stats
-    delta = None if cert.delta is None else hashlib.sha1(cert.delta.tobytes()).hexdigest()
-    return {"eps": float(cert.epsilon).hex(), "delta": delta, "kind": cert.kind.value,
-            "stats": [s.subproblems_built, s.subproblems_solved, s.subproblems_screened,
-                      s.solver_iterations]}
+    record = {"eps": float(cert.epsilon).hex(), "delta": None, "kind": cert.kind.value,
+              "stats": [s.subproblems_built, s.subproblems_solved, s.subproblems_screened,
+                        s.solver_iterations]}
+    if cert.delta is not None:
+        record["delta"] = hashlib.sha1(cert.delta.tobytes()).hexdigest()
+        record["vote"] = _plain_vote(ds, q.z + cert.delta, k)
+    return record
 
 
 def _run(method: str, ds, q, k: int) -> dict:
@@ -101,7 +117,7 @@ def _run(method: str, ds, q, k: int) -> dict:
             raise ValueError(f"unknown method {method!r}")
     except KnnRobustError as err:
         return {"error": type(err).__name__}
-    return _certificate_record(cert)
+    return _certificate_record(cert, ds, q, k)
 
 
 def _tie_grid(rng):
@@ -188,6 +204,18 @@ def _ingestion(directory: Path) -> dict:
     return out
 
 
+def _input_records(name: str, ds, q, ks, table) -> dict:
+    """One input's records, keyed ``name/method/kK``: the plain vote at the
+    query per K, every entry of ``table`` at a K in ``ks``, and the
+    ablations at K=1."""
+    out = {f"{name}/plain-vote/k{k}": {"vote": _plain_vote(ds, q.z, k)} for k in ks}
+    entries = [(e.method, e.k) for e in table if e.k in ks]
+    entries += [(m, 1) for m in ABLATIONS]
+    for method, k in entries:
+        out[f"{name}/{method}/k{k}"] = _run(method, ds, q, k)
+    return out
+
+
 def record(checkout: Path) -> dict:
     """Every record of the sweep on ``checkout``, keyed ``input/method/kK``,
     and of the ingestion, keyed ``input/loader/file``."""
@@ -198,11 +226,8 @@ def record(checkout: Path) -> dict:
     warnings.simplefilter("ignore")
     with tempfile.TemporaryDirectory() as tmp:
         out = _ingestion(Path(tmp))
-    for name, ds, q, ks, table in _inputs():
-        entries = [(e.method, e.k) for e in table if e.k in ks]
-        entries += [(m, 1) for m in ABLATIONS]
-        for method, k in entries:
-            out[f"{name}/{method}/k{k}"] = _run(method, ds, q, k)
+    for item in _inputs():
+        out.update(_input_records(*item))
     return out
 
 

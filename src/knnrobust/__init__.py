@@ -19,10 +19,8 @@ from .attack import (
     screen_subproblem,
 )
 from .data import (
-    DEFAULT_TIE_RULE,
     Dataset,
     Query,
-    TieRule,
     class_means,
     generate_synthetic,
     k_nearest,
@@ -58,7 +56,6 @@ __all__ = [
     "AttackStats",
     "CertificateKind",
     "CertificationError",
-    "DEFAULT_TIE_RULE",
     "DataFormatError",
     "Dataset",
     "DegeneratePairError",
@@ -73,7 +70,6 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "Subproblem",
-    "TieRule",
     "VerificationResult",
     "build_1nn_subproblem",
     "build_knn_subproblem",

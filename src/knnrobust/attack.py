@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, check_k, finite_distances_sq,
-                   knn_predict, knn_vote, stable_order)
+from .data import (_TIE_INFLATION, Dataset, Query, check_k, finite_distances_sq, knn_predict,
+                   knn_vote, stable_order)
 from .errors import CertificationError, InfeasibleSubproblemError, SolverError
 from .qp_solver import DualSolution, SolveStatus, SolverConfig, recover_primal, solve_dual_gca
 from .subproblem import (Subproblem, build_1nn_subproblem, build_knn_subproblem,
@@ -56,8 +56,8 @@ class PerturbationCertificate:
     """A perturbation and/or bound value with provenance.
 
     For ``EXACT`` and ``UPPER_BOUND`` kinds the perturbation is present,
-    its norm equals ``epsilon``, and (inflated by the tie rule) it flips
-    the prediction.
+    its norm equals ``epsilon``, and it flips the prediction at z + delta or
+    at the inflated point of ``is_adversarial``.
     """
 
     delta: np.ndarray | None
@@ -68,21 +68,22 @@ class PerturbationCertificate:
     misclassified: bool = False
 
 
-def is_adversarial(ds: Dataset, q: Query, delta: np.ndarray, k: int,
-                   tie: TieRule = DEFAULT_TIE_RULE) -> bool:
+def is_adversarial(ds: Dataset, q: Query, delta: np.ndarray, k: int) -> bool:
     """True iff the perturbation changes the prediction.
 
-    Checks the slightly inflated point (robust when the solution stops a
-    hair short of a bisection) and the exact point (the attacker-favorable
-    tie rule makes a perturbation of exactly the minimum radius flip; at
-    degenerate optima with a tight bisection the query already clears,
-    inflating can cross back, so the exact point must count too).
+    Checks the point inflated by the relative factor ``data._TIE_INFLATION``
+    (robust when the solution stops a hair short of a bisection) and the
+    exact point.  The vote sends ties to the attacker, matching the
+    constraints' non-strict inequalities, so a perturbation of exactly the
+    minimum radius flips; at degenerate optima with a tight bisection the
+    query already clears, inflating can cross back, so the exact point must
+    count too.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    inflated = q.z + (1.0 + tie.inflation) * delta
-    if knn_predict(ds, inflated, k, tie, true_label=q.true_label) != q.true_label:
+    inflated = q.z + (1.0 + _TIE_INFLATION) * delta
+    if knn_predict(ds, inflated, k, true_label=q.true_label) != q.true_label:
         return True
-    return knn_predict(ds, q.z + delta, k, tie, true_label=q.true_label) != q.true_label
+    return knn_predict(ds, q.z + delta, k, true_label=q.true_label) != q.true_label
 
 
 def _begin(ds: Dataset, q: Query, k: int, method: str
@@ -170,8 +171,8 @@ def _solve_candidate(sp: Subproblem, stats: AttackStats) -> tuple[np.ndarray, Du
 
 
 def _one_nn(ds: Dataset, q: Query, method: str, norm: str, solve, cfg: SolverConfig,
-            n_scr: int, sort_candidates: bool, candidate_limit: int | None,
-            tie: TieRule) -> PerturbationCertificate:
+            n_scr: int, sort_candidates: bool,
+            candidate_limit: int | None) -> PerturbationCertificate:
     """The 1-NN candidate loop behind ``exact_1nn``, ``qp_top_m`` and ``exact_1nn_lp``.
 
     Targets are the other-class points, nearest first when ``sort_candidates``
@@ -236,7 +237,7 @@ def _one_nn(ds: Dataset, q: Query, method: str, norm: str, solve, cfg: SolverCon
     stats.subproblems_screened = others.size - stats.subproblems_built
     if delta_best is None:
         raise SolverError(f"{method}: no candidate subproblem produced a perturbation")
-    if not is_adversarial(ds, q, delta_best, 1, tie):
+    if not is_adversarial(ds, q, delta_best, 1):
         raise CertificationError(
             f"{method}: produced perturbation does not flip the 1-NN prediction")
     kind = CertificateKind.EXACT if candidate_limit is None else CertificateKind.UPPER_BOUND
@@ -245,7 +246,7 @@ def _one_nn(ds: Dataset, q: Query, method: str, norm: str, solve, cfg: SolverCon
 
 def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
               n_scr: int = DEFAULT_N_SCR, sort_candidates: bool = True,
-              tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
+              tie=None) -> PerturbationCertificate:
     """Exact minimum adversarial perturbation of the 1-NN classifier.
 
     Solves the nearest target, then visits the targets within its reach best
@@ -253,18 +254,17 @@ def exact_1nn(ds: Dataset, q: Query, cfg: SolverConfig = SolverConfig(), *,
     beyond the incumbent: no target left can win.  Without ``sort_candidates``
     the targets are visited in index order and each one that cannot win is
     skipped.  Queries the model already misclassifies get a zero certificate
-    immediately.
+    immediately.  ``tie`` is ignored; it stays for callers that pass it.
     """
-    return _one_nn(ds, q, "exact-1nn", "l2", _solve_candidate, cfg, n_scr, sort_candidates,
-                   None, tie)
+    return _one_nn(ds, q, "exact-1nn", "l2", _solve_candidate, cfg, n_scr, sort_candidates, None)
 
 
 def qp_top_m(ds: Dataset, q: Query, m: int, cfg: SolverConfig = SolverConfig(), *,
-             n_scr: int = DEFAULT_N_SCR, tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
-    """Upper bound from solving only the m nearest target subproblems."""
+             n_scr: int = DEFAULT_N_SCR, tie=None) -> PerturbationCertificate:
+    """Upper bound from solving only the m nearest target subproblems; ``tie`` is ignored."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _one_nn(ds, q, f"qp-{m}", "l2", _solve_candidate, cfg, n_scr, True, m, tie)
+    return _one_nn(ds, q, f"qp-{m}", "l2", _solve_candidate, cfg, n_scr, True, m)
 
 
 def _subset_candidates(ids: np.ndarray, dist_sq: np.ndarray, size: int):
@@ -301,7 +301,7 @@ def _subset_candidates(ids: np.ndarray, dist_sq: np.ndarray, size: int):
 
 
 def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfig(), *,
-                  tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
+                  tie=None) -> PerturbationCertificate:
     """Greedy K-NN attack: force a same-label target cluster nearest.
 
     Enumerates size-ceil((K+1)/2) same-label target subsets in ascending
@@ -313,8 +313,8 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     nonzero multipliers, keeping the improvement when it still validates.
     That refinement is the first subproblem without the dropped points'
     rows (``Subproblem.without_sources``), so no row is built twice.
-    ``cfg`` has no effect: every subset QP is solved whole, and the
-    parameter stays for callers that pass it by position.
+    ``cfg`` and ``tie`` have no effect: every subset QP is solved whole, and
+    the parameters stay for callers that pass them.
     """
     stats, start, dist_sq, zero = _begin(ds, q, k, "qp-greedy")
     if zero is not None:
@@ -337,7 +337,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
         except SolverError:
             continue  # empty constraint set, or a numerical failure
         eps = float(np.linalg.norm(delta))
-        if eps > cap_norm or not is_adversarial(ds, q, delta, k, tie):
+        if eps > cap_norm or not is_adversarial(ds, q, delta, k):
             continue
 
         if k_plus > 0 and sol.indices.size:
@@ -357,7 +357,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
                 if (
                     delta2 is not None
                     and float(np.linalg.norm(delta2)) < eps
-                    and is_adversarial(ds, q, delta2, k, tie)
+                    and is_adversarial(ds, q, delta2, k)
                 ):
                     delta = delta2
         return _certificate(delta, CertificateKind.UPPER_BOUND, "qp-greedy", stats, start)
@@ -366,7 +366,7 @@ def qp_greedy_knn(ds: Dataset, q: Query, k: int, cfg: SolverConfig = SolverConfi
     )
 
 
-def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule, dist_sq: np.ndarray):
+def _line_search(ds: Dataset, q: Query, k: int, dist_sq: np.ndarray):
     """The baselines' ``flip(u, t_cap)`` from ``q.z``.
 
     ``dist_sq`` holds the squared distances from ``q.z`` that ``_begin``
@@ -456,7 +456,7 @@ def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule, dist_sq: np.ndarra
             counts[int(ds.labels[o])] += 1
             own = counts[true] if 0 <= true < len(counts) else 0
             flips = max(counts[c] for c in rivals) >= own
-            if (flips or tied) and t > 0.0 and is_adversarial(ds, q, t * u, k, tie):
+            if (flips or tied) and t > 0.0 and is_adversarial(ds, q, t * u, k):
                 return t
         raise SolverError(f"line search: no first flip within {_MAX_EVENTS} events")
 
@@ -464,14 +464,14 @@ def _line_search(ds: Dataset, q: Query, k: int, tie: TieRule, dist_sq: np.ndarra
 
 
 def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
-                 tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
+                 tie=None) -> PerturbationCertificate:
     """Line-search baseline: walk straight toward nearby other-class targets.
 
     For K=1 the targets are the ``tries`` nearest other-class instances; for
     K>1 each target is the centroid of a size-(K+1)/2 same-label cluster
     grown around such an instance.  Each direction gets the first flip on
     the segment to its target, found exactly by ``_line_search``; a direction
-    is searched only up to the best radius found so far.
+    is searched only up to the best radius found so far.  ``tie`` is ignored.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
@@ -479,7 +479,7 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
     if zero is not None:
         return zero
 
-    flip = _line_search(ds, q, k, tie, dist_sq)
+    flip = _line_search(ds, q, k, dist_sq)
     others = ds.split(q.true_label)[1]
     others = others[stable_order(dist_sq[others])]
     k_minus = (k + 1) // 2
@@ -514,14 +514,14 @@ def naive_attack(ds: Dataset, q: Query, k: int, tries: int = 1, *,
 
 
 def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
-                tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
+                tie=None) -> PerturbationCertificate:
     """Baseline walking toward the nearest other-class mean.
 
     The ray through the mean, extended beyond it up to 2**20 times its
     length, is walked by ``_line_search`` to its first flip; gives the
     loosest but cheapest upper bound.  Its flip may land on a farther
     target than the nearest other-class point, so it bounds ``exact_1nn``
-    but is not ordered against ``qp_top_m``.
+    but is not ordered against ``qp_top_m``.  ``tie`` is ignored.
     """
     stats, start, dist_sq, zero = _begin(ds, q, k, "mean")
     if zero is not None:
@@ -532,7 +532,7 @@ def mean_attack(ds: Dataset, q: Query, k: int = 1, *,
     direction = means[int(np.argmin(gaps))] - q.z
     if not np.any(direction):
         raise SolverError("mean: query coincides with the target class mean")
-    flip = _line_search(ds, q, k, tie, dist_sq)
+    flip = _line_search(ds, q, k, dist_sq)
     t_star = flip(direction, _RAY_EXTENSION_CAP)
     if t_star is None:
         raise SolverError("mean: no flip within the ray-length cap")

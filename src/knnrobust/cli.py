@@ -29,7 +29,7 @@ import numpy as np
 
 from . import attack as attack_mod
 from .attack import DEFAULT_N_SCR, AttackStats, CertificateKind, PerturbationCertificate
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict, load_csv, load_queries
+from .data import Dataset, Query, knn_predict, load_csv, load_queries
 from .errors import CertificationError, DataFormatError, KnnRobustError, SolverError
 from .lp import exact_1nn_lp
 from .qp_solver import SolverConfig
@@ -119,8 +119,9 @@ class RunConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(screening_enabled=self.screening)
 
-    def tie_rule(self) -> TieRule:
-        return DEFAULT_TIE_RULE
+    def tie_rule(self) -> None:
+        """None: the tie rule is fixed, and the entry points ignore ``tie``."""
+        return None
 
 
 @dataclass
@@ -187,16 +188,15 @@ def _certificate_record(index: int, q: Query, cert: PerturbationCertificate,
 
 def _run_method(ds: Dataset, q: Query, method: str, cfg: RunConfig) -> PerturbationCertificate:
     solver = cfg.solver_config()
-    tie = cfg.tie_rule()
     if method == "exact":
         if cfg.norm == "l2":
             return attack_mod.exact_1nn(ds, q, solver, n_scr=cfg.n_scr,
-                                        sort_candidates=cfg.sorting, tie=tie)
+                                        sort_candidates=cfg.sorting)
         return exact_1nn_lp(ds, q, cfg.norm, cfg=solver, n_scr=cfg.n_scr,
-                            sort_candidates=cfg.sorting, tie=tie)
+                            sort_candidates=cfg.sorting)
     if method == "verifier":
         started = time.perf_counter()
-        res = verify_knn(ds, q, cfg.k, tie)
+        res = verify_knn(ds, q, cfg.k)
         return PerturbationCertificate(
             delta=None, epsilon=res.epsilon_lower, kind=CertificateKind.LOWER_BOUND,
             method="verifier", misclassified=res.misclassified,
@@ -204,13 +204,13 @@ def _run_method(ds: Dataset, q: Query, method: str, cfg: RunConfig) -> Perturbat
         )
     prefix, count = _method_count(method)
     if prefix == "qp" and count is not None:
-        return attack_mod.qp_top_m(ds, q, count, solver, n_scr=cfg.n_scr, tie=tie)
+        return attack_mod.qp_top_m(ds, q, count, solver, n_scr=cfg.n_scr)
     if method == "qp-greedy":
-        return attack_mod.qp_greedy_knn(ds, q, cfg.k, solver, tie=tie)
+        return attack_mod.qp_greedy_knn(ds, q, cfg.k)
     if prefix == "naive" and count is not None:
-        return attack_mod.naive_attack(ds, q, cfg.k, count, tie=tie)
+        return attack_mod.naive_attack(ds, q, cfg.k, count)
     if method == "mean":
-        return attack_mod.mean_attack(ds, q, cfg.k, tie=tie)
+        return attack_mod.mean_attack(ds, q, cfg.k)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -218,10 +218,9 @@ def _sample_queries(ds: Dataset, queries: list[Query], cfg: RunConfig) -> list[t
     """Seeded uniform sample of correctly classified queries, index order."""
     if any(q.z.size != ds.d for q in queries):
         raise DataFormatError("query dimension does not match the dataset")
-    tie = cfg.tie_rule()
     correct = [
         (i, q) for i, q in enumerate(queries)
-        if knn_predict(ds, q.z, cfg.k, tie, true_label=q.true_label) == q.true_label
+        if knn_predict(ds, q.z, cfg.k, true_label=q.true_label) == q.true_label
     ]
     if len(correct) > cfg.sample:
         rng = np.random.default_rng(cfg.seed)

@@ -10,29 +10,10 @@ import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import DataFormatError, InsufficientPointsError
-
-
-@dataclass(frozen=True)
-class TieRule:
-    """Policy for distance ties at the decision boundary.
-
-    Ties are resolved in favour of misclassification, which matches the
-    non-strict inequality used by the perturbation constraints: a
-    perturbation of exactly the minimum radius already flips the label.
-    ``inflation`` is the relative factor by which ``is_adversarial`` pushes
-    a perturbation strictly past a bisection; it is a constant, since a large
-    one accepts perturbations that do not flip the prediction at z + delta.
-    """
-
-    inflation: ClassVar[float] = 1e-9
-
-
-DEFAULT_TIE_RULE = TieRule()
 
 
 @dataclass(frozen=True)
@@ -380,6 +361,10 @@ def finite_distances_sq(ds: Dataset, z: np.ndarray) -> np.ndarray:
 # on a bisection hyperplane rarely reproduces the tie bit-for-bit when the
 # distances are recomputed, and the tie rule exists for that boundary.
 _TIE_REL_TOL = 512 * np.finfo(np.float64).eps
+# The relative factor by which ``attack.is_adversarial`` pushes a
+# perturbation strictly past a bisection.  A large one would accept
+# perturbations that do not flip the prediction at z + delta.
+_TIE_INFLATION = 1e-9
 
 
 def knn_vote(ds: Dataset, dist_sq: np.ndarray, k: int, true_label: int | None = None) -> int:
@@ -388,24 +373,28 @@ def knn_vote(ds: Dataset, dist_sq: np.ndarray, k: int, true_label: int | None = 
     Needs ``k <= ds.n``.  ``knn_predict`` and the verifier pass distances
     they already hold.  A NaN or Inf K-th distance raises ``DataFormatError``;
     no larger distance enters the vote.
+
+    Without ``true_label`` the vote is the majority label of ``k_nearest``,
+    the smallest on equal counts.  With it, ties go to the attacker, as in
+    the constraints' non-strict inequalities: the points within
+    ``_TIE_REL_TOL`` of the K-th squared distance fill the free ranks in
+    whatever way moves the vote off ``true_label``.
     """
     kth = np.partition(dist_sq, k - 1)[k - 1]
     if not np.isfinite(kth):
         raise DataFormatError("squared distances from the point are NaN or overflow float64")
+    size = ds.class_count + 1
+    if true_label is None:
+        # argmax takes the smallest label among equal counts.
+        nearest = stable_order(dist_sq)[:k]
+        return int(np.argmax(np.bincount(ds.labels[nearest], minlength=size)))
+
     window = _TIE_REL_TOL * kth
     strict = dist_sq < kth - window
     tied = np.abs(dist_sq - kth) <= window
     slots = k - int(np.count_nonzero(strict))
-    size = ds.class_count + 1
     # Per-label counts are tiny (C + 1 entries), so the rest runs on lists.
     fixed = np.bincount(ds.labels[strict], minlength=size).tolist()
-
-    if true_label is None:
-        tied_ids = np.flatnonzero(tied)
-        first = tied_ids[np.argsort(dist_sq[tied_ids], kind="stable")[:slots]]
-        # argmax takes the smallest label among equal counts.
-        return int(np.argmax(np.bincount(ds.labels[first], minlength=size) + fixed))
-
     avail = np.bincount(ds.labels[tied], minlength=size).tolist()
     votes = [f + min(a, slots) for f, a in zip(fixed, avail)]
     own_fixed = own_avail = 0
@@ -420,21 +409,13 @@ def knn_vote(ds: Dataset, dist_sq: np.ndarray, k: int, true_label: int | None = 
     return votes.index(best) if best >= true_votes else true_label
 
 
-def knn_predict(
-    ds: Dataset,
-    z: np.ndarray,
-    k: int,
-    tie: TieRule = DEFAULT_TIE_RULE,
-    true_label: int | None = None,
-) -> int:
-    """Majority-vote K-NN prediction under the attacker-favorable tie rule.
+def knn_predict(ds: Dataset, z: np.ndarray, k: int, tie=None,
+                true_label: int | None = None) -> int:
+    """Majority-vote K-NN prediction at ``z``, by ``knn_vote``'s rule.
 
-    When a distance tie straddles the K-th rank, the tied candidates can be
-    included or dropped at will; with ``true_label`` given, the choice (and
-    any resulting tie in the vote itself) is resolved so that the prediction
-    moves away from ``true_label`` whenever some choice achieves that.
-    Without a reference label, ties are broken by ascending point index and
-    vote ties by the smallest label.
+    With ``true_label`` given, ties go against it; without it, the K nearest
+    in (distance, index) order vote and equal counts go to the smallest
+    label.  ``tie`` is ignored; it stays for callers that pass it by position.
     """
     check_k(ds, k)
     return knn_vote(ds, ds.distances_sq(z), k, true_label)

@@ -36,7 +36,7 @@ import numpy as np
 from .attack import DEFAULT_N_SCR, PerturbationCertificate, _one_nn
 # knn_predict and build_1nn_subproblem are not called here, but they stay
 # bound in lp: the benchmark's tracer rebinds lp.<name>.
-from .data import DEFAULT_TIE_RULE, Dataset, Query, TieRule, knn_predict  # noqa: F401
+from .data import Dataset, Query, knn_predict  # noqa: F401
 from .errors import SolverError
 from .qp_solver import SolverConfig
 from .subproblem import Subproblem, build_1nn_subproblem  # noqa: F401
@@ -254,8 +254,7 @@ def solve_lp(lp: DualLp) -> tuple[np.ndarray, float, int]:
 
 def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
                  cfg: SolverConfig = SolverConfig(), n_scr: int = DEFAULT_N_SCR,
-                 sort_candidates: bool = True,
-                 tie: TieRule = DEFAULT_TIE_RULE) -> PerturbationCertificate:
+                 sort_candidates: bool = True, tie=None) -> PerturbationCertificate:
     """Exact minimum perturbation of 1-NN under the max or sum norm.
 
     The candidate loop of ``exact_1nn`` with one LP per target.  Its pair
@@ -264,6 +263,7 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
     the max norm, the max norm under the sum norm), so the targets are
     ordered and pruned by their ``n_scr``-row block bounds in that norm, or
     by their reach without ``cfg.screening_enabled`` (``attack._one_nn``).
+    ``tie`` is ignored; it stays for callers that pass it.
     """
     if norm not in ("linf", "l1"):
         raise ValueError(f"norm must be 'linf' or 'l1', got {norm!r}")
@@ -278,4 +278,4 @@ def exact_1nn_lp(ds: Dataset, q: Query, norm: str = "linf", *,
         stats.solver_iterations += solved[2]
         return solved
 
-    return _one_nn(ds, q, method, norm, solve, cfg, n_scr, sort_candidates, None, tie)
+    return _one_nn(ds, q, method, norm, solve, cfg, n_scr, sort_candidates, None)

@@ -189,7 +189,8 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
     the squared norms reach ``_GRAM_MAX`` (where the Gram form may overflow),
     the dual norms are taken of the differences, formed in blocks of about
     ``_BLOCK_ELEMENTS`` elements, and every entry is that of its own pair
-    bit for bit.
+    bit for bit; an l2 norm whose square overflows is taken as
+    ``max|gap| * ||gap / max|gap|||``.
 
     A coincident pair has bound 0, which keeps the bound sound.  A zero
     distance with ``d_i < d_j`` raises ``DegeneratePairError``: the points
@@ -217,7 +218,14 @@ def pair_bound_block(ds: Dataset, z: np.ndarray, sources: np.ndarray, sources_sq
         step = max(1, _BLOCK_ELEMENTS // xs.size)
         for lo in range(0, targets.size, step):
             gap = xt[None, lo:lo + step] - xs[:, None]
-            dual[:, lo:lo + step] = np.linalg.norm(gap, ord=_DUAL_ORD.get(norm, 2), axis=2)
+            if norm != "l2":
+                dual[:, lo:lo + step] = np.linalg.norm(gap, ord=_DUAL_ORD[norm], axis=2)
+                continue
+            with np.errstate(over="ignore"):
+                dual[:, lo:lo + step] = norms = np.linalg.norm(gap, axis=2)
+            s, t = np.nonzero(np.isinf(norms))
+            peak = np.abs(gap[s, t]).max(axis=1, keepdims=True)
+            dual[s, lo + t] = peak[:, 0] * np.linalg.norm(gap[s, t] / peak, axis=1)
     zero = dual == 0.0
     bad = zero & (numer > 0.0)
     if np.any(bad):

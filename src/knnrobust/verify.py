@@ -23,8 +23,7 @@ import numpy as np
 # knn_predict is not called here, but it stays bound as verify.knn_predict:
 # the benchmark's tracer rebinds that name.
 from .data import knn_predict  # noqa: F401
-from .data import (DEFAULT_TIE_RULE, Dataset, Query, TieRule, check_k, finite_distances_sq,
-                   knn_vote, stable_order)
+from .data import Dataset, Query, check_k, finite_distances_sq, knn_vote, stable_order
 from .errors import InsufficientPointsError
 from .subproblem import pair_bound_block
 
@@ -48,8 +47,7 @@ class VerificationResult:
     pair_bounds: int = 0
 
 
-def verify_knn(ds: Dataset, q: Query, k: int = 1,
-               tie: TieRule = DEFAULT_TIE_RULE) -> VerificationResult:
+def verify_knn(ds: Dataset, q: Query, k: int = 1, tie=None) -> VerificationResult:
     """Certified K-NN lower bound via the order-statistic pair-bound formula.
 
     The bound is not monotone in K: a larger K lowers each target's
@@ -66,7 +64,8 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
 
     A same-class point that coincides with a target gives the row
     ``0.delta + 0 >= 0`` and pair bound 0, which keeps the bound sound; with
-    ``d_i = d_j`` that pair is never evaluated.
+    ``d_i = d_j`` that pair is never evaluated.  ``tie`` is ignored; it
+    stays for callers that pass it by position.
     """
     check_k(ds, k)
     order = (k + 1) // 2
@@ -125,10 +124,10 @@ def verify_knn(ds: Dataset, q: Query, k: int = 1,
     return VerificationResult(epsilon, binding, order, pair_bounds=pairs)
 
 
-def verify_1nn(ds: Dataset, q: Query, tie: TieRule = DEFAULT_TIE_RULE) -> VerificationResult:
+def verify_1nn(ds: Dataset, q: Query) -> VerificationResult:
     """1-NN lower bound: min over targets of the max pair bound.
 
     Tight whenever the exact solution has a single active constraint; always
     at most the exact minimum perturbation.
     """
-    return verify_knn(ds, q, 1, tie)
+    return verify_knn(ds, q, 1)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from knnrobust import (
-    DEFAULT_TIE_RULE,
     AttackStats,
     CertificateKind,
     CertificationError,
@@ -15,6 +14,7 @@ from knnrobust import (
     DualSolution,
     InsufficientPointsError,
     KnnRobustError,
+    PerturbationCertificate,
     Query,
     SolveStatus,
     SolverConfig,
@@ -692,7 +692,7 @@ class TestLineSearchWalk:
 
     @staticmethod
     def _flip(ds, q, k, u, t_cap=2.0 ** 20):
-        flip = attack._line_search(ds, q, k, DEFAULT_TIE_RULE, ds.distances_sq(q.z))
+        flip = attack._line_search(ds, q, k, ds.distances_sq(q.z))
         return flip(np.asarray(u, dtype=np.float64), t_cap)
 
     def test_vote_tie_at_an_event_flips(self):
@@ -774,7 +774,7 @@ def _walk_sequence(ds, q, k, directions):
     """Walk ``(u, t_cap)`` pairs through one ``flip`` closure, in order.  The
     first direction is walked again capped at half its flip, which must end in
     None."""
-    flip = attack._line_search(ds, q, k, DEFAULT_TIE_RULE, ds.distances_sq(q.z))
+    flip = attack._line_search(ds, q, k, ds.distances_sq(q.z))
     walked = [flip(u, t_cap) for u, t_cap in directions]
     if walked[0] is not None:
         walked.append(flip(directions[0][0], 0.5 * walked[0]))
@@ -875,6 +875,47 @@ class TestIsAdversarial:
                 assert cert.epsilon == pytest.approx(
                     float(np.linalg.norm(cert.delta)), rel=1e-9
                 )
+
+
+class TestIgnoredTieSlot:
+    """The eight entry points that the benchmark's harness calls with ``tie=``
+    (``knn_predict`` and ``verify_knn`` by position) accept it and ignore it."""
+
+    CALLS = {
+        "knn_predict": lambda ds, q, k, tie: [knn_predict(ds, q.z, k, tie, true_label=label)
+                                             for label in (None, q.true_label)],
+        "verify_knn": lambda ds, q, k, tie: verify_knn(ds, q, k, tie),
+        "exact_1nn": lambda ds, q, k, tie: exact_1nn(ds, q, tie=tie),
+        "qp_top_m": lambda ds, q, k, tie: qp_top_m(ds, q, 2, tie=tie),
+        "qp_greedy_knn": lambda ds, q, k, tie: qp_greedy_knn(ds, q, k, tie=tie),
+        "naive_attack": lambda ds, q, k, tie: naive_attack(ds, q, k, 2, tie=tie),
+        "mean_attack": lambda ds, q, k, tie: mean_attack(ds, q, k, tie=tie),
+        "exact_1nn_lp": lambda ds, q, k, tie: exact_1nn_lp(ds, q, "l1", tie=tie),
+    }
+
+    @staticmethod
+    def _outcome(call, ds, q, k, tie):
+        try:
+            out = call(ds, q, k, tie)
+        except KnnRobustError as err:
+            return type(err).__name__
+        if isinstance(out, PerturbationCertificate):
+            stats = out.stats
+            return (out.epsilon, out.delta.tobytes(), out.kind, out.method,
+                    stats.subproblems_built, stats.subproblems_solved,
+                    stats.subproblems_screened, stats.solver_iterations)
+        return out
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_same_result_for_any_tie(self, name):
+        call = self.CALLS[name]
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            ds, q, ks = random_grid_dataset(rng)
+            for k in ks if name not in ("exact_1nn", "qp_top_m", "exact_1nn_lp") else (1,):
+                expected = self._outcome(call, ds, q, k, None)
+                for tie in (object(), "nearest", 0.5):
+                    assert self._outcome(call, ds, q, k, tie) == expected
 
 
 class TestBoundOrdering:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,6 +62,37 @@ def test_another_kind_is_an_outcome_difference(fix_c):
     for method, kind in (("exact", "exact"), ("exact-linf", "exact"), ("qp-10", "upper_bound"),
                          ("qp-greedy", "upper_bound"), ("mean", "upper_bound")):
         assert bit_identity._run(method, ds, q, 1)["kind"] == kind, method
+
+
+def test_another_plain_vote_is_an_outcome_difference():
+    parent = dict(_records(), **{"corpus/0/plain-vote/k1": {"vote": 1},
+                                 "corpus/0/exact/k1": dict(_EXACT, vote=2)})
+    change = dict(parent, **{"corpus/0/plain-vote/k1": {"vote": 2},
+                             "corpus/0/exact/k1": dict(_EXACT, vote=1)})
+    counts, lines = bit_identity.compare(parent, change)
+    assert counts["plain-vote"] == [1, 1, 0] and counts["exact"] == [1, 1, 0]
+    assert len(lines) == 2
+    assert bit_identity.sizes(parent, change)["plain-vote"] == [0.0, 0]
+
+
+def test_input_records_hold_the_plain_votes(fix_c):
+    from knnrobust import knn_predict, qp_greedy_knn
+    ds, q = fix_c
+    table = [SimpleNamespace(method="qp-greedy", k=3), SimpleNamespace(method="verifier", k=1),
+             SimpleNamespace(method="mean", k=5)]
+    records = bit_identity._input_records("fix_c", ds, q, (1, 3), table)
+    assert {key.split("/")[1] for key in records} == {
+        "plain-vote", "qp-greedy", "verifier", *bit_identity.ABLATIONS}
+    for k in (1, 3):
+        assert records[f"fix_c/plain-vote/k{k}"] == {"vote": knn_predict(ds, q.z, k)}
+    # The plain vote at z + delta, with no true label, beside each perturbation.
+    delta = qp_greedy_knn(ds, q, 3).delta
+    assert records["fix_c/qp-greedy/k3"]["vote"] == knn_predict(ds, q.z + delta, 3)
+    # Exact lands on the bisector of -0.5 and 2, where the lower index wins.
+    assert records["fix_c/exact-nscr1/k1"]["vote"] == 1
+    assert "vote" not in records["fix_c/verifier/k1"]
+    # A vote the library refuses is recorded by its error.
+    assert bit_identity._plain_vote(ds, q.z, 7) == "InsufficientPointsError"
 
 
 def test_count_only_differences_are_told_apart_from_outcomes():

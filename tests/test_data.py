@@ -11,7 +11,6 @@ from knnrobust import (
     Dataset,
     InsufficientPointsError,
     Query,
-    TieRule,
     class_means,
     exact_1nn,
     generate_synthetic,
@@ -358,15 +357,6 @@ class TestKnnPredict:
         with pytest.raises(DataFormatError, match=message):
             is_adversarial(ds, Query(np.zeros(2), 1), np.array(z), k)
 
-    def test_tie_rule_has_no_settings(self):
-        # The validation inflation is a constant: a large one certified
-        # perturbations that do not flip the prediction at z + delta.
-        with pytest.raises(TypeError):
-            TieRule(inflation=0.5)
-        with pytest.raises(TypeError):
-            TieRule(mode="nearest")
-        assert TieRule().inflation == 1e-9
-
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3]))
     @settings(max_examples=40, deadline=None)
     def test_row_permutation_invariance(self, seed, k):
@@ -409,6 +399,23 @@ class TestKnnPredict:
                             points.tolist(), labels.tolist(), z.tolist(), k, true_label)
         # Exact ties straddle the K-th rank in 813 of the 1500 cases.
         assert straddled > cases // 2
+
+    def test_plain_vote_is_the_majority_of_k_nearest(self, corpus):
+        # Without a true label the vote reads the K nearest in (distance,
+        # index) order, the smallest label on equal counts.  Points and
+        # pairwise midpoints put exact ties at the K-th rank, and the 0.3
+        # scale turns some of them into near ties.
+        for base, q, ks in corpus:
+            for scale in (1.0, 0.3):
+                ds = Dataset(scale * base.points, base.labels, base.class_count)
+                i, j = np.triu_indices(ds.n, 1)
+                points = np.vstack([scale * q.z, ds.points, 0.5 * (ds.points[i] + ds.points[j])])
+                for z in points:
+                    for k in ks:
+                        nearest = ds.labels[k_nearest(ds, z, k)].tolist()
+                        best = max(map(nearest.count, nearest))
+                        expected = min(c for c in nearest if nearest.count(c) == best)
+                        assert knn_predict(ds, z, k) == expected, (ds.points.tolist(), z, k)
 
 
 class TestKNearest:

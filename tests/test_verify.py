@@ -9,6 +9,7 @@ from knnrobust import (
     InsufficientPointsError,
     Query,
     exact_1nn,
+    exact_1nn_lp,
     generate_synthetic,
     knn_predict,
     pair_bound,
@@ -279,6 +280,16 @@ class TestFarFromOrigin:
         assert res.epsilon_lower == pytest.approx(1.3, rel=1e-12, abs=0.0)
         assert res.epsilon_lower <= exact_1nn(ds, q).epsilon
         assert res.binding_pair == (0, 2)
+
+    def test_overflowing_pair_difference(self):
+        # Every distance from the query is finite, but ||x_0 - x_1||^2 =
+        # 3.24e308 overflows; the bound was 0.0, with an overflow warning, and
+        # is the exact minimum 5e152 that exact_1nn_lp finds.
+        ds = Dataset(np.array([[0.9e154], [-0.9e154]]), np.array([1, 2]))
+        q = Query(np.array([0.05e154]), 1)
+        res = verify_knn(ds, q)
+        assert res.epsilon_lower == pytest.approx(5e152, rel=1e-12, abs=0.0)
+        assert res.epsilon_lower <= exact_1nn_lp(ds, q).epsilon
 
     def test_random_near_duplicates(self):
         rng = np.random.default_rng(5)
